@@ -1,19 +1,15 @@
 """Scaling of the Section 5.2 policy exploration.
 
 Times the 2-service, 25-combination timeout search (the paper's 5x5
-grid) four ways — serial, serial with EA warm-starting, across a
-4-worker process pool, and through the batched queueing kernel — and
-verifies the core determinism guarantee: every execution mode must pick
-the *identical* timeout vector, and serial vs parallel vs batched must
-agree bit-for-bit on the whole response-time matrix.
+grid) two ways — in-process, where every fixed-point round simulates
+all 50 services in one batched kernel call, and across a 4-worker
+process pool — and verifies the core determinism guarantee: both must
+agree bit-for-bit on the whole response-time matrix and so pick the
+*identical* timeout vector.
 
-The serial/warm/parallel rows pin ``batch=False`` so the process-pool
-scaling is measured against the same per-combo kernel as PR 1; the
-batched row shows what the vectorized kernel adds on top.
-
-The >= 2x parallel wall-clock assertion only applies on machines that
-actually expose >= 4 CPUs; on smaller boxes the numbers are still
-recorded so regressions in the serial path remain visible.
+The pool / in-process time ratio is printed, not asserted: on the
+machines measured so far the pool's start-up and pickling cost
+outweighs the split of an already batched search.
 """
 
 import os
@@ -66,51 +62,33 @@ def test_policy_search_scaling():
     model = _fitted_model()
     n_cpus = len(os.sched_getaffinity(0))
 
-    (serial, t_serial) = _timed(
-        lambda: explore_timeouts(
-            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, batch=False
-        )
-    )
-    (warm, t_warm) = _timed(
-        lambda: explore_timeouts(
-            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, warm_start=True,
-            batch=False,
-        )
+    (inproc, t_inproc) = _timed(
+        lambda: explore_timeouts(model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID)
     )
     (par, t_par) = _timed(
         lambda: explore_timeouts(
-            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, n_jobs=4, batch=False
-        )
-    )
-    (batched, t_batch) = _timed(
-        lambda: explore_timeouts(
-            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, batch=True
+            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, n_jobs=4
         )
     )
 
-    combos, rt_serial = serial
-    _, rt_warm = warm
-    _, rt_par = par
-    _, rt_batch = batched
+    combos, rt_inproc = inproc
+    combos_par, rt_par = par
     assert len(combos) == 25
+    assert combos_par == combos
 
-    # Determinism guarantees: parallel and batched are bit-identical to
-    # serial, and every mode lands on the same chosen timeout vector.
-    assert np.array_equal(rt_serial, rt_par)
-    assert np.array_equal(rt_serial, rt_batch)
-    chosen = slo_matching(rt_serial)
+    # Determinism guarantee: the pool is bit-identical to the
+    # in-process search, so both land on the same chosen vector.
+    assert np.array_equal(rt_inproc, rt_par)
+    chosen = slo_matching(rt_inproc)
     assert slo_matching(rt_par) == chosen
-    assert slo_matching(rt_warm) == chosen
 
     rows = [
-        ["serial (cold)", t_serial, 1.0],
-        ["serial (warm-start)", t_warm, t_serial / t_warm],
-        ["4 workers", t_par, t_serial / t_par],
-        ["batched kernel", t_batch, t_serial / t_batch],
+        ["in-process", t_inproc, 1.0],
+        ["4 workers", t_par, t_par / t_inproc],
     ]
     print_block(
         format_table(
-            ["mode", "seconds", "speedup"],
+            ["mode", "seconds", "time / in-process"],
             rows,
             title=(
                 f"Policy-search scaling: 25-combo grid, pair {PAIR}, "
@@ -119,12 +97,3 @@ def test_policy_search_scaling():
             ),
         )
     )
-
-    # Warm-starting skips converged fixed-point iterations, so it must
-    # never be slower than the cold search by more than scheduling noise.
-    assert t_warm <= t_serial * 1.10
-    if n_cpus >= 4:
-        assert t_serial / t_par >= 2.0, (
-            f"expected >= 2x at 4 workers on {n_cpus} CPUs, got "
-            f"{t_serial / t_par:.2f}x"
-        )

@@ -162,14 +162,7 @@ def _cmd_policy(args) -> int:
         rng=args.seed,
     ).fit(ds)
     utils = tuple([args.utilization] * len(pair))
-    decision = model_driven_policy(
-        model,
-        pair,
-        utils,
-        n_jobs=args.jobs,
-        warm_start=args.warm_start,
-        batch=not args.no_batch,
-    )
+    decision = model_driven_policy(model, pair, utils, n_jobs=args.jobs)
     print(f"recommended timeouts (x service time): {decision.timeouts}")
     if args.verify:
         evaluator = RuntimeEvaluator(
@@ -357,17 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for forest training (one shared-memory "
         "pool per cascade level / MGS pass; identical model for any value)",
-    )
-    p_pol.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="warm-start the EA fixed point across neighbouring combos",
-    )
-    p_pol.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="force the serial queueing kernel for the grid search "
-        "(identical results; batched is faster)",
     )
     p_pol.set_defaults(func=_cmd_policy)
 

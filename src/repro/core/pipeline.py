@@ -245,27 +245,16 @@ class StacModel:
             blocks.append(ticks.T)
         return np.vstack(blocks)
 
-    def _init_eas(self, specs, grosses, ea_init) -> np.ndarray:
-        """Starting EAs for one condition's fixed point."""
-        n = len(specs)
+    def _init_eas(self, specs, grosses) -> np.ndarray:
+        """Starting EAs for one condition's fixed point: the
+        no-contention first-principles EA."""
         mb = 1024 * 1024
-        if ea_init is not None:
-            eas = np.asarray(ea_init, dtype=float).copy()
-            if eas.shape != (n,):
-                raise ValueError(f"ea_init must have shape ({n},), got {eas.shape}")
-            if np.any(eas <= 0):
-                raise ValueError("ea_init entries must be > 0")
-            return eas
-        # Initial guess: no-contention first-principles EA.
         return np.array(
             [
                 ideal_effective_allocation(
-                    specs[i],
-                    self.private_mb * mb,
-                    self.shared_mb * mb,
-                    grosses[i],
+                    spec, self.private_mb * mb, self.shared_mb * mb, gross
                 )
-                for i in range(n)
+                for spec, gross in zip(specs, grosses)
             ]
         )
 
@@ -321,10 +310,7 @@ class StacModel:
         return np.stack(X_flat), np.stack(traces)
 
     def predict_condition(
-        self,
-        condition: RuntimeCondition,
-        ea_init: np.ndarray | None = None,
-        ea_tol: float = 0.0,
+        self, condition: RuntimeCondition
     ) -> ConditionPrediction:
         """Predict response time for a hypothetical runtime condition.
 
@@ -333,64 +319,21 @@ class StacModel:
         features and nominal traces, whose EA predictions update the
         simulator's boosted rate.  (Thin wrapper over
         :meth:`predict_conditions` with a single condition.)
-
-        Parameters
-        ----------
-        ea_init:
-            Optional per-service starting EAs for the fixed point.  When
-            omitted the no-contention first-principles EA seeds the loop;
-            policy exploration passes the converged EAs of a neighbouring
-            timeout combination to warm-start the iteration.
-        ea_tol:
-            Early-exit tolerance: when > 0 the loop stops as soon as the
-            largest per-service EA update falls within ``ea_tol`` (at
-            most ``n_iterations`` iterations either way).  The default 0
-            always runs all iterations.
         """
-        return self.predict_conditions(
-            [condition], ea_inits=[ea_init], ea_tol=ea_tol
-        )[0]
+        return self.predict_conditions([condition])[0]
 
-    def predict_conditions(
-        self,
-        conditions,
-        ea_inits=None,
-        ea_tol: float = 0.0,
-        use_batch: bool | None = None,
-    ) -> list[ConditionPrediction]:
+    def predict_conditions(self, conditions) -> list[ConditionPrediction]:
         """Predict many hypothetical conditions in lockstep.
 
-        Runs every condition's EA fixed point simultaneously so that
-        each round simulates all collocated services of all conditions
-        through one batched kernel call
-        (:meth:`ResponseTimeModel.simulate_many`).  Conditions are
+        Runs every condition's EA fixed point simultaneously, for
+        ``n_iterations`` rounds, so that each round simulates all
+        collocated services of all conditions in one
+        :meth:`ResponseTimeModel.simulate_many` call.  Conditions are
         mutually independent, so each result is bit-identical to a
-        standalone :meth:`predict_condition` call; with ``ea_tol > 0``
-        conditions leave the lockstep individually as they converge,
-        exactly where their serial loop would have stopped.
-
-        Parameters
-        ----------
-        conditions:
-            :class:`RuntimeCondition` instances (service counts may
-            differ between them).
-        ea_inits:
-            Optional per-condition starting EAs (entries may be
-            ``None``); one entry per condition.
-        use_batch:
-            Forwarded to :meth:`ResponseTimeModel.simulate_many`:
-            ``None`` auto-selects the batched kernel by condition
-            count, ``True``/``False`` force a path (results are
-            identical either way).
+        standalone :meth:`predict_condition` call.  Service counts may
+        differ between conditions.
         """
         conditions = list(conditions)
-        if ea_inits is None:
-            ea_inits = [None] * len(conditions)
-        ea_inits = list(ea_inits)
-        if len(ea_inits) != len(conditions):
-            raise ValueError(
-                f"got {len(ea_inits)} ea_inits for {len(conditions)} conditions"
-            )
         specs_per = [
             [get_workload(n) for n in cond.workloads] for cond in conditions
         ]
@@ -399,29 +342,23 @@ class StacModel:
             for specs in specs_per
         ]
         eas_per = [
-            self._init_eas(specs, grosses, init)
-            for specs, grosses, init in zip(specs_per, grosses_per, ea_inits)
+            self._init_eas(specs, grosses)
+            for specs, grosses in zip(specs_per, grosses_per)
         ]
         feedback_per: list[list[QueueFeedback]] = [None] * len(conditions)
         X_per: list[np.ndarray] = [None] * len(conditions)
         traces_per: list[np.ndarray] = [None] * len(conditions)
-        active = list(range(len(conditions)))
-        fp_span = telemetry.span(
-            "stage3.fixed_point", n_conditions=len(conditions)
-        )
-        with fp_span:
-            rounds = 0
+        with telemetry.span(
+            "stage3.fixed_point",
+            n_conditions=len(conditions),
+            rounds=self.n_iterations,
+        ):
             for it in range(self.n_iterations):
-                rounds = it + 1
-                with telemetry.span(
-                    "stage3.fixed_point.round", round=it, active=len(active)
-                ):
+                with telemetry.span("stage3.fixed_point.round", round=it):
                     sim_conds = []
-                    for ci in active:
-                        cond, specs, grosses, eas = (
-                            conditions[ci], specs_per[ci], grosses_per[ci],
-                            eas_per[ci],
-                        )
+                    for cond, specs, grosses, eas in zip(
+                        conditions, specs_per, grosses_per, eas_per
+                    ):
                         for i in range(len(specs)):
                             sim_conds.append(
                                 dict(
@@ -435,33 +372,22 @@ class StacModel:
                                     ),
                                 )
                             )
-                    all_feedback = self.rt_model.simulate_many(
-                        sim_conds, use_batch=use_batch
-                    )
+                    all_feedback = self.rt_model.simulate_many(sim_conds)
                     pos = 0
-                    still_active = []
-                    for ci in active:
-                        n = len(specs_per[ci])
+                    for ci, specs in enumerate(specs_per):
+                        n = len(specs)
                         feedback_per[ci] = all_feedback[pos : pos + n]
                         pos += n
                         X_per[ci], traces_per[ci] = self._condition_round(
-                            conditions[ci], specs_per[ci], grosses_per[ci],
+                            conditions[ci], specs, grosses_per[ci],
                             feedback_per[ci],
                         )
                         # One EA-model call per condition — identical input
-                        # stacking to the serial path, so identical predictions
-                        # for every learner.
-                        new_eas = self.ea_model.predict(X_per[ci], traces_per[ci])
-                        converged = (
-                            float(np.max(np.abs(new_eas - eas_per[ci]))) <= ea_tol
+                        # stacking to a standalone call, so identical
+                        # predictions for every learner.
+                        eas_per[ci] = self.ea_model.predict(
+                            X_per[ci], traces_per[ci]
                         )
-                        eas_per[ci] = new_eas
-                        if not (ea_tol > 0 and converged):
-                            still_active.append(ci)
-                    active = still_active
-                if not active:
-                    break
-            fp_span.set_attr("rounds", rounds)
         telemetry.counter_inc("stage3.conditions_predicted", len(conditions))
         return [
             ConditionPrediction(

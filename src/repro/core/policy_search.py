@@ -7,7 +7,7 @@ near-optimal for *every* collocated service simultaneously.
 
 The exploration is embarrassingly parallel across combinations, so
 :func:`explore_timeouts` follows the :class:`~repro.core.profiler.Profiler`
-precedent and fans out over a process pool when ``n_jobs > 1``.  Three
+precedent and fans out over a process pool when ``n_jobs > 1``.  Two
 properties keep parallel and serial searches bit-identical:
 
 - the response-time simulator is seeded per model instance, so every
@@ -15,20 +15,13 @@ properties keep parallel and serial searches bit-identical:
   deterministic regardless of which worker runs it or in what order;
 - one arrival/demand sample is shared across the whole exploration
   (cached inside :class:`~repro.core.rt_model.ResponseTimeModel`)
-  instead of being regenerated per combo;
-- warm-starting flows only *within* a run — the block of consecutive
-  combinations in which only the last service's timeout varies — and
-  runs never straddle chunk boundaries, so the EA fixed point sees the
-  same initialization chain under any worker count.
+  instead of being regenerated per combo.
 
-Two more levers compose with the fan-out: without warm-starting,
-every combination a worker owns is simulated through the *batched*
-queueing kernel (:func:`~repro.queueing.ggk.simulate_stap_queue_batch`
-via :meth:`StacModel.predict_conditions`), collapsing ~combos x
-queries Python iterations per fixed-point round into ~queries; and
-work is distributed as contiguous *chunks* of runs, so the pickled
-model crosses each process boundary once per worker instead of once
-per run.  Both are bit-identity-preserving rearrangements.
+Each worker predicts its combinations in one lockstep
+(:meth:`StacModel.predict_conditions`), so every fixed-point round is a
+single :meth:`~repro.core.rt_model.ResponseTimeModel.simulate_many`
+call; and work is distributed as contiguous *chunks* of combinations,
+so the pickled model crosses each process boundary once per worker.
 """
 
 from __future__ import annotations
@@ -70,6 +63,8 @@ def slo_matching(
     rt = np.asarray(rt_matrix, dtype=float)
     if rt.ndim != 2 or rt.shape[0] == 0:
         raise ValueError("rt_matrix must be a non-empty 2-D array")
+    if not np.all(np.isfinite(rt)):
+        raise ValueError("response times must be finite")
     if np.any(rt <= 0):
         raise ValueError("response times must be positive")
     best = rt.min(axis=0)  # per-service optimum
@@ -98,17 +93,12 @@ def _conditions(workloads, utilizations, combos) -> list[RuntimeCondition]:
 
 
 def _predict_chunk(args) -> tuple[np.ndarray, dict | None]:
-    """Worker: predict a chunk of consecutive grid runs.
+    """Worker: predict a chunk of consecutive grid combinations.
 
     Whole chunks are the unit of work distribution, so the (pickled)
-    model crosses the process boundary once per chunk rather than once
-    per run.  Without warm-starting every combination is independent
-    and the chunk is predicted as one batched lockstep
-    (:meth:`StacModel.predict_conditions`); with warm-starting each
-    run's combinations chain sequentially — each combination's
-    converged EAs seed the next one's fixed point, the first always
-    starting from the model's first-principles guess — so a run's
-    output depends only on (model, run), never on worker assignment.
+    model crosses the process boundary once per chunk.  Every
+    combination is independent, and the chunk is predicted as one
+    lockstep (:meth:`StacModel.predict_conditions`).
 
     Returns ``(rt_matrix, telemetry_snapshot)``.  The snapshot is
     ``None`` unless ``collect_telemetry`` is set, which pool workers use
@@ -116,43 +106,22 @@ def _predict_chunk(args) -> tuple[np.ndarray, dict | None]:
     parent to merge (pure observation riding the existing result
     channel: seeding and chunk order are untouched).
     """
-    (model, workloads, utilizations, runs, statistic,
-     warm_start, ea_tol, batch, collect_telemetry, trace_queue_events) = args
+    (model, workloads, utilizations, combos, statistic,
+     collect_telemetry, trace_queue_events) = args
     if collect_telemetry:
         # Fresh worker-local state: fork-started pools inherit the
         # parent's telemetry objects, and mutating those in a child
         # would be lost — and snapshotting them would double-count the
         # parent's own records.
         telemetry.begin_worker(trace_queue_events=trace_queue_events)
-    n_combos = sum(len(run) for run in runs)
-    with telemetry.span(
-        "policy.chunk", n_runs=len(runs), n_combos=n_combos
-    ):
-        if not warm_start:
-            combos = [combo for run in runs for combo in run]
-            preds = model.predict_conditions(
-                _conditions(workloads, utilizations, combos),
-                use_batch=None if batch else False,
-            )
-            rt = np.array(
-                [[getattr(s, statistic) for s in p.summaries] for p in preds]
-            )
-        else:
-            parts = []
-            for run in runs:
-                part = np.empty((len(run), len(workloads)))
-                eas = None
-                for k, cond in enumerate(
-                    _conditions(workloads, utilizations, run)
-                ):
-                    pred = model.predict_condition(
-                        cond, ea_init=eas, ea_tol=ea_tol
-                    )
-                    part[k] = [getattr(s, statistic) for s in pred.summaries]
-                    eas = pred.effective_allocations
-                parts.append(part)
-            rt = np.vstack(parts)
-    telemetry.counter_inc("policy.combos_evaluated", n_combos)
+    with telemetry.span("policy.chunk", n_combos=len(combos)):
+        preds = model.predict_conditions(
+            _conditions(workloads, utilizations, combos)
+        )
+        rt = np.array(
+            [[getattr(s, statistic) for s in p.summaries] for p in preds]
+        )
+    telemetry.counter_inc("policy.combos_evaluated", len(combos))
     if collect_telemetry:
         snap = telemetry.worker_snapshot()
         telemetry.disable()
@@ -167,9 +136,6 @@ def explore_timeouts(
     timeout_grid=DEFAULT_TIMEOUT_GRID,
     statistic: str = "p95",
     n_jobs: int = 1,
-    warm_start: bool = False,
-    ea_tol: float = 1e-3,
-    batch: bool = True,
 ) -> tuple[list[tuple[float, ...]], np.ndarray]:
     """Predict response times for every timeout combination.
 
@@ -182,21 +148,6 @@ def explore_timeouts(
         Worker processes to fan the exploration out over.  Results are
         bit-identical for every ``n_jobs`` (see the module docstring);
         1 keeps everything in-process.
-    warm_start:
-        Seed each combination's EA fixed point with the previous
-        combination's converged EAs (within a grid run) and allow the
-        iteration to exit early once EA updates fall within ``ea_tol``.
-        Cuts simulation count roughly in half on typical grids; off by
-        default because it changes predictions by up to ``ea_tol``.
-    ea_tol:
-        Early-exit tolerance for warm-started fixed points.
-    batch:
-        Simulate each worker's combinations through the batched
-        queueing kernel (one vectorized pass per fixed-point round)
-        instead of combo-by-combo.  Bit-identical results either way;
-        ``False`` forces the serial kernel.  Ignored under
-        ``warm_start``, whose sequential EA chaining is incompatible
-        with cross-combination batching.
     """
     if statistic not in _STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -206,15 +157,11 @@ def explore_timeouts(
     if len(grid) == 0:
         raise ValueError("timeout_grid must not be empty")
     combos = list(itertools.product(grid, repeat=len(workloads)))
-    # A "run" = consecutive combos in which only the last service's
-    # timeout varies: the warm-start unit and the smallest unit of
-    # work distribution.
-    runs = [combos[i : i + len(grid)] for i in range(0, len(combos), len(grid))]
-    # Contiguous chunks of runs, one per worker: the model is pickled
-    # once per chunk instead of once per run.
-    n_chunks = min(n_jobs, len(runs)) if n_jobs > 1 else 1
-    bounds = np.linspace(0, len(runs), n_chunks + 1).astype(int)
-    chunks = [runs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    # Contiguous chunks of combos, one per worker: the model is pickled
+    # once per chunk.
+    n_chunks = min(n_jobs, len(combos))
+    bounds = np.linspace(0, len(combos), n_chunks + 1).astype(int)
+    chunks = [combos[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     # Pool workers collect into isolated child telemetry states and
     # ship snapshots back with their results; the in-process path
     # records straight into the parent state (collect stays False).
@@ -223,7 +170,7 @@ def explore_timeouts(
     trace_q = collect and telemetry.queue_sink() is not None
     jobs = [
         (model, tuple(workloads), tuple(utilizations), chunk, statistic,
-         warm_start, ea_tol, batch, collect, trace_q)
+         collect, trace_q)
         for chunk in chunks
     ]
     with telemetry.span(
@@ -231,7 +178,6 @@ def explore_timeouts(
         n_combos=len(combos),
         n_jobs=n_jobs,
         statistic=statistic,
-        warm_start=warm_start,
     ):
         if pooled:
             with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
@@ -254,24 +200,14 @@ def model_driven_policy(
     statistic: str = "p95",
     name: str = "model-driven",
     n_jobs: int = 1,
-    warm_start: bool = False,
-    batch: bool = True,
 ) -> PolicyDecision:
     """The paper's policy: explore with the model, match with the SLO rule.
 
-    ``n_jobs``/``warm_start``/``batch`` tune :func:`explore_timeouts`;
-    the chosen timeout vector is identical for every ``n_jobs`` and
-    either ``batch`` setting.
+    ``n_jobs`` fans :func:`explore_timeouts` out over worker processes;
+    the chosen timeout vector is identical for every ``n_jobs``.
     """
     combos, rt = explore_timeouts(
-        model,
-        workloads,
-        utilizations,
-        timeout_grid,
-        statistic,
-        n_jobs=n_jobs,
-        warm_start=warm_start,
-        batch=batch,
+        model, workloads, utilizations, timeout_grid, statistic, n_jobs=n_jobs
     )
     chosen = slo_matching(rt, tolerance=tolerance)
     return PolicyDecision(name, combos[chosen])

@@ -20,13 +20,49 @@ from repro.queueing.ggk import (
 )
 from repro.queueing.metrics import ResponseTimeSummary, summarize_response_times
 
-#: Below this many conditions a batched kernel call is slower than the
-#: serial per-condition loop (the batch inner loop is ufunc-dispatch
-#: bound, costing roughly the same per query whether it carries 2
-#: conditions or 50), so :meth:`ResponseTimeModel.simulate_many`
-#: auto-dispatches to the serial path.  Results are bit-identical either
-#: way; the threshold is purely a performance crossover.
-MIN_BATCH_CONDITIONS = 8
+#: Below this many conditions a batched kernel call is slower than one
+#: serial kernel call per condition (the batch inner loop is
+#: ufunc-dispatch bound, costing roughly the same per query whether it
+#: carries 2 conditions or 50), so :meth:`ResponseTimeModel.simulate_many`
+#: picks the serial kernel.  Both kernels are bit-identical per
+#: condition; the threshold is purely a performance crossover.
+_MIN_BATCH_CONDITIONS = 8
+
+#: Keys of one :meth:`ResponseTimeModel.simulate_many` condition.
+_REQUIRED_KEYS = frozenset(
+    ("utilization", "timeout", "gross_increase", "effective_allocation")
+)
+_OPTIONAL_KEYS = {"service_cv": 0.35, "mean_service_time": 1.0}
+
+
+def _check_condition(cond) -> dict:
+    """One condition mapping, with defaults filled in and values checked.
+
+    Non-finite values fail loudly here: a NaN that slips past a range
+    check (``nan <= 0`` is False) would otherwise poison the search.
+    ``timeout=inf`` is legal (it disables short-term allocation).
+    """
+    cond = dict(cond)
+    unknown = cond.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS.keys()
+    if unknown:
+        raise TypeError(f"unknown condition keys {sorted(unknown)}")
+    missing = _REQUIRED_KEYS - cond.keys()
+    if missing:
+        raise TypeError(f"missing condition keys {sorted(missing)}")
+    cond = {**_OPTIONAL_KEYS, **cond}
+    for key in ("utilization", "effective_allocation", "gross_increase",
+                "mean_service_time", "service_cv"):
+        if not np.isfinite(cond[key]):
+            raise ValueError(f"{key} must be finite, got {cond[key]!r}")
+    if np.isnan(cond["timeout"]):
+        raise ValueError("timeout must not be NaN")
+    if not 0 < cond["utilization"] < 1:
+        raise ValueError("utilization must be in (0, 1)")
+    if cond["effective_allocation"] <= 0:
+        raise ValueError("effective_allocation must be > 0")
+    if cond["mean_service_time"] <= 0:
+        raise ValueError("mean_service_time must be > 0")
+    return cond
 
 
 @dataclass(frozen=True)
@@ -63,7 +99,7 @@ class ResponseTimeModel:
 
         Because the predictor is seeded once, every condition reuses the
         same standard-exponential inter-arrival gaps and standard-normal
-        demand variates; :meth:`simulate` only rescales them.  Policy
+        demand variates; :meth:`simulate_many` only rescales them.  Policy
         exploration therefore shares one arrival/demand sample across
         all timeout combinations instead of regenerating it per combo,
         and the rescaling is bit-identical to drawing
@@ -94,93 +130,49 @@ class ResponseTimeModel:
         clock — below 1.0 when the private reservation exceeds the
         workload's baseline capacity.
         """
-        if not 0 < utilization < 1:
-            raise ValueError("utilization must be in (0, 1)")
-        if effective_allocation <= 0:
-            raise ValueError("effective_allocation must be > 0")
-        if mean_service_time <= 0:
-            raise ValueError("mean_service_time must be > 0")
-        # Fixed seed: the predictor must be deterministic for a condition.
-        # The unit-scale draws are cached (see _base) and rescaled here.
-        gaps, normals = self._base()
-        rate = utilization * self.n_servers / mean_service_time
-        arrivals = np.cumsum((1.0 / rate) * gaps)
-        if service_cv > 0:
-            sigma2 = np.log1p(service_cv**2)
-            demands = np.exp(-0.5 * sigma2 + np.sqrt(sigma2) * normals)
-        else:
-            demands = np.ones(self.n_queries)
-        boost_speedup = max(effective_allocation * gross_increase, 0.1)
-        cfg = StapQueueConfig(
-            n_servers=self.n_servers,
-            mean_service_time=mean_service_time,
-            # Eq. 4 defines the warning relative to the *baseline*
-            # service time (1.0 on the normalized clock); rescale so
-            # warning_delay = timeout x 1.0 regardless of the default
-            # allocation's service time.
-            timeout=timeout / mean_service_time,
-            boost_speedup=boost_speedup,
-        )
-        res = simulate_stap_queue(arrivals, demands, cfg).drop_warmup(
-            self.warmup_fraction
-        )
-        waits = res.wait_times
-        return QueueFeedback(
-            summary=summarize_response_times(res.response_times),
-            mean_wait=float(waits.mean()),
-            p95_wait=float(np.percentile(waits, 95)),
-            boost_fraction=res.boost_fraction,
-        )
+        return self.simulate_many(
+            [
+                dict(
+                    utilization=utilization,
+                    timeout=timeout,
+                    gross_increase=gross_increase,
+                    effective_allocation=effective_allocation,
+                    service_cv=service_cv,
+                    mean_service_time=mean_service_time,
+                )
+            ]
+        )[0]
 
-    def simulate_many(
-        self,
-        conditions,
-        use_batch: bool | None = None,
-    ) -> list[QueueFeedback]:
+    def simulate_many(self, conditions) -> list[QueueFeedback]:
         """Simulate ``C`` conditions against the one shared sample.
 
         Each entry of ``conditions`` is a mapping of :meth:`simulate`
         keyword arguments (``utilization``, ``timeout``,
         ``gross_increase``, ``effective_allocation`` and optionally
-        ``service_cv``, ``mean_service_time``).  All conditions reuse
-        the cached unit-scale draws, rescaled per condition exactly as
-        :meth:`simulate` does, so every returned
-        :class:`QueueFeedback` is bit-identical to a serial
-        :meth:`simulate` call with the same arguments.
+        ``service_cv``, ``mean_service_time``); unknown or missing keys
+        raise ``TypeError``, non-finite values ``ValueError``.  All
+        conditions reuse the cached unit-scale draws, rescaled per
+        condition, so each result depends only on its own condition.
 
-        ``use_batch=None`` picks the faster path automatically: the
-        batched kernel (one Python loop over queries for all conditions
-        at once) from :data:`MIN_BATCH_CONDITIONS` conditions up, the
-        serial per-condition loop below that.  Forcing either value
-        changes wall-clock only, never results.
+        The kernel is picked by condition count: the serial kernel once
+        per condition below ``_MIN_BATCH_CONDITIONS``, the batched kernel
+        (one Python loop over queries for all conditions) from there up.
+        The two are bit-identical, so the choice changes wall-clock only.
         """
-        conds = [dict(c) for c in conditions]
+        conds = [_check_condition(c) for c in conditions]
         if not conds:
             return []
-        if use_batch is None:
-            use_batch = len(conds) >= MIN_BATCH_CONDITIONS
-        if not use_batch:
-            return [self.simulate(**c) for c in conds]
-
+        # Fixed seed: the predictor must be deterministic for a condition.
+        # The unit-scale draws are cached (see _base) and rescaled here.
         gaps, normals = self._base()
         n_conditions = len(conds)
         arrivals = np.empty((n_conditions, self.n_queries))
         demands = np.empty((n_conditions, self.n_queries))
         configs = []
         for c, cond in enumerate(conds):
-            utilization = cond["utilization"]
-            effective_allocation = cond["effective_allocation"]
-            service_cv = cond.get("service_cv", 0.35)
-            mean_service_time = cond.get("mean_service_time", 1.0)
-            if not 0 < utilization < 1:
-                raise ValueError("utilization must be in (0, 1)")
-            if effective_allocation <= 0:
-                raise ValueError("effective_allocation must be > 0")
-            if mean_service_time <= 0:
-                raise ValueError("mean_service_time must be > 0")
-            # Per-condition 1-D rescale: the identical floating-point
-            # operations, in the identical order, as simulate().
-            rate = utilization * self.n_servers / mean_service_time
+            mean_service_time = cond["mean_service_time"]
+            service_cv = cond["service_cv"]
+            rate = cond["utilization"] * self.n_servers / mean_service_time
             arrivals[c] = np.cumsum((1.0 / rate) * gaps)
             if service_cv > 0:
                 sigma2 = np.log1p(service_cv**2)
@@ -188,32 +180,41 @@ class ResponseTimeModel:
             else:
                 demands[c] = 1.0
             boost_speedup = max(
-                effective_allocation * cond["gross_increase"], 0.1
+                cond["effective_allocation"] * cond["gross_increase"], 0.1
             )
             configs.append(
                 StapQueueConfig(
                     n_servers=self.n_servers,
                     mean_service_time=mean_service_time,
+                    # Eq. 4 defines the warning relative to the *baseline*
+                    # service time (1.0 on the normalized clock); rescale
+                    # so warning_delay = timeout x 1.0 regardless of the
+                    # default allocation's service time.
                     timeout=cond["timeout"] / mean_service_time,
                     boost_speedup=boost_speedup,
                 )
             )
-        res = simulate_stap_queue_batch(arrivals, demands, configs).drop_warmup(
-            self.warmup_fraction
-        )
-        rts = res.response_times
-        waits = res.wait_times
+        if n_conditions < _MIN_BATCH_CONDITIONS:
+            results = [
+                simulate_stap_queue(arrivals[c], demands[c], cfg).drop_warmup(
+                    self.warmup_fraction
+                )
+                for c, cfg in enumerate(configs)
+            ]
+        else:
+            batch = simulate_stap_queue_batch(
+                arrivals, demands, configs
+            ).drop_warmup(self.warmup_fraction)
+            results = [batch.condition(c) for c in range(n_conditions)]
         out = []
-        for c in range(n_conditions):
-            w = waits[c]
+        for res in results:
+            waits = res.wait_times
             out.append(
                 QueueFeedback(
-                    summary=summarize_response_times(rts[c]),
-                    mean_wait=float(w.mean()),
-                    p95_wait=float(np.percentile(w, 95)),
-                    boost_fraction=float(res.boosted[c].mean())
-                    if res.boosted.shape[1]
-                    else 0.0,
+                    summary=summarize_response_times(res.response_times),
+                    mean_wait=float(waits.mean()),
+                    p95_wait=float(np.percentile(waits, 95)),
+                    boost_fraction=res.boost_fraction,
                 )
             )
         return out

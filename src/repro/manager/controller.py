@@ -36,12 +36,6 @@ class AdaptiveTimeoutController:
     n_jobs:
         Worker processes for each plan's grid exploration (passed to
         :func:`model_driven_policy`; results are independent of it).
-    warm_start:
-        Warm-start the EA fixed point across neighbouring grid
-        combinations when exploring (see :func:`explore_timeouts`).
-    batch:
-        Simulate grid combinations through the batched queueing kernel
-        (see :func:`explore_timeouts`; bit-identical plans either way).
     """
 
     model: StacModel
@@ -50,8 +44,6 @@ class AdaptiveTimeoutController:
     utilization_quantum: float = 0.05
     statistic: str = "p95"
     n_jobs: int = 1
-    warm_start: bool = False
-    batch: bool = True
     _plans: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
@@ -93,8 +85,6 @@ class AdaptiveTimeoutController:
                 statistic=self.statistic,
                 name="adaptive",
                 n_jobs=self.n_jobs,
-                warm_start=self.warm_start,
-                batch=self.batch,
             )
         return self._plans[key]
 

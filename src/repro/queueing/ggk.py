@@ -55,10 +55,14 @@ class StapQueueConfig:
         if self.n_servers < 1:
             raise ValueError(f"n_servers must be >= 1, got {self.n_servers}")
         check_positive("mean_service_time", self.mean_service_time)
-        if self.timeout < 0:
+        # Written so NaN fails too (every comparison with NaN is False);
+        # timeout=inf stays legal.
+        if not self.timeout >= 0:
             raise ValueError(f"timeout must be >= 0, got {self.timeout}")
-        if self.boost_speedup <= 0:
-            raise ValueError(f"boost_speedup must be > 0, got {self.boost_speedup}")
+        if not 0 < self.boost_speedup < np.inf:
+            raise ValueError(
+                f"boost_speedup must be finite and > 0, got {self.boost_speedup}"
+            )
 
     @property
     def warning_delay(self) -> float:

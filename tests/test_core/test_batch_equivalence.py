@@ -1,19 +1,24 @@
-"""Bit-identity of the batched simulation paths against their serial
-counterparts, at every consumer level: ``simulate_many`` vs
-``simulate``, ``predict_conditions`` vs ``predict_condition``, and the
-batched vs serial timeout exploration (including the acceptance
-guarantee that ``model_driven_policy`` picks the identical vector)."""
+"""Bit-identity of the Stage 3 search path against reference loops, at
+every consumer level: ``simulate_many`` vs the single-condition oracle
+on both sides of the kernel switch, ``predict_conditions`` vs
+``predict_condition``, and ``explore_timeouts`` vs a per-combination
+``predict_condition`` loop (including the acceptance guarantee that
+``model_driven_policy`` picks the identical vector)."""
+
+import itertools
 
 import numpy as np
 import pytest
 
 from repro.core import ResponseTimeModel, RuntimeCondition, StacModel
+from repro.core import rt_model as rt_module
 from repro.core.policy_search import (
     explore_timeouts,
     model_driven_policy,
     slo_matching,
 )
-from repro.core.rt_model import MIN_BATCH_CONDITIONS
+
+from .rt_oracle import simulate_oracle
 
 FAST_DF = dict(
     windows=[(5, 5)],
@@ -50,28 +55,47 @@ def _sample_conditions(n):
     ]
 
 
+def _count_kernel_calls(monkeypatch):
+    """Wrap both queue kernels as ``rt_model`` sees them; return the
+    per-kernel call counts."""
+    calls = {"serial": 0, "batch": 0}
+    for name, key in (
+        ("simulate_stap_queue", "serial"),
+        ("simulate_stap_queue_batch", "batch"),
+    ):
+        kernel = getattr(rt_module, name)
+
+        def counted(*args, _kernel=kernel, _key=key, **kwargs):
+            calls[_key] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(rt_module, name, counted)
+    return calls
+
+
 class TestSimulateMany:
     def test_bit_identical_to_serial(self):
+        # C = 7 and 8 straddle the kernel switch.
         model = ResponseTimeModel(n_queries=500, rng=7)
-        conds = _sample_conditions(MIN_BATCH_CONDITIONS + 3)
-        serial = [model.simulate(**c) for c in conds]
-        for use_batch in (True, False, None):
-            assert model.simulate_many(conds, use_batch=use_batch) == serial
+        for n in (1, 7, 8, 11):
+            conds = _sample_conditions(n)
+            oracle = [simulate_oracle(model, **c) for c in conds]
+            assert model.simulate_many(conds) == oracle, n
+            assert [model.simulate(**c) for c in conds] == oracle, n
 
     def test_empty(self):
         assert ResponseTimeModel(rng=0).simulate_many([]) == []
 
-    def test_auto_dispatch_thresholds(self):
+    def test_auto_dispatch_thresholds(self, monkeypatch):
+        # The kernel is picked by condition count alone.
         model = ResponseTimeModel(n_queries=200, rng=1)
-        few = _sample_conditions(MIN_BATCH_CONDITIONS - 1)
-        many = _sample_conditions(MIN_BATCH_CONDITIONS)
-        # Either side of the crossover must agree with forced paths.
-        assert model.simulate_many(few) == model.simulate_many(
-            few, use_batch=True
-        )
-        assert model.simulate_many(many) == model.simulate_many(
-            many, use_batch=False
-        )
+        calls = _count_kernel_calls(monkeypatch)
+        model.simulate_many(_sample_conditions(7))
+        assert calls == {"serial": 7, "batch": 0}
+        model.simulate_many(_sample_conditions(8))
+        assert calls == {"serial": 7, "batch": 1}
+        model.simulate(**_sample_conditions(1)[0])
+        assert calls == {"serial": 8, "batch": 1}
 
     @pytest.mark.parametrize(
         "field,bad",
@@ -83,12 +107,55 @@ class TestSimulateMany:
     )
     def test_validation_matches_simulate(self, field, bad):
         model = ResponseTimeModel(n_queries=200, rng=2)
-        conds = _sample_conditions(MIN_BATCH_CONDITIONS + 1)
+        conds = _sample_conditions(9)
         conds[3][field] = bad
         with pytest.raises(ValueError):
-            model.simulate_many(conds, use_batch=True)
+            model.simulate_many(conds)
         with pytest.raises(ValueError):
             model.simulate(**conds[3])
+
+
+class TestConditionBoundary:
+    """Inputs that once flowed through as NaN or were silently ignored
+    must fail at ``simulate_many`` on both sides of the kernel switch."""
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("effective_allocation", np.nan),
+            ("effective_allocation", np.inf),
+            ("gross_increase", np.nan),
+            ("gross_increase", np.inf),
+            ("service_cv", np.nan),
+            ("mean_service_time", np.inf),
+            ("timeout", np.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, field, bad):
+        model = ResponseTimeModel(n_queries=200, rng=3)
+        for n in (1, 8):
+            conds = _sample_conditions(n)
+            conds[-1][field] = bad
+            with pytest.raises(ValueError, match=field):
+                model.simulate_many(conds)
+        with pytest.raises(ValueError, match=field):
+            model.simulate(**conds[-1])
+
+    def test_unknown_key_rejected(self):
+        model = ResponseTimeModel(n_queries=200, rng=4)
+        for n in (1, 8):
+            conds = _sample_conditions(n)
+            conds[0]["service_CV"] = conds[0].pop("service_cv")
+            with pytest.raises(TypeError, match="service_CV"):
+                model.simulate_many(conds)
+
+    def test_missing_key_rejected(self):
+        model = ResponseTimeModel(n_queries=200, rng=4)
+        for n in (1, 8):
+            conds = _sample_conditions(n)
+            del conds[0]["gross_increase"]
+            with pytest.raises(TypeError, match="gross_increase"):
+                model.simulate_many(conds)
 
 
 class TestPredictConditions:
@@ -108,53 +175,40 @@ class TestPredictConditions:
         assert np.array_equal(a.traces, b.traces)
 
     def test_lockstep_matches_per_condition(self, fitted_fast):
+        # Four 2-service conditions: the lockstep simulates C = 8 per
+        # round (batched kernel), each single condition C = 2 (serial).
         conds = self._conditions()
         singles = [fitted_fast.predict_condition(c) for c in conds]
-        for use_batch in (True, False):
-            batched = fitted_fast.predict_conditions(conds, use_batch=use_batch)
-            for a, b in zip(singles, batched):
-                self._assert_same(a, b)
-
-    def test_lockstep_matches_with_tolerance(self, fitted_fast):
-        # With ea_tol > 0 conditions leave the lockstep as they
-        # converge — each must still match its standalone run.
-        conds = self._conditions()
-        singles = [
-            fitted_fast.predict_condition(c, ea_tol=0.05) for c in conds
-        ]
-        batched = fitted_fast.predict_conditions(
-            conds, ea_tol=0.05, use_batch=True
-        )
+        batched = fitted_fast.predict_conditions(conds)
         for a, b in zip(singles, batched):
             self._assert_same(a, b)
-
-    def test_ea_inits_length_mismatch(self, fitted_fast):
-        with pytest.raises(ValueError, match="ea_inits"):
-            fitted_fast.predict_conditions(
-                self._conditions()[:2], ea_inits=[None]
-            )
 
 
 class TestExploreBatched:
     def test_batch_matches_serial_and_policy_vector(self, fitted_fast):
-        combos_b, rt_b = explore_timeouts(
-            fitted_fast, PAIR, UTILS, GRID, batch=True
+        combos, rt = explore_timeouts(fitted_fast, PAIR, UTILS, GRID)
+        assert combos == list(itertools.product(GRID, repeat=len(PAIR)))
+        loop = np.array(
+            [
+                [
+                    s.p95
+                    for s in fitted_fast.predict_condition(
+                        RuntimeCondition(PAIR, UTILS, combo)
+                    ).summaries
+                ]
+                for combo in combos
+            ]
         )
-        combos_s, rt_s = explore_timeouts(
-            fitted_fast, PAIR, UTILS, GRID, batch=False
-        )
-        assert combos_b == combos_s
-        assert np.array_equal(rt_b, rt_s)
-        assert slo_matching(rt_b) == slo_matching(rt_s)
+        assert np.array_equal(rt, loop)
         # The headline acceptance guarantee: the recommended timeout
-        # vector is identical with and without the batched kernel.
-        db = model_driven_policy(fitted_fast, PAIR, UTILS, GRID, batch=True)
-        ds = model_driven_policy(fitted_fast, PAIR, UTILS, GRID, batch=False)
-        assert db.timeouts == ds.timeouts
+        # vector is the SLO match over the per-combination predictions.
+        decision = model_driven_policy(fitted_fast, PAIR, UTILS, GRID)
+        assert decision.timeouts == combos[slo_matching(loop)]
 
     def test_chunked_workers_bit_identical(self, fitted_fast):
         # Chunked distribution (model pickled once per chunk) must not
         # change a single bit of the response-time matrix.
-        _, rt1 = explore_timeouts(fitted_fast, PAIR, UTILS, GRID, n_jobs=1)
-        _, rt2 = explore_timeouts(fitted_fast, PAIR, UTILS, GRID, n_jobs=2)
+        combos1, rt1 = explore_timeouts(fitted_fast, PAIR, UTILS, GRID, n_jobs=1)
+        combos2, rt2 = explore_timeouts(fitted_fast, PAIR, UTILS, GRID, n_jobs=2)
+        assert combos1 == combos2
         assert np.array_equal(rt1, rt2)

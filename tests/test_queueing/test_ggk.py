@@ -191,6 +191,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             StapQueueConfig(boost_speedup=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(timeout=np.nan),
+            dict(boost_speedup=np.nan),
+            dict(boost_speedup=np.inf),
+        ],
+    )
+    def test_config_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValueError):
+            StapQueueConfig(**kwargs)
+
     def test_drop_warmup_validation(self):
         res = run_mm1(0.5, n=100)
         with pytest.raises(ValueError):
