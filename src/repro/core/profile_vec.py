@@ -8,6 +8,7 @@ cache allocation plus ground-truth response-time statistics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,10 +122,12 @@ class RuntimeCondition:
             raise ValueError("utilizations/timeouts must match workloads")
         if any(not 0 < u < 1 for u in self.utilizations):
             raise ValueError("utilizations must be in (0, 1)")
-        if any(t < 0 for t in self.timeouts):
-            raise ValueError("timeouts must be >= 0")
-        if self.sampling_hz <= 0:
-            raise ValueError("sampling_hz must be > 0")
+        if any(not t >= 0 for t in self.timeouts):
+            raise ValueError("timeouts must be >= 0 (inf disables STA)")
+        if not (math.isfinite(self.sampling_hz) and self.sampling_hz > 0):
+            raise ValueError(
+                f"sampling_hz must be finite and > 0, got {self.sampling_hz}"
+            )
 
 
 @dataclass

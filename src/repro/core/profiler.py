@@ -9,6 +9,7 @@ parallelizes across a process pool.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from repro.core.profile_vec import (
 )
 from repro.testbed.collocation import CollocatedService, CollocationConfig
 from repro.testbed.machine import XeonSpec, default_machine
-from repro.testbed.runtime import CollocationRuntime
+from repro.testbed.runtime import CollocationRuntime, SegmentTable
 from repro.workloads.suite import get_workload
 
 
@@ -43,36 +44,67 @@ class ProfilerSettings:
     shared_mb: float = 2.0
     warmup_fraction: float = 0.1
 
+    def __post_init__(self) -> None:
+        for name in ("n_queries", "n_windows", "trace_ticks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.counter_noise) and self.counter_noise >= 0):
+            raise ValueError(
+                f"counter_noise must be finite and >= 0, got {self.counter_noise}"
+            )
+        private = np.asarray(self.private_mb, dtype=float)
+        if not np.all(np.isfinite(private) & (private > 0)):
+            raise ValueError(
+                f"private_mb must be finite and > 0, got {self.private_mb}"
+            )
+        if not (math.isfinite(self.shared_mb) and self.shared_mb >= 0):
+            raise ValueError(
+                f"shared_mb must be finite and >= 0, got {self.shared_mb}"
+            )
+        if not 0 <= self.warmup_fraction < 1:
+            raise ValueError(
+                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
+            )
+
+
+def _boosted_at(segments: SegmentTable, t: np.ndarray) -> np.ndarray:
+    """Whether the service is boosted at each time (the first segment's
+    state holds before the first snapshot)."""
+    idx = np.searchsorted(segments.time, t, side="right") - 1
+    return segments.boosted[np.maximum(idx, 0)]
+
 
 def _boost_overlap(
-    own_segments, partner_segments, t0: float, t1: float
+    own_segments: SegmentTable,
+    partner_segments: SegmentTable,
+    t0: float,
+    t1: float,
 ) -> float:
     """Fraction of [t0, t1) during which *both* services are boosted.
 
-    Segments are piecewise-constant state snapshots; the sweep walks
-    the merged boundary list, so the measurement is exact.
+    Segments are piecewise-constant state snapshots.  The window is cut
+    at every snapshot time of either service, so the measurement is
+    exact; the pieces where both are boosted are summed left to right.
     """
-    if t1 <= t0:
+    if not t1 > t0:
         raise ValueError("need t1 > t0")
 
-    def boosted_at(segments, times, t):
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        return bool(segments[max(idx, 0)][4])
+    def inside(times):
+        """Snapshot times strictly inside (t0, t1)."""
+        lo = np.searchsorted(times, t0, side="right")
+        return times[lo : np.searchsorted(times, t1, side="left")]
 
-    own_times = [s[0] for s in own_segments]
-    partner_times = [s[0] for s in partner_segments]
-    bounds = sorted(
-        {t0, t1}
-        | {t for t in own_times if t0 < t < t1}
-        | {t for t in partner_times if t0 < t < t1}
+    bounds = np.unique(
+        np.concatenate(
+            [[t0, t1], inside(own_segments.time), inside(partner_segments.time)]
+        )
     )
-    overlap = 0.0
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if boosted_at(own_segments, own_times, a) and boosted_at(
-            partner_segments, partner_times, a
-        ):
-            overlap += b - a
-    return overlap / (t1 - t0)
+    starts = bounds[:-1]
+    both = _boosted_at(own_segments, starts) & _boosted_at(partner_segments, starts)
+    pieces = np.diff(bounds)[both]
+    overlap = np.cumsum(pieces)[-1] if pieces.size else 0.0
+    # Pieces covering the whole window can round to 1 + 1 ulp.
+    return min(float(overlap / (t1 - t0)), 1.0)
 
 
 def _profile_one_condition(args):
@@ -89,9 +121,10 @@ def _profile_one_condition(args):
         shared_mb=settings.shared_mb,
     )
     runtime = CollocationRuntime(cfg, rng=seed)
-    run = runtime.run(
-        n_queries=settings.n_queries, warmup_fraction=settings.warmup_fraction
-    )
+    with telemetry.span("stage1.testbed_run", n_queries=settings.n_queries):
+        run = runtime.run(
+            n_queries=settings.n_queries, warmup_fraction=settings.warmup_fraction
+        )
     sampler = CounterSampler(
         sampling_hz=condition.sampling_hz, noise=settings.counter_noise
     )
@@ -135,21 +168,20 @@ def _profile_one_condition(args):
             _, _, own_boost, own_qlen = _segment_means(own.segments, t0, t1, 1)
             partner_boost = 0.0
             concurrent = 0.0
-            mats = [
-                sampler.sample(own, own_spec, machine, t0, t1, rng=rng)
-            ]
-            names = [own_spec.name]
             if partner is not None:
-                _, _, partner_boost, _ = _segment_means(
-                    partner.segments, t0, t1, 1
-                )
-                concurrent = _boost_overlap(
-                    own.segments, partner.segments, t0, t1
-                )
-                mats.append(
-                    sampler.sample(partner, partner_spec, machine, t0, t1, rng=rng)
-                )
-                names.append(partner_spec.name)
+                _, _, partner_boost, _ = _segment_means(partner.segments, t0, t1, 1)
+                with telemetry.span("stage1.boost_overlap", service=i, window=w):
+                    concurrent = _boost_overlap(
+                        own.segments, partner.segments, t0, t1
+                    )
+            with telemetry.span("stage1.sample_counters", service=i, window=w):
+                mats = [sampler.sample(own, own_spec, machine, t0, t1, rng=rng)]
+                names = [own_spec.name]
+                if partner is not None:
+                    mats.append(
+                        sampler.sample(partner, partner_spec, machine, t0, t1, rng=rng)
+                    )
+                    names.append(partner_spec.name)
             trace = CacheUsageTrace.from_counters(
                 mats, names, n_ticks=settings.trace_ticks
             )

@@ -1,57 +1,77 @@
 """Rate-limited counter sampling over a simulated run's state segments.
 
-The runtime records per-service state snapshots ``(time, capacity,
-n_in_service, boosted)``.  The sampler integrates those piecewise-
-constant segments over fixed sampling ticks (1 Hz - 0.2 Hz in the
-paper) and synthesizes a counter vector per tick.
+The runtime records each service's state snapshots as a
+:class:`~repro.testbed.runtime.SegmentTable` (time, capacity,
+n_in_service, n_queued, boosted).  The sampler integrates those
+piecewise-constant segments over fixed sampling ticks (1 Hz - 0.2 Hz in
+the paper) and synthesizes the counter matrix of a window in one batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro._util import as_rng
-from repro.counters.events import N_COUNTERS, synthesize_tick
+from repro.counters.events import synthesize_ticks
 from repro.testbed.machine import XeonSpec
-from repro.testbed.runtime import ServiceResult
+from repro.testbed.runtime import SegmentTable, ServiceResult
 from repro.workloads.base import WorkloadSpec
 
 
-def _segment_means(
-    segments: list[tuple[float, float, int, int, bool]],
-    t0: float,
-    t1: float,
-    n_servers: int,
-) -> tuple[float, float, float, float]:
+def _segment_means(segments: SegmentTable, t0, t1, n_servers: int) -> np.ndarray:
     """Time-weighted (capacity, busy_fraction, boost_fraction,
-    mean_queue_length) over [t0, t1).
+    mean_queue_length) over each interval [t0, t1).
 
-    ``segments`` are (time, capacity, n_in_service, n_queued, boosted)
-    snapshots, piecewise constant until the next snapshot.
+    ``t0`` and ``t1`` are scalars or equal-shape arrays of interval
+    edges; the result has shape ``(4,) + shape``, one row per quantity.
+    Before the first snapshot the first segment's state holds.  The two
+    fractions are capped at 1 against rounding.
+
+    Every interval is walked over the segments it touches, left to
+    right, all intervals in lockstep: the per-segment terms form an
+    ``(interval, position)`` grid padded with zeros, and a cumulative
+    sum along positions adds them in the same order a scalar walk would,
+    so the means are exact to the last bit.
     """
-    if t1 <= t0:
+    t0, t1 = np.broadcast_arrays(np.asarray(t0, float), np.asarray(t1, float))
+    shape = t0.shape
+    a = t0.ravel()
+    b = t1.ravel()
+    if not np.all(b > a):
         raise ValueError("need t1 > t0")
-    total = t1 - t0
-    cap_acc = busy_acc = boost_acc = queue_acc = 0.0
-    times = [s[0] for s in segments]
-    # Find the segment active at t0.
-    idx = int(np.searchsorted(times, t0, side="right")) - 1
-    idx = max(idx, 0)
-    t = t0
-    while t < t1 and idx < len(segments):
-        seg_time, cap, n_in, n_queued, boosted = segments[idx]
-        seg_end = times[idx + 1] if idx + 1 < len(segments) else np.inf
-        upto = min(seg_end, t1)
-        dt = max(0.0, upto - t)
-        cap_acc += cap * dt
-        busy_acc += (min(n_in, n_servers) / n_servers) * dt
-        boost_acc += (1.0 if boosted else 0.0) * dt
-        queue_acc += n_queued * dt
-        t = upto
-        idx += 1
-    return cap_acc / total, busy_acc / total, boost_acc / total, queue_acc / total
+    times = segments.time
+    # First (clamped to 0) and last segment each interval touches.
+    first = np.maximum(np.searchsorted(times, a, side="right") - 1, 0)
+    last = np.maximum(np.searchsorted(times, b, side="left") - 1, first)
+    lo = int(first.min())
+    hi = int(last.max()) + 1
+    steps = np.arange(int((last - first).max()) + 1)
+    pos = first[:, None] + steps
+    valid = pos <= last[:, None]
+    pos = np.minimum(pos, last[:, None]) - lo
+    seg_times = times[lo:hi]
+    seg_ends = np.append(
+        times[lo + 1 : hi], times[hi] if hi < times.size else np.inf
+    )
+    start = np.where(steps == 0, a[:, None], seg_times[pos])
+    stop = np.minimum(seg_ends[pos], b[:, None])
+    dt = np.where(valid, np.maximum(0.0, stop - start), 0.0)
+    values = np.stack(
+        [
+            segments.capacity[lo:hi],
+            np.minimum(segments.n_in_service[lo:hi], n_servers) / n_servers,
+            segments.boosted[lo:hi].astype(float),
+            segments.n_queued[lo:hi].astype(float),
+        ]
+    )
+    acc = np.cumsum(values[:, pos] * dt, axis=2)[:, :, -1]
+    means = acc / (b - a)
+    # The pieces of a fully busy or boosted interval can round to 1 + 1 ulp.
+    np.minimum(means[1:3], 1.0, out=means[1:3])
+    return means.reshape((4,) + shape)
 
 
 @dataclass(frozen=True)
@@ -66,10 +86,12 @@ class CounterSampler:
     noise: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.sampling_hz <= 0:
-            raise ValueError("sampling_hz must be > 0")
-        if self.noise < 0:
-            raise ValueError("noise must be >= 0")
+        if not (math.isfinite(self.sampling_hz) and self.sampling_hz > 0):
+            raise ValueError(
+                f"sampling_hz must be finite and > 0, got {self.sampling_hz}"
+            )
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
     def sample(
         self,
@@ -81,30 +103,33 @@ class CounterSampler:
         rng=None,
     ) -> np.ndarray:
         """Counter matrix of shape (n_ticks, 29) over [t_start, t_end)."""
+        if not (math.isfinite(t_start) and math.isfinite(t_end)):
+            raise ValueError(
+                f"need finite t_start and t_end, got {t_start}, {t_end}"
+            )
         if t_end <= t_start:
             raise ValueError("need t_end > t_start")
         rng = as_rng(rng)
         dt = 1.0 / self.sampling_hz
         n_ticks = max(1, int(np.floor((t_end - t_start) / dt)))
-        out = np.empty((n_ticks, N_COUNTERS))
-        n_servers = machine.cores_per_service
-        default_ways = machine.mb_to_ways(spec.baseline_capacity / (1024 * 1024))
-        for k in range(n_ticks):
-            a = t_start + k * dt
-            b = a + dt
-            cap, busy, boost, _ = _segment_means(result.segments, a, b, n_servers)
-            ways = cap / machine.way_bytes if machine.way_bytes > 0 else default_ways
-            out[k] = synthesize_tick(
-                spec,
-                capacity_bytes=cap,
-                busy_fraction=busy,
-                boost_fraction=boost,
-                dt=dt,
-                ways_allocated=ways,
-                rng=rng,
-                noise=self.noise,
-            )
-        return out
+        starts = t_start + np.arange(n_ticks) * dt
+        cap, busy, boost, _ = _segment_means(
+            result.segments, starts, starts + dt, machine.cores_per_service
+        )
+        if machine.way_bytes > 0:
+            ways = cap / machine.way_bytes
+        else:
+            ways = machine.mb_to_ways(spec.baseline_capacity / (1024 * 1024))
+        return synthesize_ticks(
+            spec,
+            capacity_bytes=cap,
+            busy_fraction=busy,
+            boost_fraction=boost,
+            dt=dt,
+            ways_allocated=ways,
+            rng=rng,
+            noise=self.noise,
+        )
 
 
 def sample_service_counters(

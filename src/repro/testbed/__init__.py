@@ -5,7 +5,12 @@ CAT-equipped hardware."""
 from repro.testbed.machine import XeonSpec, MACHINES, get_machine, default_machine
 from repro.testbed.collocation import CollocationConfig, CollocatedService
 from repro.testbed.proxy import ProxyService
-from repro.testbed.runtime import CollocationRuntime, RunResult, ServiceResult
+from repro.testbed.runtime import (
+    CollocationRuntime,
+    RunResult,
+    SegmentTable,
+    ServiceResult,
+)
 
 __all__ = [
     "XeonSpec",
@@ -17,5 +22,6 @@ __all__ = [
     "ProxyService",
     "CollocationRuntime",
     "RunResult",
+    "SegmentTable",
     "ServiceResult",
 ]

@@ -22,7 +22,7 @@ time.  Pass ``normalize_time=False`` for wall-clock coupling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,47 @@ from repro.cache.contention import SharedWayContention
 from repro.queueing.events import EventLoop
 from repro.testbed.collocation import CollocationConfig
 from repro.testbed.proxy import ProxyService, QueryRecord
+
+
+@dataclass(frozen=True)
+class SegmentTable:
+    """A service's state snapshots as column arrays.
+
+    Row ``i`` holds from ``time[i]`` until ``time[i + 1]`` (the last row
+    holds forever): the effective LLC capacity in bytes, the queries in
+    service and queued, and whether the service holds its short-term
+    allocation.  Times are non-decreasing; equal times give zero-length
+    segments.
+    """
+
+    time: np.ndarray
+    capacity: np.ndarray
+    n_in_service: np.ndarray
+    n_queued: np.ndarray
+    boosted: np.ndarray
+
+    @classmethod
+    def from_records(cls, records, time_scale: float = 1.0) -> "SegmentTable":
+        """Columns of ``(time, capacity, n_in_service, n_queued, boosted)``
+        tuples, with times divided by ``time_scale``."""
+        time, capacity, n_in, n_queued, boosted = zip(*records)
+        return cls(
+            time=np.array(time, dtype=float) / time_scale,
+            capacity=np.array(capacity, dtype=float),
+            n_in_service=np.array(n_in, dtype=np.int64),
+            n_queued=np.array(n_queued, dtype=np.int64),
+            boosted=np.array(boosted, dtype=bool),
+        )
+
+    def __iter__(self):
+        """Rows as ``(time, capacity, n_in_service, n_queued, boosted)``."""
+        return zip(
+            self.time.tolist(),
+            self.capacity.tolist(),
+            self.n_in_service.tolist(),
+            self.n_queued.tolist(),
+            self.boosted.tolist(),
+        )
 
 
 @dataclass
@@ -51,10 +92,8 @@ class ServiceResult:
     demands: np.ndarray
     boosted_time: np.ndarray
     overdue: np.ndarray
-    #: (time, capacity_bytes, n_in_service, n_queued, boosted) snapshots.
-    segments: list[tuple[float, float, int, int, bool]] = field(
-        default_factory=list
-    )
+    #: State snapshots on the same (normalized) clock as the arrays above.
+    segments: SegmentTable
 
     @property
     def n_queries(self) -> int:
@@ -392,9 +431,10 @@ class CollocationRuntime:
             results.append(
                 ServiceResult(
                     name=ls.spec.name,
-                    # Arrays below are stored on the normalized clock (the
-                    # wall-clock run divides by scale), so de-normalization
-                    # always multiplies by the real baseline service time.
+                    # Arrays and segment times below are stored on the
+                    # normalized clock (the wall-clock run divides by scale),
+                    # so de-normalization always multiplies by the real
+                    # baseline service time.
                     baseline_service_time=ls.spec.baseline_service_time,
                     gross_increase=ls.policy.gross_increase,
                     timeout=ls.svc.timeout,
@@ -411,7 +451,7 @@ class CollocationRuntime:
                     demands=np.array([q.work for q in recs]) / scale,
                     boosted_time=np.array([q.boosted_time for q in recs]) / scale,
                     overdue=np.array([q.overdue for q in recs], dtype=bool),
-                    segments=ls.segments,
+                    segments=SegmentTable.from_records(ls.segments, scale),
                 )
             )
         return RunResult(services=results, horizon=loop.now, config=cfg)

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import RuntimeCondition
-from repro.core.profiler import Profiler, ProfilerSettings
+from repro.core.profiler import Profiler, ProfilerSettings, _boost_overlap
+from repro.testbed import SegmentTable
+
+
+def _table(times, boosted):
+    n = len(times)
+    return SegmentTable.from_records(
+        list(zip(times, [1.0] * n, [0] * n, [0] * n, boosted))
+    )
 
 
 class TestProfileCampaign:
@@ -67,6 +75,63 @@ class TestProfilerApi:
         b = Profiler(settings=settings, rng=5).profile(cond)
         assert np.allclose(a.y_ea, b.y_ea)
         assert np.allclose(a.traces, b.traces)
+
+
+class TestBoostOverlap:
+    def test_partial_overlap(self):
+        own = _table([0.0, 2.0, 6.0], [False, True, False])
+        partner = _table([0.0, 4.0], [False, True])
+        assert _boost_overlap(own, partner, 0.0, 8.0) == 0.25
+        assert _boost_overlap(partner, own, 0.0, 8.0) == 0.25
+
+    def test_whole_window_capped_at_one(self):
+        # Summing the two pieces of [0.8, 9.4) gives 1 + 1 ulp.
+        both = _table([3.0, 10.0], [True, True])
+        assert _boost_overlap(both, both, 0.8, 9.4) == 1.0
+
+    def test_bad_window_rejected(self):
+        seg = _table([0.0], [True])
+        for t0, t1 in [(1.0, 1.0), (float("nan"), 1.0), (0.0, float("nan"))]:
+            with pytest.raises(ValueError):
+                _boost_overlap(seg, seg, t0, t1)
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"counter_noise": float("nan")},
+            {"counter_noise": float("inf")},
+            {"counter_noise": -0.1},
+            {"warmup_fraction": 1.5},
+            {"warmup_fraction": 1.0},
+            {"warmup_fraction": float("nan")},
+            {"trace_ticks": 0},
+            {"n_windows": 0},
+            {"n_queries": 0},
+            {"private_mb": float("nan")},
+            {"private_mb": [2.0, float("inf")]},
+            {"shared_mb": float("nan")},
+            {"shared_mb": -1.0},
+        ],
+        ids=lambda d: "-".join(f"{k}={v}" for k, v in d.items()),
+    )
+    def test_bad_settings_rejected(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ProfilerSettings(**bad)
+
+    def test_boundary_settings_accepted(self):
+        ProfilerSettings(counter_noise=0.0, warmup_fraction=0.0, shared_mb=0.0)
+        ProfilerSettings(private_mb=[2.0, 3.0], trace_ticks=1)
+
+    @pytest.mark.parametrize("hz", [float("nan"), float("inf")])
+    def test_bad_sampling_rate_rejected(self, hz):
+        with pytest.raises(ValueError, match="sampling_hz"):
+            RuntimeCondition(("redis", "knn"), (0.8, 0.8), (0.5, 0.5), hz)
+
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(ValueError, match="timeouts"):
+            RuntimeCondition(("redis", "knn"), (0.8, 0.8), (0.5, float("nan")))
 
 
 class TestSignalPresence:

@@ -16,6 +16,7 @@ from repro.testbed import (
     CollocatedService,
     CollocationConfig,
     CollocationRuntime,
+    SegmentTable,
     default_machine,
 )
 from repro.workloads import get_workload
@@ -35,12 +36,14 @@ def run_result():
 
 class TestSegmentMeans:
     def test_single_segment(self):
-        segs = [(0.0, 100.0, 1, 0, False)]
+        segs = SegmentTable.from_records([(0.0, 100.0, 1, 0, False)])
         cap, busy, boost, qlen = _segment_means(segs, 0.0, 2.0, n_servers=2)
         assert cap == 100.0 and busy == 0.5 and boost == 0.0 and qlen == 0.0
 
     def test_weighted_average(self):
-        segs = [(0.0, 100.0, 0, 0, False), (1.0, 200.0, 2, 4, True)]
+        segs = SegmentTable.from_records(
+            [(0.0, 100.0, 0, 0, False), (1.0, 200.0, 2, 4, True)]
+        )
         cap, busy, boost, qlen = _segment_means(segs, 0.0, 2.0, n_servers=2)
         assert cap == pytest.approx(150.0)
         assert busy == pytest.approx(0.5)
@@ -48,14 +51,42 @@ class TestSegmentMeans:
         assert qlen == pytest.approx(2.0)
 
     def test_window_starting_mid_segment(self):
-        segs = [(0.0, 100.0, 2, 0, False), (10.0, 300.0, 2, 0, True)]
+        segs = SegmentTable.from_records(
+            [(0.0, 100.0, 2, 0, False), (10.0, 300.0, 2, 0, True)]
+        )
         cap, _, boost, _ = _segment_means(segs, 5.0, 15.0, n_servers=2)
         assert cap == pytest.approx(200.0)
         assert boost == pytest.approx(0.5)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
-            _segment_means([(0.0, 1.0, 0, 0, False)], 1.0, 1.0, 1)
+            _segment_means(
+                SegmentTable.from_records([(0.0, 1.0, 0, 0, False)]), 1.0, 1.0, 1
+            )
+
+    def test_vectorized_over_intervals(self):
+        segs = SegmentTable.from_records(
+            [(0.0, 100.0, 0, 0, False), (1.0, 200.0, 2, 4, True)]
+        )
+        means = _segment_means(segs, [0.0, 0.5, 1.0], [1.0, 1.5, 3.0], n_servers=2)
+        assert means.shape == (4, 3)
+        assert np.array_equal(means[0], [100.0, 150.0, 200.0])
+        assert np.array_equal(means[2], [0.0, 0.5, 1.0])
+
+    def test_fractions_capped_at_one(self):
+        # Summing these pieces left to right gives 1 + 1 ulp of [0.8, 9.4).
+        segs = SegmentTable.from_records(
+            [(t, 1.0, 3, 0, True) for t in (5.93, 6.41, 8.53)]
+        )
+        _, busy, boost, _ = _segment_means(segs, 0.8, 9.4, n_servers=2)
+        assert busy == 1.0 and boost == 1.0
+
+    def test_nan_edges_rejected(self):
+        segs = SegmentTable.from_records([(0.0, 1.0, 0, 0, False)])
+        with pytest.raises(ValueError):
+            _segment_means(segs, np.nan, 1.0, 1)
+        with pytest.raises(ValueError):
+            _segment_means(segs, [0.0, 1.0], [1.0, np.nan], 1)
 
 
 class TestSampler:
@@ -91,6 +122,30 @@ class TestSampler:
         with pytest.raises(ValueError):
             CounterSampler().sample(
                 svc, get_workload("jacobi"), default_machine(), 5.0, 5.0
+            )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sampling_hz": float("inf")},
+            {"sampling_hz": float("nan")},
+            {"noise": float("nan")},
+            {"noise": float("inf")},
+        ],
+    )
+    def test_non_finite_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            CounterSampler(**kwargs)
+
+    @pytest.mark.parametrize(
+        "t_start, t_end",
+        [(float("nan"), 5.0), (0.0, float("nan")), (0.0, float("inf"))],
+    )
+    def test_non_finite_window_rejected(self, run_result, t_start, t_end):
+        svc = run_result.services[0]
+        with pytest.raises(ValueError, match="finite"):
+            CounterSampler().sample(
+                svc, get_workload("jacobi"), default_machine(), t_start, t_end
             )
 
 

@@ -15,6 +15,7 @@ import pytest
 from repro import telemetry
 from repro.core import RuntimeCondition, StacModel
 from repro.core.policy_search import explore_timeouts
+from repro.core.profiler import Profiler, ProfilerSettings
 from repro.queueing import (
     StapQueueConfig,
     simulate_stap_queue,
@@ -119,6 +120,26 @@ class TestPipelineIdentity:
         reg = telemetry.get_registry()
         assert reg.counter("stage3.conditions_predicted") == len(conditions)
         assert telemetry.get_span_log().by_name("stage2.fit")
+
+
+class TestProfilerIdentity:
+    def test_profile_bit_identical(self):
+        settings = ProfilerSettings(n_queries=200, n_windows=2, trace_ticks=8)
+        conditions = [
+            RuntimeCondition(workloads=PAIR, utilizations=UTILS, timeouts=t)
+            for t in ((0.0, 1.0), (0.5, 0.5))
+        ]
+        assert not telemetry.enabled()
+        off = Profiler(settings=settings, rng=2).profile(conditions)
+        telemetry.configure()
+        on = Profiler(settings=settings, rng=2).profile(conditions)
+        for name in ("X_flat", "traces", "y_ea", "y_rt_mean", "y_rt_p95"):
+            assert np.array_equal(getattr(off, name), getattr(on, name)), name
+        log = telemetry.get_span_log()
+        assert len(log.by_name("stage1.testbed_run")) == len(conditions)
+        # One span per (service, window) row, never per tick.
+        assert len(log.by_name("stage1.sample_counters")) == len(on)
+        assert len(log.by_name("stage1.boost_overlap")) == len(on)
 
 
 class TestExploreTimeoutsIdentity:

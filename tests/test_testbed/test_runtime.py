@@ -185,6 +185,23 @@ class TestSegments:
         s = res.services[0]
         assert max(seg[3] for seg in s.segments) > 0  # queue built up
 
+    def test_segments_share_the_query_clock_without_normalization(self):
+        cfg = CollocationConfig(
+            machine=default_machine(),
+            services=[
+                CollocatedService(get_workload("redis"), timeout=0.5, utilization=0.8),
+                CollocatedService(get_workload("knn"), timeout=0.5, utilization=0.8),
+            ],
+        )
+        res = CollocationRuntime(cfg, normalize_time=False, rng=0).run(n_queries=300)
+        for s in res.services:
+            times = np.array([seg[0] for seg in s.segments])
+            # The last snapshot follows the service's last completion, and
+            # no snapshot lies past the end of the run on the same clock.
+            assert times[-1] >= s.completion_times.max()
+            assert times[-1] <= res.horizon / s.baseline_service_time
+            assert np.all(np.diff(times) >= 0)
+
 
 class TestWindows:
     def test_window_slices_partition(self):
