@@ -1,15 +1,16 @@
 """Scaling of the Section 5.2 policy exploration.
 
 Times the 2-service, 25-combination timeout search (the paper's 5x5
-grid) two ways — in-process, where every fixed-point round simulates
-all 50 services in one batched kernel call, and across a 4-worker
-process pool — and verifies the core determinism guarantee: both must
-agree bit-for-bit on the whole response-time matrix and so pick the
-*identical* timeout vector.
+grid) two ways: the shipped lockstep, where every fixed-point round
+simulates all 50 services in one batched kernel call, and a loop that
+predicts one combination at a time (``StacModel.predict_condition``).
+Both must agree bit-for-bit on the whole response-time matrix and so
+pick the *identical* timeout vector.
 
-The pool / in-process time ratio is printed, not asserted: on the
-machines measured so far the pool's start-up and pickling cost
-outweighs the split of an already batched search.
+The loop / lockstep time ratio is printed, not asserted.  The
+equivalence asserts always run, including in smoke mode
+(``BENCH_SMOKE=1``, a lighter simulated queue), which CI uses on every
+push.
 """
 
 import os
@@ -25,10 +26,16 @@ from repro.core.policy_search import (
     explore_timeouts,
     slo_matching,
 )
+from repro.core.profile_vec import RuntimeCondition
 from repro.core.profiler import ProfilerSettings
 
+SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
+#: Queries per simulated queue: heavy enough for the regime the search
+#: faces in production-scale planning (a lighter one in smoke mode).
+SIM_QUERIES = 2000 if SMOKE else 16000
 PAIR = ("redis", "knn")
 UTILS = (0.9, 0.9)
+STATISTIC = "p95"
 
 DF_CONFIG = dict(
     windows=[(5, 5)],
@@ -46,9 +53,7 @@ def _fitted_model() -> StacModel:
         settings=ProfilerSettings(n_queries=300, n_windows=3, trace_ticks=12),
         rng=0,
     )
-    # A heavier simulated queue per combination: the regime the search
-    # actually faces in production-scale planning.
-    model = StacModel(rng=0, sim_queries=16000, **DF_CONFIG)
+    model = StacModel(rng=0, sim_queries=SIM_QUERIES, **DF_CONFIG)
     return model.fit(profiler.profile(conditions))
 
 
@@ -58,42 +63,47 @@ def _timed(fn):
     return out, time.perf_counter() - t0
 
 
+def _per_combination(model, combos) -> np.ndarray:
+    preds = [
+        model.predict_condition(RuntimeCondition(PAIR, UTILS, combo))
+        for combo in combos
+    ]
+    return np.array(
+        [[getattr(s, STATISTIC) for s in p.summaries] for p in preds]
+    )
+
+
 def test_policy_search_scaling():
     model = _fitted_model()
-    n_cpus = len(os.sched_getaffinity(0))
 
-    (inproc, t_inproc) = _timed(
-        lambda: explore_timeouts(model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID)
-    )
-    (par, t_par) = _timed(
+    (lockstep, t_lockstep) = _timed(
         lambda: explore_timeouts(
-            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, n_jobs=4
+            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, statistic=STATISTIC
         )
     )
-
-    combos, rt_inproc = inproc
-    combos_par, rt_par = par
+    combos, rt_lockstep = lockstep
     assert len(combos) == 25
-    assert combos_par == combos
+    rt_loop, t_loop = _timed(lambda: _per_combination(model, combos))
 
-    # Determinism guarantee: the pool is bit-identical to the
-    # in-process search, so both land on the same chosen vector.
-    assert np.array_equal(rt_inproc, rt_par)
-    chosen = slo_matching(rt_inproc)
-    assert slo_matching(rt_par) == chosen
+    # The lockstep is bit-identical to predicting each combination on
+    # its own, so both land on the same chosen vector.
+    assert np.array_equal(rt_lockstep, rt_loop)
+    chosen = slo_matching(rt_lockstep)
+    assert slo_matching(rt_loop) == chosen
 
     rows = [
-        ["in-process", t_inproc, 1.0],
-        ["4 workers", t_par, t_par / t_inproc],
+        ["lockstep", t_lockstep, 1.0],
+        ["per-combination loop", t_loop, t_loop / t_lockstep],
     ]
     print_block(
         format_table(
-            ["mode", "seconds", "time / in-process"],
+            ["mode", "seconds", "time / lockstep"],
             rows,
             title=(
                 f"Policy-search scaling: 25-combo grid, pair {PAIR}, "
-                f"{n_cpus} CPU(s) available; chosen combo "
+                f"sim_queries={SIM_QUERIES}; chosen combo "
                 f"{combos[chosen]}"
+                + (" [smoke]" if SMOKE else "")
             ),
         )
     )

@@ -176,7 +176,7 @@ def _cmd_policy(args) -> int:
         rng=args.seed,
     ).fit(ds)
     utils = tuple([args.utilization] * len(pair))
-    decision = model_driven_policy(model, pair, utils, n_jobs=args.jobs)
+    decision = model_driven_policy(model, pair, utils)
     print(f"recommended timeouts (x service time): {decision.timeouts}")
     if args.verify:
         evaluator = RuntimeEvaluator(
@@ -344,13 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("deep_forest", "cascade", "random_forest", "tree", "linear"),
     )
     p_pol.add_argument("--verify", action="store_true")
-    p_pol.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the timeout-grid search "
-        "(any value returns the identical vector)",
-    )
     p_pol.add_argument(
         "--forest-strategy",
         choices=("exact", "hist"),

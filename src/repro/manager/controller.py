@@ -15,7 +15,11 @@ import numpy as np
 
 from repro.baselines.policies import PolicyDecision
 from repro.core.pipeline import StacModel
-from repro.core.policy_search import DEFAULT_TIMEOUT_GRID, model_driven_policy
+from repro.core.policy_search import (
+    _STATISTICS,
+    DEFAULT_TIMEOUT_GRID,
+    model_driven_policy,
+)
 
 
 @dataclass
@@ -33,9 +37,6 @@ class AdaptiveTimeoutController:
     utilization_quantum:
         Cache key resolution: utilizations are rounded to this quantum,
         bounding both cache size and plan churn.
-    n_jobs:
-        Worker processes for each plan's grid exploration (passed to
-        :func:`model_driven_policy`; results are independent of it).
     """
 
     model: StacModel
@@ -43,7 +44,6 @@ class AdaptiveTimeoutController:
     timeout_grid: tuple = DEFAULT_TIMEOUT_GRID
     utilization_quantum: float = 0.05
     statistic: str = "p95"
-    n_jobs: int = 1
     _plans: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
@@ -51,8 +51,10 @@ class AdaptiveTimeoutController:
             raise ValueError("utilization_quantum must be in (0, 0.5]")
         if len(self.workloads) < 1:
             raise ValueError("need at least one workload")
-        if self.n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
+        if self.statistic not in _STATISTICS:
+            raise ValueError(f"unknown statistic {self.statistic!r}")
+        if len(self.timeout_grid) == 0:
+            raise ValueError("timeout_grid must not be empty")
 
     def _key(self, utilizations) -> tuple:
         """Quantize utilizations to stable cache-bucket centres.
@@ -75,6 +77,8 @@ class AdaptiveTimeoutController:
         """A timeout vector for the given per-service utilizations."""
         if len(utilizations) != len(self.workloads):
             raise ValueError("need one utilization per workload")
+        if not all(math.isfinite(u) for u in utilizations):
+            raise ValueError("utilizations must be finite")
         key = self._key(utilizations)
         if key not in self._plans:
             self._plans[key] = model_driven_policy(
@@ -84,7 +88,6 @@ class AdaptiveTimeoutController:
                 timeout_grid=self.timeout_grid,
                 statistic=self.statistic,
                 name="adaptive",
-                n_jobs=self.n_jobs,
             )
         return self._plans[key]
 

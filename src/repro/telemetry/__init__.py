@@ -27,12 +27,6 @@ Telemetry is **disabled by default** and a true no-op while disabled:
 - telemetry never touches any RNG and never feeds back into any
   computation, so instrumented code paths produce **bit-identical**
   outputs whether telemetry is on or off.
-
-Worker processes (forest-training pools, policy-search pools) run
-isolated telemetry states started with :func:`begin_worker`; their
-:func:`worker_snapshot` payloads ride home on the existing result
-channel and fold into the parent via :func:`merge_worker` — never
-perturbing worker seeding or chunk order.
 """
 
 from __future__ import annotations
@@ -52,7 +46,6 @@ __all__ = [
     "QueueEventSink",
     "SpanLog",
     "SpanRecord",
-    "begin_worker",
     "configure",
     "counter_inc",
     "current_span",
@@ -62,13 +55,10 @@ __all__ = [
     "get_registry",
     "get_span_log",
     "histogram_observe",
-    "merge_worker",
     "queue_sink",
     "read_events_jsonl",
-    "snapshot",
     "span",
     "timer",
-    "worker_snapshot",
 ]
 
 
@@ -178,51 +168,3 @@ def current_span():
     log = _STATE.spans
     return log.current() if log is not None else None
 
-
-# -- cross-process aggregation -------------------------------------------------
-
-
-def begin_worker(trace_queue_events: bool = False) -> None:
-    """Start a fresh, isolated telemetry state inside a pool worker.
-
-    Fork-started workers inherit the parent's state objects; a fresh
-    state guarantees the worker's snapshot contains only work it did
-    itself.
-    """
-    configure(trace_queue_events=trace_queue_events)
-
-
-def worker_snapshot() -> dict | None:
-    """The worker's full telemetry payload (picklable), or ``None``
-    while disabled.  Pair with :func:`merge_worker` on the parent."""
-    if _STATE.registry is None:
-        return None
-    snap = {
-        "metrics": _STATE.registry.snapshot(),
-        "spans": _STATE.spans.snapshot(),
-    }
-    if _STATE.queue_sink is not None:
-        snap["events"] = _STATE.queue_sink.snapshot()
-    return snap
-
-
-def snapshot() -> dict | None:
-    """Alias of :func:`worker_snapshot` for in-process consumers."""
-    return worker_snapshot()
-
-
-def merge_worker(snap: dict | None, worker: str = "worker") -> None:
-    """Fold a :func:`worker_snapshot` into the parent state.
-
-    Counters add, gauges take the worker's value, histograms merge
-    bucket-wise, spans append (re-keyed, tagged with ``worker``) and
-    queue events append with re-keyed run indices.  No-op when either
-    side is ``None``/disabled.
-    """
-    if snap is None or _STATE.registry is None:
-        return
-    _STATE.registry.merge(snap.get("metrics", {}))
-    if _STATE.spans is not None and snap.get("spans"):
-        _STATE.spans.merge(snap["spans"], worker=worker)
-    if _STATE.queue_sink is not None and snap.get("events"):
-        _STATE.queue_sink.merge(snap["events"])

@@ -144,27 +144,7 @@ class QueueEventSink:
             )
         return out
 
-    # -- aggregation / export --------------------------------------------------
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "n_runs": self._n_runs,
-                "events": [dict(e) for e in self._events],
-            }
-
-    def merge(self, snap: dict) -> None:
-        """Fold a worker sink's snapshot in, re-keying run indices past
-        this sink's so runs stay distinct."""
-        with self._lock:
-            base = self._n_runs
-            max_run = -1
-            for e in snap.get("events", []):
-                e = dict(e)
-                max_run = max(max_run, e["run"])
-                e["run"] += base
-                self._events.append(e)
-            self._n_runs = base + max(int(snap.get("n_runs", 0)), max_run + 1)
+    # -- export ----------------------------------------------------------------
 
     def write_jsonl(self, path) -> int:
         """Write one JSON object per event; returns the event count."""

@@ -88,11 +88,8 @@ def build_manifest(
         s["attrs"] = _json_safe(s.get("attrs", {}))
     stages = []
     if span_log is not None:
-        # Merged worker roots are children of some parent-side stage in
-        # spirit; the stage table covers this process only.
-        own = [s for s in spans if s.get("worker") is None]
         roots = sorted(
-            (s for s in own if s["parent_id"] is None), key=lambda s: s["id"]
+            (s for s in spans if s["parent_id"] is None), key=lambda s: s["id"]
         )
         picked = [(s, None) for s in roots]
         if len(roots) == 1:
@@ -103,7 +100,7 @@ def build_manifest(
             picked += [
                 (s, root["name"])
                 for s in sorted(
-                    (s for s in own if s["parent_id"] == root["id"]),
+                    (s for s in spans if s["parent_id"] == root["id"]),
                     key=lambda s: s["id"],
                 )
             ]

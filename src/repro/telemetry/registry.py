@@ -2,11 +2,8 @@
 
 The registry is the aggregation point of the telemetry subsystem.  All
 mutation goes through a single :class:`threading.Lock`, so concurrent
-threads (and merged worker snapshots arriving on the parent's thread)
-never race.  Everything the registry stores is a plain float/int/list —
-:meth:`MetricsRegistry.snapshot` is picklable and JSON-serializable, so
-worker processes can ship their registries back across a process-pool
-boundary and the parent can :meth:`MetricsRegistry.merge` them in.
+threads never race.  Everything the registry stores is a plain
+float/int/list, so :meth:`MetricsRegistry.snapshot` is JSON-serializable.
 
 Telemetry never touches any RNG; the only clock it reads is
 ``time.perf_counter`` (via :func:`MetricsRegistry.timer`).
@@ -123,8 +120,8 @@ class MetricsRegistry:
 
     Counters accumulate, gauges keep the last written value, histograms
     bucket observations against fixed edges (timers are histograms of
-    seconds).  :meth:`snapshot` / :meth:`merge` round-trip the whole
-    registry through plain dicts for cross-process aggregation.
+    seconds).  :meth:`snapshot` copies the whole registry into plain
+    dicts for export.
     """
 
     def __init__(self):
@@ -182,19 +179,3 @@ class MetricsRegistry:
                     k: h.to_dict() for k, h in self._histograms.items()
                 },
             }
-
-    def merge(self, snap: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) in:
-        counters add, gauges take the snapshot's value, histograms with
-        matching edges add bucket-wise."""
-        with self._lock:
-            for k, v in snap.get("counters", {}).items():
-                self._counters[k] = self._counters.get(k, 0.0) + v
-            for k, v in snap.get("gauges", {}).items():
-                self._gauges[k] = v
-            for k, d in snap.get("histograms", {}).items():
-                hist = self._histograms.get(k)
-                if hist is None:
-                    self._histograms[k] = Histogram.from_dict(d)
-                else:
-                    hist.merge_dict(d)

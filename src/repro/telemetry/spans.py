@@ -9,9 +9,7 @@ assigned at *start* so the original ordering is always recoverable.
 
 Start offsets are relative to the log's creation instant (one
 ``perf_counter`` origin per log), which keeps records meaningful after
-serialization.  Worker processes run their own logs from their own
-origins; merged worker spans keep their worker-relative clocks and are
-tagged with the worker label they arrived from.
+serialization.
 """
 
 from __future__ import annotations
@@ -31,10 +29,9 @@ class SpanRecord:
     start: float  # seconds since the log's origin
     duration: float
     attrs: dict = field(default_factory=dict)
-    worker: str | None = None  # set on records merged from a worker log
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "id": self.id,
             "parent_id": self.parent_id,
             "name": self.name,
@@ -42,9 +39,6 @@ class SpanRecord:
             "duration": self.duration,
             "attrs": self.attrs,
         }
-        if self.worker is not None:
-            d["worker"] = self.worker
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpanRecord":
@@ -55,7 +49,6 @@ class SpanRecord:
             start=float(d["start"]),
             duration=float(d["duration"]),
             attrs=dict(d.get("attrs", {})),
-            worker=d.get("worker"),
         )
 
 
@@ -153,23 +146,6 @@ class SpanLog:
     def snapshot(self) -> list[dict]:
         with self._lock:
             return [r.to_dict() for r in self.records]
-
-    def merge(self, records: list[dict], worker: str) -> None:
-        """Append a worker log's records, re-keying ids so they cannot
-        collide with this log's while preserving the worker-internal
-        parent/child structure and ordering."""
-        with self._lock:
-            base = self._next_id
-            max_id = -1
-            for d in records:
-                r = SpanRecord.from_dict(d)
-                max_id = max(max_id, r.id)
-                r.id += base
-                if r.parent_id is not None:
-                    r.parent_id += base
-                r.worker = worker if r.worker is None else r.worker
-                self.records.append(r)
-            self._next_id = base + max_id + 1
 
     def by_name(self, name: str) -> list[SpanRecord]:
         with self._lock:

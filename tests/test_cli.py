@@ -162,6 +162,15 @@ class TestPolicy:
         out = capsys.readouterr().out
         assert "Verification on the testbed" in out
 
+    def test_help_lists_train_jobs_only(self, capsys):
+        # Forest training keeps its pool; the timeout search has none.
+        with pytest.raises(SystemExit) as exc:
+            main(["policy", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--train-jobs" in out
+        assert "--jobs" not in out
+
 
 class TestTelemetry:
     @pytest.fixture(autouse=True)

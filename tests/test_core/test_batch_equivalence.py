@@ -205,10 +205,24 @@ class TestExploreBatched:
         decision = model_driven_policy(fitted_fast, PAIR, UTILS, GRID)
         assert decision.timeouts == combos[slo_matching(loop)]
 
-    def test_chunked_workers_bit_identical(self, fitted_fast):
-        # Chunked distribution (model pickled once per chunk) must not
-        # change a single bit of the response-time matrix.
-        combos1, rt1 = explore_timeouts(fitted_fast, PAIR, UTILS, GRID, n_jobs=1)
-        combos2, rt2 = explore_timeouts(fitted_fast, PAIR, UTILS, GRID, n_jobs=2)
-        assert combos1 == combos2
-        assert np.array_equal(rt1, rt2)
+    def test_one_lockstep_call(self, fitted_fast, monkeypatch):
+        # The whole grid is scored by a single predict_conditions call,
+        # in combination order, and the matrix is unchanged by the spy.
+        _, expected = explore_timeouts(fitted_fast, PAIR, UTILS, GRID)
+        calls = []
+        real = fitted_fast.predict_conditions
+
+        def spy(conditions):
+            calls.append([c.timeouts for c in conditions])
+            return real(conditions)
+
+        monkeypatch.setattr(fitted_fast, "predict_conditions", spy)
+        combos, rt = explore_timeouts(fitted_fast, PAIR, UTILS, GRID)
+        assert calls == [combos]
+        assert np.array_equal(rt, expected)
+
+    @pytest.mark.parametrize("search", [explore_timeouts, model_driven_policy])
+    def test_n_jobs_not_accepted(self, fitted_fast, search):
+        # The search runs in-process only; there is no worker count.
+        with pytest.raises(TypeError, match="n_jobs"):
+            search(fitted_fast, PAIR, UTILS, GRID, n_jobs=2)

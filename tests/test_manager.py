@@ -88,6 +88,32 @@ class TestController:
                 model=controller.model, workloads=PAIR, utilization_quantum=0.0
             )
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"statistic": "p90"}, {"timeout_grid": ()}]
+    )
+    def test_bad_config_fails_at_construction(self, controller, kwargs):
+        """These used to construct fine and only raise at the first
+        ``recommend``, inside an online-manager epoch."""
+        with pytest.raises(ValueError):
+            AdaptiveTimeoutController(
+                model=controller.model, workloads=PAIR, **kwargs
+            )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_utilization_rejected(self, controller, bad):
+        """``inf`` used to raise ``OverflowError`` from ``math.floor`` and
+        ``nan`` an unrelated ``ValueError``."""
+        with pytest.raises(ValueError, match="utilizations must be finite"):
+            controller.recommend((bad, 0.9))
+
+    def test_n_jobs_not_accepted(self, controller):
+        """Plans are searched in-process; the controller has no worker
+        count."""
+        with pytest.raises(TypeError, match="n_jobs"):
+            AdaptiveTimeoutController(
+                model=controller.model, workloads=PAIR, n_jobs=2
+            )
+
 
 class TestOnlineManager:
     def test_epoch_results_structure(self, controller):
@@ -179,22 +205,3 @@ class TestGroundTruthSeeding:
         r1 = OnlineManager(controller, n_queries=300, rng=9).run(scenario)
         r2 = OnlineManager(controller, n_queries=300, rng=10).run(scenario)
         assert not np.array_equal(r1[0].p95, r2[0].p95)
-
-
-class TestControllerParallel:
-    def test_njobs_validation(self, controller):
-        with pytest.raises(ValueError):
-            AdaptiveTimeoutController(
-                model=controller.model, workloads=PAIR, n_jobs=0
-            )
-
-    def test_parallel_controller_matches_serial(self, controller):
-        parallel = AdaptiveTimeoutController(
-            model=controller.model,
-            workloads=PAIR,
-            timeout_grid=(0.0, 1.0, 4.0),
-            n_jobs=2,
-        )
-        assert parallel.recommend((0.9, 0.9)).timeouts == controller.recommend(
-            (0.9, 0.9)
-        ).timeouts

@@ -114,17 +114,6 @@ class TestRecordBatch:
 
 
 class TestAggregation:
-    def test_merge_rekeys_runs(self):
-        arrivals, demands, cfg = _small_run(n=10)
-        res = simulate_stap_queue(arrivals, demands, cfg)
-        parent, worker = QueueEventSink(), QueueEventSink()
-        parent.record_run(res, cfg)
-        worker.record_run(res, cfg)
-        worker.record_run(res, cfg)
-        parent.merge(worker.snapshot())
-        assert parent.n_runs == 3
-        assert sorted({e["run"] for e in parent.events()}) == [0, 1, 2]
-
     def test_jsonl_round_trip(self, tmp_path):
         arrivals, demands, cfg = _small_run(n=12)
         res = simulate_stap_queue(arrivals, demands, cfg)

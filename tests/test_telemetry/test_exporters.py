@@ -68,20 +68,21 @@ class TestBuildManifest:
         assert m["config"]["xs"] == [1, 2]
         assert m["spans"][0]["attrs"]["timeout"] == "inf"
 
-    def test_worker_roots_excluded_from_stages(self):
+    def test_every_root_is_a_stage(self):
         telemetry.configure()
-        with telemetry.span("parent.stage"):
+        with telemetry.span("first"):
+            with telemetry.span("first.inner"):
+                pass
+        with telemetry.span("second"):
             pass
-        worker_log = telemetry.SpanLog()
-        with worker_log.start("worker.root", {}):
-            pass
-        telemetry.get_span_log().merge(worker_log.snapshot(), worker="w0")
         m = build_manifest(
             command=[], config={}, seeds={},
             span_log=telemetry.get_span_log(),
         )
-        assert [s["name"] for s in m["stages"]] == ["parent.stage"]
-        assert len(m["spans"]) == 2
+        # Two roots: each is a stage and no children are promoted.
+        assert [s["name"] for s in m["stages"]] == ["first", "second"]
+        assert [s["parent"] for s in m["stages"]] == [None, None]
+        assert len(m["spans"]) == 3
 
     def test_events_pointer_fields(self):
         m = _instrumented_manifest(events_file="events.jsonl", n_events=12)

@@ -2,7 +2,7 @@
 
 Telemetry never touches an RNG and never feeds back into any
 computation, so every instrumented path — the queueing kernels, the
-Stage 2 fit / Stage 3 predict pipeline, the parallel timeout search —
+Stage 2 fit / Stage 3 predict pipeline, the timeout search —
 must produce *bit-identical* results (``np.array_equal``, no tolerance)
 whether telemetry is disabled (the default) or fully enabled with queue
 event tracing.  And while disabled, the subsystem must allocate no
@@ -78,7 +78,8 @@ class TestDisabledAllocatesNothing:
         telemetry.counter_inc("x")
         telemetry.disable()
         assert telemetry.get_registry() is None
-        assert telemetry.worker_snapshot() is None
+        assert telemetry.get_span_log() is None
+        assert telemetry.queue_sink() is None
 
 
 class TestQueueKernelIdentity:
@@ -143,32 +144,15 @@ class TestProfilerIdentity:
 
 
 class TestExploreTimeoutsIdentity:
-    def test_parallel_search_identical_and_merged(self, fitted):
-        assert not telemetry.enabled()
-        combos_off, rt_off = explore_timeouts(
-            fitted, PAIR, UTILS, GRID, n_jobs=1
-        )
-        telemetry.configure(trace_queue_events=True)
-        combos_on, rt_on = explore_timeouts(
-            fitted, PAIR, UTILS, GRID, n_jobs=2
-        )
-        assert combos_off == combos_on
-        assert np.array_equal(rt_off, rt_on)
-        # Worker telemetry merged into the parent without touching the
-        # result channel semantics:
-        reg = telemetry.get_registry()
-        assert reg.counter("policy.combos_evaluated") == len(combos_on)
-        chunk_spans = telemetry.get_span_log().by_name("policy.chunk")
-        assert len(chunk_spans) == 2
-        assert {s.worker for s in chunk_spans} == {"explore-0", "explore-1"}
-        assert telemetry.queue_sink().n_runs > 0
-
     def test_serial_search_identical(self, fitted):
         assert not telemetry.enabled()
-        _, rt_off = explore_timeouts(fitted, PAIR, UTILS, GRID, n_jobs=1)
-        telemetry.configure()
-        _, rt_on = explore_timeouts(fitted, PAIR, UTILS, GRID, n_jobs=1)
+        combos_off, rt_off = explore_timeouts(fitted, PAIR, UTILS, GRID)
+        telemetry.configure(trace_queue_events=True)
+        combos_on, rt_on = explore_timeouts(fitted, PAIR, UTILS, GRID)
+        assert combos_off == combos_on
         assert np.array_equal(rt_off, rt_on)
-        # In-process path records straight into the parent state.
-        spans = telemetry.get_span_log().by_name("policy.chunk")
-        assert len(spans) == 1 and spans[0].worker is None
+        reg = telemetry.get_registry()
+        assert reg.counter("policy.combos_evaluated") == len(combos_on)
+        assert telemetry.queue_sink().n_runs > 0
+        spans = telemetry.get_span_log().by_name("policy.explore_timeouts")
+        assert len(spans) == 1

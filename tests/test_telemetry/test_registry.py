@@ -111,22 +111,6 @@ class TestMetricsRegistry:
         assert snap["gauges"]["g"] == 1.0
         assert snap["histograms"]["h"]["counts"] == [1, 0]
 
-    def test_merge_folds_worker_snapshot(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.counter_inc("c", 1.0)
-        worker.counter_inc("c", 2.0)
-        worker.counter_inc("only_worker", 3.0)
-        worker.gauge_set("g", 9.0)
-        parent.histogram_observe("h", 0.5, edges=(1.0,))
-        worker.histogram_observe("h", 2.0, edges=(1.0,))
-        worker.histogram_observe("h2", 1.0, edges=(4.0,))
-        parent.merge(worker.snapshot())
-        assert parent.counter("c") == 3.0
-        assert parent.counter("only_worker") == 3.0
-        assert parent.gauge("g") == 9.0
-        assert parent.histogram("h").counts == [1, 1]
-        assert parent.histogram("h2").counts == [1, 0]
-
     def test_thread_safety_under_contention(self):
         reg = MetricsRegistry()
 
