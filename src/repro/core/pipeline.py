@@ -19,6 +19,7 @@ Two prediction paths are offered:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,11 +36,20 @@ from repro.core.profile_vec import (
     dynamic_features,
     static_features,
 )
-from repro.core.rt_model import QueueFeedback, ResponseTimeModel
-from repro.counters.events import synthesize_ticks
+from repro.core.rt_model import ResponseTimeModel
+from repro.counters.events import N_COUNTERS, synthesize_ticks
 from repro.queueing.metrics import ResponseTimeSummary
 from repro.testbed.machine import XeonSpec, default_machine
 from repro.workloads.suite import get_workload
+
+
+@functools.cache
+def _shared_split(contention, shared_bytes: float, spec, other) -> float:
+    """Shared-region bytes ``spec`` keeps while ``other`` boosts into the
+    same region concurrently.  It depends on the two workloads, not on
+    the condition, so it is computed once per (workload, neighbour)."""
+    w = np.array([s.fill_intensity(s.baseline_capacity) for s in (spec, other)])
+    return contention.effective_shared_ways(shared_bytes, w)[0]
 
 
 @dataclass
@@ -195,66 +205,86 @@ class StacModel:
         """Expected LLC bytes for service ``j`` while it holds its boost,
         accounting for each adjacent sharer boosting concurrently."""
         mb = 1024 * 1024
-        private = self.private_mb * mb
         shared = self.shared_mb * mb
-        n = len(specs)
-        adjacent = [k for k in (j - 1, j + 1) if 0 <= k < n]
-        cap = private
-        w_own = specs[j].fill_intensity(specs[j].baseline_capacity)
-        for k in adjacent:
-            pb = float(boost_fractions[k])
-            w_k = specs[k].fill_intensity(specs[k].baseline_capacity)
-            both = self._contention.effective_shared_ways(
-                shared, np.array([w_own, w_k])
-            )
-            cap += (1 - pb) * shared + pb * both[0]
+        cap = self.private_mb * mb
+        for k in (j - 1, j + 1):
+            if 0 <= k < len(specs):
+                pb = float(boost_fractions[k])
+                split = _shared_split(self._contention, shared, specs[j], specs[k])
+                cap += (1 - pb) * shared + pb * split
         return cap
 
-    def _nominal_trace(
-        self,
-        specs: list,
-        target: int,
-        utils,
-        boost_fractions: np.ndarray,
-    ) -> np.ndarray:
-        """Synthesize the expected counter trace for one service.
+    def _nominal_trace(self, specs_per, utils_per, boost_per) -> list[np.ndarray]:
+        """Synthesize the expected counter traces of one fixed-point round.
 
-        Emits the (own, chain-neighbour) counter blocks the profiler
-        records; boosted ticks are spread evenly through the window at
-        each service's predicted boost fraction, with capacities
-        accounting for concurrent sharers.
+        Takes every condition's services, utilizations and predicted
+        boost fractions, and returns per condition the stacked
+        ``(n_services, n_blocks * N_COUNTERS, trace_ticks)`` traces: the
+        (own, chain-neighbour) counter blocks the profiler records, or the
+        own block alone for a solo service.  Boosted ticks are spread
+        evenly through the window at each service's boost fraction, with
+        capacities accounting for concurrent sharers.
+
+        Each (condition, service) block is synthesized once and serves
+        both as that service's own block and as its neighbour's second
+        block; ``synthesize_ticks`` runs once per distinct workload over
+        the concatenated ticks of all its blocks (elementwise and
+        noise-free, so bit-identical to one call per block).
         """
+        if not specs_per:
+            return []
         mb = 1024 * 1024
-        private = self.private_mb * mb
-        dt = 1.0 / self.sampling_hz
-        neighbor = self._chain_neighbor(len(specs), target)
-        order = [target] if neighbor is None else [target, neighbor]
-        blocks = []
-        for j in order:
-            spec = specs[j]
-            cap_boost = self._boosted_capacity(specs, j, boost_fractions)
-            bf = float(boost_fractions[j])
-            # Spread boosted ticks evenly (deterministic, seed-free).
-            boosted_ticks = {
-                int(round(k * self.trace_ticks / max(1, round(bf * self.trace_ticks))))
-                for k in range(int(round(bf * self.trace_ticks)))
-            }
-            boosted = np.zeros(self.trace_ticks, dtype=bool)
-            boosted[[t for t in boosted_ticks if t < self.trace_ticks]] = True
-            cap = np.where(boosted, cap_boost, private)
-            # One batched synthesis over the whole window instead of a
-            # Python per-tick loop (noise-free, so bit-identical).
+        n_ticks = self.trace_ticks
+        specs = [spec for group in specs_per for spec in group]
+        utils = np.array([u for group in utils_per for u in group], dtype=float)
+        boost = np.concatenate(boost_per)
+        cap_boost = np.array(
+            [
+                self._boosted_capacity(group, j, bfs)
+                for group, bfs in zip(specs_per, boost_per)
+                for j in range(len(group))
+            ]
+        )
+        # Spread boosted ticks evenly (deterministic, seed-free): block b
+        # boosts ticks round(k * T / m) for k < m = round(bf * T).
+        n_boosted = np.rint(boost * n_ticks).astype(np.intp)
+        k = np.arange(n_ticks)
+        tick = np.rint(k * n_ticks / np.maximum(n_boosted, 1)[:, None]).astype(np.intp)
+        hit = (k < n_boosted[:, None]) & (tick < n_ticks)
+        boosted = np.zeros((len(specs), n_ticks), dtype=bool)
+        boosted[np.nonzero(hit)[0], tick[hit]] = True
+        cap = np.where(boosted, cap_boost[:, None], self.private_mb * mb)
+
+        blocks = np.empty((len(specs), N_COUNTERS, n_ticks))
+        by_workload: dict[str, list[int]] = {}
+        for b, spec in enumerate(specs):
+            by_workload.setdefault(spec.name, []).append(b)
+        for rows in by_workload.values():
+            rows = np.array(rows)
             ticks = synthesize_ticks(
-                spec,
-                capacity_bytes=cap,
-                busy_fraction=float(utils[j]),
-                boost_fraction=boosted.astype(float),
-                dt=dt,
-                ways_allocated=cap / self.machine.way_bytes,
+                specs[rows[0]],
+                capacity_bytes=cap[rows].ravel(),
+                busy_fraction=np.repeat(utils[rows], n_ticks),
+                boost_fraction=boosted[rows].ravel().astype(float),
+                dt=1.0 / self.sampling_hz,
+                ways_allocated=cap[rows].ravel() / self.machine.way_bytes,
                 noise=0.0,
             )
-            blocks.append(ticks.T)
-        return np.vstack(blocks)
+            blocks[rows] = ticks.reshape(len(rows), n_ticks, N_COUNTERS).transpose(
+                0, 2, 1
+            )
+
+        traces = []
+        start = 0
+        for group in specs_per:
+            n = len(group)
+            order = [
+                [i] if n == 1 else [i, self._chain_neighbor(n, i)] for i in range(n)
+            ]
+            stacked = blocks[start + np.array(order)]
+            traces.append(stacked.reshape(n, -1, n_ticks))
+            start += n
+        return traces
 
     def _init_eas(self, specs, grosses) -> np.ndarray:
         """Starting EAs for one condition's fixed point: the
@@ -269,21 +299,14 @@ class StacModel:
             ]
         )
 
-    def _condition_round(self, condition, specs, grosses, feedback):
-        """One fixed-point round's model inputs for one condition.
-
-        Turns the services' queue feedback into the stacked static +
-        dynamic feature rows and nominal traces the EA model consumes.
-        """
+    def _feature_rows(self, condition, specs, grosses, feedback, boost_fracs):
+        """One fixed-point round's stacked static + dynamic feature rows
+        for one condition, from its services' queue feedback."""
         n = len(specs)
-        boost_fracs = np.array([f.boost_fraction for f in feedback])
-        X_flat, traces = [], []
+        X_flat = []
         for i in range(n):
             # Chain-neighbour convention, matching the profiler.
-            if n > 1:
-                partner = i + 1 if i < n - 1 else i - 1
-            else:
-                partner = None
+            partner = self._chain_neighbor(n, i)
             xs = static_features(
                 specs[i],
                 condition.timeouts[i],
@@ -302,9 +325,7 @@ class StacModel:
             )
             # Little's law: mean queue length = lambda x mean wait.
             lam = condition.utilizations[i] * self.rt_model.n_servers
-            partner_bf = (
-                boost_fracs[partner] if partner is not None else 0.0
-            )
+            partner_bf = boost_fracs[partner] if partner is not None else 0.0
             xd = dynamic_features(
                 mean_queue_length=lam * feedback[i].mean_wait,
                 own_boost_fraction=boost_fracs[i],
@@ -313,12 +334,7 @@ class StacModel:
                 concurrent_boost_fraction=boost_fracs[i] * partner_bf,
             )
             X_flat.append(np.concatenate([xs, xd]))
-            traces.append(
-                self._nominal_trace(
-                    specs, i, condition.utilizations, boost_fracs
-                )
-            )
-        return np.stack(X_flat), np.stack(traces)
+        return np.stack(X_flat)
 
     def predict_condition(
         self, condition: RuntimeCondition
@@ -339,7 +355,10 @@ class StacModel:
         Runs every condition's EA fixed point simultaneously, for
         ``n_iterations`` rounds, so that each round simulates all
         collocated services of all conditions in one
-        :meth:`ResponseTimeModel.simulate_many` call.  Conditions are
+        :meth:`ResponseTimeModel.simulate_many` call and synthesizes
+        their nominal traces in one :meth:`_nominal_trace` call.
+        After each round the gauge ``stage3.fixed_point.ea_residual``
+        holds the largest EA change over all conditions.  Conditions are
         mutually independent, so each result is bit-identical to a
         standalone :meth:`predict_condition` call.  Service counts may
         differ between conditions.
@@ -356,9 +375,19 @@ class StacModel:
             self._init_eas(specs, grosses)
             for specs, grosses in zip(specs_per, grosses_per)
         ]
-        feedback_per: list[list[QueueFeedback]] = [None] * len(conditions)
-        X_per: list[np.ndarray] = [None] * len(conditions)
-        traces_per: list[np.ndarray] = [None] * len(conditions)
+        sim_base = [
+            dict(
+                utilization=cond.utilizations[i],
+                timeout=cond.timeouts[i],
+                gross_increase=grosses[i],
+                service_cv=spec.service_cv,
+                mean_service_time=self._default_service_time(spec),
+            )
+            for cond, specs, grosses in zip(conditions, specs_per, grosses_per)
+            for i, spec in enumerate(specs)
+        ]
+        utils_per = [cond.utilizations for cond in conditions]
+        offsets = np.cumsum([0] + [len(specs) for specs in specs_per])
         with telemetry.span(
             "stage3.fixed_point",
             n_conditions=len(conditions),
@@ -366,47 +395,60 @@ class StacModel:
         ):
             for it in range(self.n_iterations):
                 with telemetry.span("stage3.fixed_point.round", round=it):
-                    sim_conds = []
-                    for cond, specs, grosses, eas in zip(
-                        conditions, specs_per, grosses_per, eas_per
+                    eas = [float(ea) for group in eas_per for ea in group]
+                    with telemetry.span(
+                        "stage3.fixed_point.simulate", n_conditions=len(eas)
                     ):
-                        for i in range(len(specs)):
-                            sim_conds.append(
-                                dict(
-                                    utilization=cond.utilizations[i],
-                                    timeout=cond.timeouts[i],
-                                    gross_increase=grosses[i],
-                                    effective_allocation=float(eas[i]),
-                                    service_cv=specs[i].service_cv,
-                                    mean_service_time=self._default_service_time(
-                                        specs[i]
-                                    ),
-                                )
-                            )
-                    all_feedback = self.rt_model.simulate_many(sim_conds)
-                    pos = 0
-                    for ci, specs in enumerate(specs_per):
-                        n = len(specs)
-                        feedback_per[ci] = all_feedback[pos : pos + n]
-                        pos += n
-                        X_per[ci], traces_per[ci] = self._condition_round(
-                            conditions[ci], specs, grosses_per[ci],
-                            feedback_per[ci],
+                        all_feedback = self.rt_model.simulate_many(
+                            [
+                                dict(base, effective_allocation=ea)
+                                for base, ea in zip(sim_base, eas)
+                            ]
                         )
-                        # One EA-model call per condition — identical input
-                        # stacking to a standalone call, so identical
-                        # predictions for every learner.
-                        eas_per[ci] = self.ea_model.predict(
-                            X_per[ci], traces_per[ci]
+                    feedback_per = [
+                        all_feedback[a:b] for a, b in zip(offsets, offsets[1:])
+                    ]
+                    boost_per = [
+                        np.array([f.boost_fraction for f in feedback])
+                        for feedback in feedback_per
+                    ]
+                    with telemetry.span("stage3.fixed_point.nominal_trace"):
+                        traces_per = self._nominal_trace(
+                            specs_per, utils_per, boost_per
                         )
+                    X_per = [
+                        self._feature_rows(*args)
+                        for args in zip(
+                            conditions, specs_per, grosses_per, feedback_per,
+                            boost_per,
+                        )
+                    ]
+                    # One EA-model call per condition — identical input
+                    # stacking to a standalone call, so identical
+                    # predictions for every learner.
+                    with telemetry.span("stage3.fixed_point.ea_predict"):
+                        new_eas = [
+                            self.ea_model.predict(X, traces)
+                            for X, traces in zip(X_per, traces_per)
+                        ]
+                    if telemetry.enabled():
+                        telemetry.gauge_set(
+                            "stage3.fixed_point.ea_residual",
+                            max(
+                                (
+                                    float(np.max(np.abs(new - old)))
+                                    for new, old in zip(new_eas, eas_per)
+                                ),
+                                default=0.0,
+                            ),
+                        )
+                    eas_per = new_eas
         telemetry.counter_inc("stage3.conditions_predicted", len(conditions))
         return [
             ConditionPrediction(
                 summaries=[f.summary for f in feedback_per[ci]],
                 effective_allocations=eas_per[ci],
-                boost_fractions=np.array(
-                    [f.boost_fraction for f in feedback_per[ci]]
-                ),
+                boost_fractions=boost_per[ci],
                 X_flat=X_per[ci],
                 traces=traces_per[ci],
             )

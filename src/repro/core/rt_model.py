@@ -60,6 +60,10 @@ def _check_condition(cond) -> dict:
         raise ValueError("utilization must be in (0, 1)")
     if cond["effective_allocation"] <= 0:
         raise ValueError("effective_allocation must be > 0")
+    if cond["gross_increase"] <= 0:
+        raise ValueError("gross_increase must be > 0")
+    if cond["service_cv"] < 0:
+        raise ValueError("service_cv must be >= 0")
     if cond["mean_service_time"] <= 0:
         raise ValueError("mean_service_time must be > 0")
     return cond
@@ -87,6 +91,10 @@ class ResponseTimeModel:
     ):
         if n_servers < 1 or n_queries < 10:
             raise ValueError("need n_servers >= 1 and n_queries >= 10")
+        if not 0 <= warmup_fraction < 1:
+            raise ValueError(
+                f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
+            )
         self.n_servers = n_servers
         self.n_queries = n_queries
         self.warmup_fraction = warmup_fraction
@@ -165,59 +173,67 @@ class ResponseTimeModel:
         # Fixed seed: the predictor must be deterministic for a condition.
         # The unit-scale draws are cached (see _base) and rescaled here.
         gaps, normals = self._base()
-        n_conditions = len(conds)
-        arrivals = np.empty((n_conditions, self.n_queries))
-        demands = np.empty((n_conditions, self.n_queries))
-        configs = []
-        for c, cond in enumerate(conds):
-            mean_service_time = cond["mean_service_time"]
-            service_cv = cond["service_cv"]
-            rate = cond["utilization"] * self.n_servers / mean_service_time
-            arrivals[c] = np.cumsum((1.0 / rate) * gaps)
-            if service_cv > 0:
-                sigma2 = np.log1p(service_cv**2)
-                demands[c] = np.exp(-0.5 * sigma2 + np.sqrt(sigma2) * normals)
-            else:
-                demands[c] = 1.0
-            boost_speedup = max(
-                cond["effective_allocation"] * cond["gross_increase"], 0.1
+        mean_service_time = np.array([c["mean_service_time"] for c in conds])
+        utilization = np.array([c["utilization"] for c in conds])
+        rate = utilization * self.n_servers / mean_service_time
+        arrivals = np.cumsum((1.0 / rate)[:, None] * gaps, axis=1)
+        # One demand row per distinct service CV, shared by its conditions.
+        cvs = [c["service_cv"] for c in conds]
+        rows = {}
+        for service_cv in cvs:
+            if service_cv not in rows:
+                if service_cv > 0:
+                    sigma2 = np.log1p(service_cv**2)
+                    rows[service_cv] = np.exp(
+                        -0.5 * sigma2 + np.sqrt(sigma2) * normals
+                    )
+                else:
+                    rows[service_cv] = np.ones(self.n_queries)
+        demands = np.stack([rows[cv] for cv in cvs])
+        configs = [
+            StapQueueConfig(
+                n_servers=self.n_servers,
+                mean_service_time=cond["mean_service_time"],
+                # Eq. 4 defines the warning relative to the *baseline*
+                # service time (1.0 on the normalized clock); rescale so
+                # warning_delay = timeout x 1.0 regardless of the default
+                # allocation's service time.
+                timeout=cond["timeout"] / cond["mean_service_time"],
+                boost_speedup=max(
+                    cond["effective_allocation"] * cond["gross_increase"], 0.1
+                ),
             )
-            configs.append(
-                StapQueueConfig(
-                    n_servers=self.n_servers,
-                    mean_service_time=mean_service_time,
-                    # Eq. 4 defines the warning relative to the *baseline*
-                    # service time (1.0 on the normalized clock); rescale
-                    # so warning_delay = timeout x 1.0 regardless of the
-                    # default allocation's service time.
-                    timeout=cond["timeout"] / mean_service_time,
-                    boost_speedup=boost_speedup,
-                )
-            )
-        if n_conditions < _MIN_BATCH_CONDITIONS:
-            results = [
-                simulate_stap_queue(arrivals[c], demands[c], cfg).drop_warmup(
-                    self.warmup_fraction
-                )
+            for cond in conds
+        ]
+        if len(conds) < _MIN_BATCH_CONDITIONS:
+            runs = [
+                simulate_stap_queue(arrivals[c], demands[c], cfg)
                 for c, cfg in enumerate(configs)
             ]
+            starts = np.stack([r.start_times for r in runs])
+            completions = np.stack([r.completion_times for r in runs])
+            boosted = np.stack([r.boosted for r in runs])
         else:
-            batch = simulate_stap_queue_batch(
-                arrivals, demands, configs
-            ).drop_warmup(self.warmup_fraction)
-            results = [batch.condition(c) for c in range(n_conditions)]
-        out = []
-        for res in results:
-            waits = res.wait_times
-            out.append(
-                QueueFeedback(
-                    summary=summarize_response_times(res.response_times),
-                    mean_wait=float(waits.mean()),
-                    p95_wait=float(np.percentile(waits, 95)),
-                    boost_fraction=res.boost_fraction,
-                )
+            batch = simulate_stap_queue_batch(arrivals, demands, configs)
+            starts, completions, boosted = (
+                batch.start_times, batch.completion_times, batch.boosted
             )
-        return out
+        # Drop the warmup queries: the statistics below read views of the
+        # kernel's (C, n) outputs past the first ``warmup`` columns.
+        warmup = int(self.n_queries * self.warmup_fraction)
+        arrivals = arrivals[:, warmup:]
+        response = completions[:, warmup:] - arrivals
+        waits = starts[:, warmup:] - arrivals
+        boosted = boosted[:, warmup:]
+        summaries = summarize_response_times(response)
+        mean_wait = waits.mean(axis=1).tolist()
+        # ``waits`` is not read again, so the percentile may sort it in place.
+        p95_wait = np.percentile(waits, 95, axis=1, overwrite_input=True).tolist()
+        boost_fraction = boosted.mean(axis=1).tolist()
+        return [
+            QueueFeedback(summary=s, mean_wait=m, p95_wait=p, boost_fraction=b)
+            for s, m, p, b in zip(summaries, mean_wait, p95_wait, boost_fraction)
+        ]
 
     def predict_response_time(
         self,

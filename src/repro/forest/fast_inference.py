@@ -49,13 +49,18 @@ class PackedForest:
         self.max_depth = max_depth
         # Leaf-safe views: leaves become self-loops with an always-true
         # comparison, so prediction needs no boolean masking — just
-        # ``max_depth`` rounds of unconditional gathers.
+        # ``max_depth`` rounds of unconditional gathers.  The children
+        # are interleaved (``kids[2 * i]`` left, ``kids[2 * i + 1]``
+        # right) so one gather picks the branch taken.
         is_leaf = self.feature == _LEAF
         self._feature_safe = np.where(is_leaf, 0, self.feature)
         self._threshold_safe = np.where(is_leaf, np.inf, self.threshold)
         node_ids = np.arange(self.feature.shape[0], dtype=np.intp)
-        self._left_safe = np.where(is_leaf, node_ids, self.left)
-        self._right_safe = np.where(is_leaf, node_ids, self.right)
+        self._kids = np.stack(
+            [np.where(is_leaf, node_ids, self.left),
+             np.where(is_leaf, node_ids, self.right)],
+            axis=1,
+        ).ravel()
 
     @classmethod
     def from_forest(cls, forest) -> "PackedForest":
@@ -126,14 +131,19 @@ class PackedForest:
 
     def _traverse(self, X: np.ndarray) -> np.ndarray:
         n = X.shape[0]
+        x_flat = X.ravel()
+        # Flat offset of each cursor's sample row in ``x_flat``.
+        row_offset = np.tile(
+            np.arange(n, dtype=np.intp) * self.n_features, self.n_trees
+        )
         node = np.repeat(self.roots, n)
-        sample = np.tile(np.arange(n, dtype=np.intp), self.n_trees)
         for _ in range(self.max_depth):
-            go_left = (
-                X[sample, self._feature_safe[node]] <= self._threshold_safe[node]
-            )
-            node = np.where(go_left, self._left_safe[node], self._right_safe[node])
-        return self.value[node].reshape(self.n_trees, n)
+            x = x_flat.take(row_offset + self._feature_safe.take(node))
+            # ``~(x <= thr)``, not ``x > thr``: a NaN feature goes right,
+            # as in the per-tree walk.
+            go_right = ~(x <= self._threshold_safe.take(node))
+            node = self._kids.take(2 * node + go_right)
+        return self.value.take(node).reshape(self.n_trees, n)
 
     def predict(self, X) -> np.ndarray:
         """Forest prediction: mean over trees, one pass over the pack."""

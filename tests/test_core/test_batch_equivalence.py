@@ -83,6 +83,18 @@ class TestSimulateMany:
             assert model.simulate_many(conds) == oracle, n
             assert [model.simulate(**c) for c in conds] == oracle, n
 
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_mixed_service_cv(self, n):
+        # Conditions share demand rows by service CV; zero CV (constant
+        # demand) sits next to repeated and distinct positive CVs.
+        model = ResponseTimeModel(n_queries=400, rng=11)
+        conds = _sample_conditions(n)
+        for cond, cv in zip(conds, itertools.cycle([0.0, 0.35, 0.8, 0.35, 0.0, 1.3])):
+            cond["service_cv"] = cv
+        assert model.simulate_many(conds) == [
+            simulate_oracle(model, **c) for c in conds
+        ]
+
     def test_empty(self):
         assert ResponseTimeModel(rng=0).simulate_many([]) == []
 
@@ -140,6 +152,30 @@ class TestConditionBoundary:
                 model.simulate_many(conds)
         with pytest.raises(ValueError, match=field):
             model.simulate(**conds[-1])
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            # Once clamped to boost_speedup=0.1: at utilization 0.6 and
+            # timeout 0.5 that gave a mean response time of ~4514.
+            ("gross_increase", -3.0),
+            ("gross_increase", 0.0),
+            # Once treated as deterministic service.
+            ("service_cv", -0.2),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, bad):
+        model = ResponseTimeModel(n_queries=200, rng=3)
+        for n in (1, 8):
+            conds = _sample_conditions(n)
+            conds[-1].update(utilization=0.6, timeout=0.5, **{field: bad})
+            with pytest.raises(ValueError, match=field):
+                model.simulate_many(conds)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, np.nan])
+    def test_bad_warmup_fraction_rejected(self, bad):
+        with pytest.raises(ValueError, match="warmup_fraction"):
+            ResponseTimeModel(n_queries=200, warmup_fraction=bad, rng=3)
 
     def test_unknown_key_rejected(self):
         model = ResponseTimeModel(n_queries=200, rng=4)

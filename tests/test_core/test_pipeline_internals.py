@@ -3,10 +3,14 @@ chain-neighbour conventions."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import StacModel
+from repro.core import pipeline as pipeline_module
 from repro.counters.events import COUNTER_NAMES, N_COUNTERS
 from repro.workloads import get_workload
+
+from .pipeline_oracle import boosted_capacity_oracle, nominal_trace_oracle
 
 
 @pytest.fixture
@@ -39,33 +43,35 @@ class TestChainNeighbor:
         assert model._chain_neighbor(3, 2) == 1
 
 
+def _trace(model, specs, target, utils, boost_fractions):
+    """The nominal trace of one service, through the per-round batch."""
+    traces = model._nominal_trace([specs], [utils], [np.array(boost_fractions)])
+    return traces[0][target]
+
+
 class TestNominalTrace:
     def test_shape_matches_profiler_convention(self, model):
         specs = [get_workload("redis"), get_workload("knn")]
-        trace = model._nominal_trace(
-            specs, 0, (0.9, 0.9), np.array([0.5, 0.2])
-        )
+        trace = _trace(model, specs, 0, (0.9, 0.9), [0.5, 0.2])
         # Own block + chain-neighbour block, trace_ticks columns.
         assert trace.shape == (2 * N_COUNTERS, 10)
 
     def test_solo_trace_single_block(self, model):
-        trace = model._nominal_trace(
-            [get_workload("redis")], 0, (0.9,), np.array([0.5])
-        )
+        trace = _trace(model, [get_workload("redis")], 0, (0.9,), [0.5])
         assert trace.shape == (N_COUNTERS, 10)
 
     def test_boost_fraction_reflected_in_ticks(self, model):
         specs = [get_workload("redis"), get_workload("knn")]
         boost_row = COUNTER_NAMES.index("boost_active")
-        full = model._nominal_trace(specs, 0, (0.9, 0.9), np.array([1.0, 0.0]))
-        none = model._nominal_trace(specs, 0, (0.9, 0.9), np.array([0.0, 0.0]))
+        full = _trace(model, specs, 0, (0.9, 0.9), [1.0, 0.0])
+        none = _trace(model, specs, 0, (0.9, 0.9), [0.0, 0.0])
         assert full[boost_row].mean() == pytest.approx(1.0)
         assert none[boost_row].mean() == 0.0
 
     def test_partial_boost_fraction(self, model):
         specs = [get_workload("redis"), get_workload("knn")]
         boost_row = COUNTER_NAMES.index("boost_active")
-        half = model._nominal_trace(specs, 0, (0.9, 0.9), np.array([0.5, 0.0]))
+        half = _trace(model, specs, 0, (0.9, 0.9), [0.5, 0.0])
         frac = (half[boost_row] > 0).mean()
         assert 0.3 <= frac <= 0.7
 
@@ -75,10 +81,8 @@ class TestNominalTrace:
         specs = [get_workload("redis"), get_workload("spstream")]
         miss_row = COUNTER_NAMES.index("llc_load_misses")
         boost_row = COUNTER_NAMES.index("boost_active")
-        alone = model._nominal_trace(specs, 0, (0.9, 0.9), np.array([1.0, 0.0]))
-        contended = model._nominal_trace(
-            specs, 0, (0.9, 0.9), np.array([1.0, 1.0])
-        )
+        alone = _trace(model, specs, 0, (0.9, 0.9), [1.0, 0.0])
+        contended = _trace(model, specs, 0, (0.9, 0.9), [1.0, 1.0])
         assert np.all(alone[boost_row] > 0)
         assert contended[miss_row].mean() > alone[miss_row].mean()
 
@@ -96,6 +100,81 @@ class TestNominalTrace:
         edge = model._boosted_capacity(specs, 0, np.array([1.0, 0.0, 0.0]))
         # The middle service borrows two idle shared regions.
         assert mid > edge
+
+
+WORKLOAD_NAMES = ("redis", "knn", "social", "spstream", "jacobi")
+BOOST_FRACTIONS = (0.0, 1.0, 1.0 - 1e-12, 0.97, 0.5, 0.025)
+
+
+class TestNominalTraceBatch:
+    """One round's batched synthesis equals the per-service oracle,
+    block by block, for any mix of 1-, 2- and 3-service conditions."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(WORKLOAD_NAMES),
+                    st.floats(0.05, 0.95),
+                    st.one_of(
+                        st.sampled_from(BOOST_FRACTIONS), st.floats(0.0, 1.0)
+                    ),
+                ),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([1, 7, 10, 20]),
+    )
+    def test_matches_oracle(self, conditions, trace_ticks):
+        model = StacModel(rng=0, trace_ticks=trace_ticks)
+        specs_per = [[get_workload(w) for w, _, _ in c] for c in conditions]
+        utils_per = [tuple(u for _, u, _ in c) for c in conditions]
+        boost_per = [np.array([b for _, _, b in c]) for c in conditions]
+        traces = model._nominal_trace(specs_per, utils_per, boost_per)
+        assert len(traces) == len(conditions)
+        for specs, utils, bfs, stacked in zip(
+            specs_per, utils_per, boost_per, traces
+        ):
+            n_blocks = 1 if len(specs) == 1 else 2
+            assert stacked.shape == (len(specs), n_blocks * N_COUNTERS, trace_ticks)
+            for i in range(len(specs)):
+                expected = nominal_trace_oracle(model, specs, i, utils, bfs)
+                assert np.array_equal(stacked[i], expected)
+
+    def test_boosted_capacity_matches_oracle(self, model):
+        specs = [get_workload("redis"), get_workload("social"), get_workload("knn")]
+        bfs = np.array([0.3, 1.0, 0.7])
+        for j in range(3):
+            assert model._boosted_capacity(specs, j, bfs) == boosted_capacity_oracle(
+                model, specs, j, bfs
+            )
+
+    def test_one_synthesis_per_workload(self, model, monkeypatch):
+        calls = []
+        real = pipeline_module.synthesize_ticks
+
+        def spy(spec, **kwargs):
+            calls.append(spec.name)
+            return real(spec, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "synthesize_ticks", spy)
+        specs_per = [
+            [get_workload("redis"), get_workload("knn")],
+            [get_workload("knn"), get_workload("redis"), get_workload("jacobi")],
+            [get_workload("redis")],
+        ]
+        utils_per = [(0.5, 0.6), (0.7, 0.8, 0.9), (0.4,)]
+        boost_per = [np.array([0.5, 0.1]), np.array([1.0, 0.0, 0.3]), np.array([0.2])]
+        model._nominal_trace(specs_per, utils_per, boost_per)
+        assert sorted(calls) == ["jacobi", "knn", "redis"]
+
+    def test_empty_round(self, model):
+        assert model._nominal_trace([], [], []) == []
+        assert model.predict_conditions([]) == []
 
 
 class TestInputBoundary:

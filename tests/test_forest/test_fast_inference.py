@@ -120,6 +120,67 @@ class TestForestIntegration:
             RandomForestRegressor(n_estimators=2).pack()
 
 
+class TestTraversal:
+    """The level walk (one flat feature gather, one interleaved-child
+    gather per level) equals the per-tree walk of the oracle, including
+    NaN features (sent right, as ``RegressionTree.predict`` does) and
+    single-leaf trees (no levels at all)."""
+
+    @staticmethod
+    def _queries(n, d, seed, nan_frac):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-0.2, 1.2, size=(n, d))
+        X[rng.random((n, d)) < nan_frac] = np.nan
+        return X
+
+    @pytest.mark.parametrize("cls,strategy", FOREST_KINDS, ids=KIND_IDS)
+    def test_nan_features_go_right(self, cls, strategy):
+        forest, _ = fitted_forest(n_estimators=6, cls=cls, strategy=strategy)
+        packed = PackedForest.from_forest(forest)
+        Xt = self._queries(300, 5, 1, nan_frac=0.3)
+        Xt[0] = np.nan
+        expected = predict_per_tree_oracle(forest, Xt)
+        assert np.array_equal(packed._traverse(Xt), expected)
+        assert np.array_equal(packed.predict_per_tree(Xt), expected)
+        assert np.array_equal(packed.predict(Xt), predict_oracle(forest, Xt))
+
+    def test_single_leaf_trees(self):
+        forest, X = fitted_forest(n_estimators=3)
+        flat = RandomForestRegressor(n_estimators=2, rng=1).fit(
+            X, np.full(X.shape[0], 0.25)
+        )
+        assert all(t.depth == 0 for t in flat.trees_)
+        Xt = self._queries(50, 5, 2, nan_frac=0.1)
+        only_leaves = PackedForest.from_forest(flat)
+        assert only_leaves.max_depth == 0
+        assert np.array_equal(
+            only_leaves._traverse(Xt), predict_per_tree_oracle(flat, Xt)
+        )
+        # Leaves next to deep trees self-loop through every level.
+        mixed = PackedForest.from_trees(flat.trees_ + forest.trees_)
+        expected = np.vstack(
+            [predict_per_tree_oracle(flat, Xt), predict_per_tree_oracle(forest, Xt)]
+        )
+        assert np.array_equal(mixed.predict_per_tree(Xt), expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 80),
+        st.integers(0, 10**6),
+        st.sampled_from([0.0, 0.2, 1.0]),
+    )
+    def test_traverse_property(self, n_trees, n_samples, seed, nan_frac):
+        forest, _ = fitted_forest(
+            n_estimators=n_trees, n=60, rng=seed, cls=CompletelyRandomForestRegressor
+        )
+        packed = PackedForest.from_forest(forest)
+        Xt = self._queries(n_samples, 5, seed + 1, nan_frac)
+        assert np.array_equal(
+            packed._traverse(Xt), predict_per_tree_oracle(forest, Xt)
+        )
+
+
 class TestStructure:
     def test_node_accounting(self):
         forest, _ = fitted_forest(n_estimators=6)

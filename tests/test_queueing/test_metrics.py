@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.queueing import (
     ResponseTimeSummary,
@@ -75,6 +76,54 @@ class TestSummary:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             summarize_response_times([-1.0])
+
+
+class TestSummaryMatrix:
+    """A ``(C, n)`` matrix gives one summary per row, each equal to the
+    1-D summary of that row on its own."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Ties, zeros and a single query per row.
+            [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 2.0, 5.0]],
+            [[3.0], [0.0], [7.5]],
+            [[0.0, 1.0]],
+        ],
+    )
+    def test_rows_match_vectors(self, rows):
+        matrix = np.array(rows)
+        assert summarize_response_times(matrix) == [
+            summarize_response_times(row) for row in rows
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 300),
+        st.integers(0, 10**6),
+        st.sampled_from(["lognormal", "ties", "zeros"]),
+    )
+    def test_random_matrices(self, n_rows, n, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind == "lognormal":
+            matrix = rng.lognormal(0.0, 0.8, size=(n_rows, n))
+        elif kind == "ties":
+            matrix = rng.integers(0, 4, size=(n_rows, n)).astype(float)
+        else:
+            matrix = np.where(rng.random((n_rows, n)) < 0.7, 0.0, rng.random((n_rows, n)))
+        summaries = summarize_response_times(matrix)
+        assert isinstance(summaries, list) and len(summaries) == n_rows
+        for summary, row in zip(summaries, matrix):
+            assert summary == summarize_response_times(row.copy())
+
+    def test_matrix_bad_input_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            summarize_response_times(np.empty((3, 0)))
+        with pytest.raises(ValueError, match="non-negative"):
+            summarize_response_times(np.array([[1.0, 2.0], [0.5, -1.0]]))
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            summarize_response_times(np.ones((2, 2, 2)))
 
 
 class TestApe:

@@ -21,6 +21,7 @@ from repro.queueing import (
     simulate_stap_queue,
     simulate_stap_queue_batch,
 )
+from repro.workloads import get_workload
 
 PAIR = ("redis", "social")
 UTILS = (0.9, 0.85)
@@ -121,6 +122,67 @@ class TestPipelineIdentity:
         reg = telemetry.get_registry()
         assert reg.counter("stage3.conditions_predicted") == len(conditions)
         assert telemetry.get_span_log().by_name("stage2.fit")
+
+
+class TestFixedPointObservability:
+    """Each fixed-point round records its three phases as child spans
+    and leaves the largest EA change of the round in a gauge."""
+
+    CONDITIONS = [
+        RuntimeCondition(workloads=PAIR, utilizations=UTILS, timeouts=(0.0, 1.0)),
+        RuntimeCondition(
+            workloads=("redis", "knn", "jacobi"),
+            utilizations=(0.8, 0.6, 0.7),
+            timeouts=(0.5, np.inf, 0.0),
+        ),
+    ]
+
+    @pytest.mark.parametrize("n_iterations", [1, 3])
+    def test_round_spans_and_residual_gauge(self, fitted, n_iterations):
+        fitted.n_iterations = n_iterations
+        try:
+            off = fitted.predict_conditions(self.CONDITIONS)
+            telemetry.configure()
+            on = fitted.predict_conditions(self.CONDITIONS)
+            residual = telemetry.get_registry().gauge(
+                "stage3.fixed_point.ea_residual"
+            )
+            log = telemetry.get_span_log()
+            telemetry.disable()
+            # The EAs the last round started from.
+            if n_iterations == 1:
+                before = [
+                    fitted._init_eas(
+                        [get_workload(w) for w in c.workloads],
+                        [
+                            fitted._gross_increase(len(c.workloads), i)
+                            for i in range(len(c.workloads))
+                        ],
+                    )
+                    for c in self.CONDITIONS
+                ]
+            else:
+                fitted.n_iterations = n_iterations - 1
+                before = [
+                    p.effective_allocations
+                    for p in fitted.predict_conditions(self.CONDITIONS)
+                ]
+        finally:
+            fitted.n_iterations = 2
+        for a, b in zip(off, on):
+            assert a.summaries == b.summaries
+            for name in ("effective_allocations", "boost_fractions", "X_flat", "traces"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        rounds = log.by_name("stage3.fixed_point.round")
+        assert len(rounds) == n_iterations
+        for phase in ("simulate", "nominal_trace", "ea_predict"):
+            spans = log.by_name(f"stage3.fixed_point.{phase}")
+            assert len(spans) == n_iterations, phase
+            assert {s.parent_id for s in spans} == {r.id for r in rounds}, phase
+        assert residual == max(
+            float(np.max(np.abs(p.effective_allocations - eas)))
+            for p, eas in zip(on, before)
+        )
 
 
 class TestProfilerIdentity:
