@@ -5,9 +5,13 @@ The tentpole contract, verified end to end:
 - ``strategy="exact"`` with the process pool must produce *bit-identical*
   trees to the serial exact fit (the pool only changes who grows each
   tree, never what is grown) — asserted in every mode, including smoke;
-- ``strategy="hist"`` is the opt-in fast path: quantile-binned ``uint8``
-  codes shared across trees (and across pool workers via POSIX shared
-  memory), prefix-summed bincount split search.
+- ``strategy="hist"`` is the opt-in approximate path: quantile-binned
+  ``uint8`` codes shared across trees (and across pool workers via
+  POSIX shared memory), prefix-summed bincount split search;
+- the exact splitter's vectorised sorted scan must grow the same tree
+  as the per-feature loop it replaced (``tests/test_forest/
+  tree_oracle.py``) on a single-tree baseline over every feature —
+  also asserted in every mode.
 
 The workload mirrors a multi-grained-scanner window forest fit — the
 training bottleneck of the Figure 6 campaign: thousands of sliding
@@ -29,12 +33,17 @@ import numpy as np
 
 from benchmarks.conftest import print_block
 from repro.analysis import format_table
-from repro.forest import RandomForestRegressor
+from repro.baselines.dtree import DecisionTreeBaseline
+from repro.forest import RandomForestRegressor, RegressionTree
+from tests.test_forest.tree_oracle import best_split_oracle
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 N_SAMPLES = 1500 if SMOKE else 6000
 N_FEATURES = 25
 N_TREES = 8 if SMOKE else 24
+#: The "tree" learner's shape: profiled rows x (condition features +
+#: flattened cache-usage traces), every feature a split candidate.
+SCAN_ROWS, SCAN_FEATURES = 160, 1184
 RESULTS_JSON = Path(__file__).resolve().parents[1] / "BENCH_forest_training.json"
 
 
@@ -49,6 +58,22 @@ def _mgs_like_dataset(rng):
         + rng.normal(0, 0.5, N_SAMPLES)
     )
     return X, y
+
+
+def _split_search_dataset(rng):
+    X = rng.uniform(size=(SCAN_ROWS, SCAN_FEATURES))
+    y = np.sin(6 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(0, 0.1, SCAN_ROWS)
+    return X, y
+
+
+def _fit_tree_best_of(X, y, reps):
+    """Best-of-``reps`` wall clock of one ``DecisionTreeBaseline`` fit."""
+    best = np.inf
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        tree = DecisionTreeBaseline(rng=0).fit(X, y)
+        best = min(best, time.perf_counter() - t0)
+    return tree, best
 
 
 def _fit(X, y, strategy, n_jobs):
@@ -75,14 +100,19 @@ def _fit_best_of(X, y, strategy, n_jobs, reps):
     return forest, best
 
 
-def _trees_identical(fa, fb) -> bool:
-    return len(fa.trees_) == len(fb.trees_) and all(
+def _tree_identical(a, b) -> bool:
+    return (
         np.array_equal(a._feature_a, b._feature_a)
         and np.array_equal(a._threshold_a, b._threshold_a)
         and np.array_equal(a._value_a, b._value_a)
         and np.array_equal(a._left_a, b._left_a)
         and np.array_equal(a._right_a, b._right_a)
-        for a, b in zip(fa.trees_, fb.trees_)
+    )
+
+
+def _trees_identical(fa, fb) -> bool:
+    return len(fa.trees_) == len(fb.trees_) and all(
+        _tree_identical(a, b) for a, b in zip(fa.trees_, fb.trees_)
     )
 
 
@@ -95,6 +125,48 @@ def _record(row: dict) -> None:
             history = []
     history.append(row)
     RESULTS_JSON.write_text(json.dumps(history, indent=2) + "\n")
+
+
+def test_split_search_matches_loop(monkeypatch):
+    """One tree over every feature: the shared sorted scan vs the old
+    per-feature loop patched back in.  Same tree, timed both ways."""
+    X, y = _split_search_dataset(np.random.default_rng(2))
+    reps = 1 if SMOKE else 3
+    scan_tree, t_scan = _fit_tree_best_of(X, y, reps)
+    with monkeypatch.context() as m:
+        m.setattr(RegressionTree, "_best_split", best_split_oracle)
+        loop_tree, t_loop = _fit_tree_best_of(X, y, reps)
+
+    assert scan_tree._tree.n_nodes > 1
+    assert _tree_identical(scan_tree._tree, loop_tree._tree)
+
+    rows = [
+        ["sorted scan, all features at once", t_scan * 1e3, t_loop / t_scan],
+        ["per-feature loop (oracle)", t_loop * 1e3, 1.0],
+    ]
+    print_block(
+        format_table(
+            ["split search", "ms (best of %d)" % reps, "speedup vs loop"],
+            rows,
+            title=(
+                f"Exact split search, one tree, n={SCAN_ROWS} "
+                f"d={SCAN_FEATURES}, max_features=None"
+                + (" [smoke]" if SMOKE else "")
+            ),
+        )
+    )
+    if not SMOKE:
+        _record(
+            {
+                "bench": "split_search",
+                "timestamp": int(time.time()),
+                "n_samples": SCAN_ROWS,
+                "n_features": SCAN_FEATURES,
+                "scan_s": round(t_scan, 6),
+                "loop_s": round(t_loop, 6),
+                "speedup_scan": round(t_loop / t_scan, 3),
+            }
+        )
 
 
 def test_forest_training_scaling():

@@ -93,6 +93,13 @@ def _parse_megabytes(value: str) -> float:
     return mb
 
 
+def _parse_positive_int(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return n
+
+
 def _cmd_simulate(args) -> int:
     machine = get_machine(args.machine)
     timeouts = args.timeouts or [np.inf] * len(args.pair)
@@ -348,12 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--forest-strategy",
         choices=("exact", "hist"),
         default="exact",
-        help="forest split finding: 'exact' (bit-identical trees) or "
-        "'hist' (histogram-binned, several times faster to train)",
+        help="forest split finding: 'exact' (default, bit-identical "
+        "trees) or 'hist' (quantile-binned histograms: approximate "
+        "trees, faster only on large training sets)",
     )
     p_pol.add_argument(
         "--train-jobs",
-        type=int,
+        type=_parse_positive_int,
         default=1,
         help="worker processes for forest training (one shared-memory "
         "pool per cascade level / MGS pass; identical model for any value)",

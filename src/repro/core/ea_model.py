@@ -37,7 +37,7 @@ class EAModel:
         Keyword overrides for :class:`DeepForestRegressor` (windows,
         estimators, levels, ``n_jobs``, ``strategy``...).  The forest
         keys (``n_estimators``, ``min_samples_leaf``, ``max_depth``,
-        ``n_jobs``, ``strategy``, ``n_bins``) also reach the
+        ``n_jobs``, ``strategy``) also reach the
         ``random_forest`` learner; the remaining learners ignore them.
     """
 
@@ -48,7 +48,6 @@ class EAModel:
         "max_depth",
         "n_jobs",
         "strategy",
-        "n_bins",
     )
 
     def __init__(self, learner: str = "deep_forest", rng=None, **df_params):

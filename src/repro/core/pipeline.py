@@ -106,6 +106,8 @@ class StacModel:
             check_positive(name, value, strict=strict)
         if trace_ticks < 1:
             raise ValueError(f"trace_ticks must be >= 1, got {trace_ticks}")
+        if n_jobs < 1:
+            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         ea_params.setdefault("n_jobs", n_jobs)
         ea_params.setdefault("strategy", forest_strategy)
         self.machine = machine or default_machine()

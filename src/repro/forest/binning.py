@@ -2,8 +2,8 @@
 
 Features are discretized once per forest fit into ``uint8`` codes; the
 histogram splitter (:meth:`RegressionTree.fit_binned`) then finds the
-best split with prefix-summed bin statistics instead of one argsort per
-candidate feature per node.
+best split with prefix-summed bin statistics instead of sorting the
+node's raw values.
 
 The binning contract the splitter relies on::
 

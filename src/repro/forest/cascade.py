@@ -23,7 +23,6 @@ import numpy as np
 
 from repro import telemetry
 from repro._util import as_rng, spawn_rngs
-from repro.forest.binning import MAX_BINS
 from repro.forest.ensemble import (
     CompletelyRandomForestRegressor,
     RandomForestRegressor,
@@ -139,7 +138,6 @@ class CascadeForest:
     patience: int = 1
     n_jobs: int = 1
     strategy: str = "exact"
-    n_bins: int = MAX_BINS
     rng: object = None
     _levels: list[_Level] = field(default_factory=list, init=False)
     _output_forests: list = field(default_factory=list, init=False)
@@ -167,7 +165,6 @@ class CascadeForest:
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
             strategy=self.strategy,
-            n_bins=self.n_bins,
             rng=rng,
         )
 

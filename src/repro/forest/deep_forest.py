@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro._util import as_rng, spawn_rngs
-from repro.forest.binning import MAX_BINS
 from repro.forest.cascade import CascadeForest
 from repro.forest.mgs import MultiGrainScanner
 
@@ -30,8 +29,8 @@ class DeepForestRegressor:
     level's forests, fold models included, together).  ``strategy``
     selects split finding: ``"exact"`` (default, bit-identical to
     previous releases for every ``n_jobs``) or ``"hist"`` (quantile-
-    binned histogram search — several times faster, statistically
-    equivalent).
+    binned histogram search — approximate thresholds, statistically
+    equivalent accuracy, no faster at profiling-campaign scale).
     """
 
     windows: list[tuple[int, int]] | None = field(
@@ -47,7 +46,6 @@ class DeepForestRegressor:
     k_folds: int = 3
     n_jobs: int = 1
     strategy: str = "exact"
-    n_bins: int = MAX_BINS
     rng: object = None
     _scanner: MultiGrainScanner | None = field(default=None, init=False)
     _cascade: CascadeForest | None = field(default=None, init=False)
@@ -97,7 +95,6 @@ class DeepForestRegressor:
                 max_instances=self.mgs_max_instances,
                 n_jobs=self.n_jobs,
                 strategy=self.strategy,
-                n_bins=self.n_bins,
                 rng=rng_scan,
             )
         X = self._assemble(X_flat, traces, fit_y=y)
@@ -110,7 +107,6 @@ class DeepForestRegressor:
             k_folds=self.k_folds,
             n_jobs=self.n_jobs,
             strategy=self.strategy,
-            n_bins=self.n_bins,
             rng=rng_casc,
         )
         self._cascade.fit(X, y)

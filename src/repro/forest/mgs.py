@@ -15,7 +15,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro._util import as_rng, spawn_rngs
-from repro.forest.binning import MAX_BINS
 from repro.forest.ensemble import RandomForestRegressor
 from repro.forest.parallel import fit_plans
 
@@ -78,7 +77,6 @@ class MultiGrainScanner:
     max_instances: int = 20000
     n_jobs: int = 1
     strategy: str = "exact"
-    n_bins: int = MAX_BINS
     rng: object = None
     _forests: list[RandomForestRegressor] = field(default_factory=list, init=False)
     _fitted_shape: tuple[int, int] | None = field(default=None, init=False)
@@ -121,7 +119,6 @@ class MultiGrainScanner:
                 min_samples_leaf=3,
                 n_jobs=self.n_jobs,
                 strategy=self.strategy,
-                n_bins=self.n_bins,
                 rng=rngs[2 * k + 1],
             )
             plans.append(forest.plan_fit(X, yy))

@@ -2,17 +2,18 @@
 
 Two split-finding strategies are supported:
 
-- ``strategy="exact"`` (default): NumPy-vectorized per node — one
-  argsort per candidate feature, then prefix-sum variance reduction
-  over every threshold at once.  This is the original splitter and its
-  results are bit-identical across releases.
+- ``strategy="exact"`` (default): per node, the candidate-feature
+  columns are stable-argsorted together and every cut between two
+  distinct values is scored at once by prefix-summed variance reduction
+  (:func:`_scan_sorted`).  Results are bit-identical across releases.
 - ``strategy="hist"``: LightGBM-style histogram split finding.  The
   feature matrix is quantile-binned into ``uint8`` codes
   (:mod:`repro.forest.binning`), and per-node best-split search becomes
   prefix-summed ``np.bincount`` statistics over bins — O(n + bins x
-  features) per node instead of an argsort per candidate feature.
-  Thresholds are recorded in *raw* feature space, so prediction is
-  identical in form to exact trees (no binning at inference time).
+  features) per node.  Small nodes run the same sorted scan as the
+  exact strategy, on codes.  Thresholds are recorded in *raw* feature
+  space, so prediction is identical in form to exact trees (no binning
+  at inference time).
 
 And two splitters on top of either strategy:
 
@@ -28,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng
-from repro.forest.binning import MAX_BINS, quantile_bin
+from repro.forest.binning import quantile_bin
 
 _LEAF = -1
 
@@ -37,6 +38,44 @@ _LEAF = -1
 #: ``n`` is tiny and the O(bins) bincount/cumsum overhead would dominate
 #: the O(n) statistics.
 _HIST_SORT_CUTOFF = 96
+
+
+def _scan_sorted(cols, yn, min_samples_leaf):
+    """Best variance-reduction cut over every column of ``cols`` at once.
+
+    ``cols`` is a node's (n, k) candidate-feature matrix: raw values on
+    the exact path, ``uint8`` codes on the histogram path.  Each column
+    is stable-argsorted and every cut between two distinct sorted values
+    that leaves ``min_samples_leaf`` rows on both sides is scored by the
+    children's prefix-summed SSE.  Ties go to the earliest column, then
+    the earliest cut; a column with a NaN loss at any valid cut is
+    skipped.  Returns ``(column, left value, right value)`` — the sorted
+    values either side of the winning cut — or ``None``.
+    """
+    n = cols.shape[0]
+    pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
+    if pos.size == 0:
+        return None
+    order = np.argsort(cols, axis=0, kind="stable")
+    xs = np.take_along_axis(cols, order, axis=0)
+    ys = yn[order]
+    s1 = np.cumsum(ys, axis=0)
+    s2 = np.cumsum(ys * ys, axis=0)
+    # Cut p sits between sorted rows p-1 and p; x must strictly change.
+    valid = xs[pos - 1] < xs[pos]  # (P, k)
+    nl = pos.astype(float)[:, None]
+    nr = n - nl
+    sl1, sl2 = s1[pos - 1], s2[pos - 1]
+    sr1, sr2 = s1[-1] - sl1, s2[-1] - sl2
+    loss = (sl2 - sl1 * sl1 / nl) + (sr2 - sr1 * sr1 / nr)
+    # (k, P): a flat argmin takes the earliest column, then earliest cut.
+    loss = np.where(valid, loss, np.inf).T
+    loss[np.isnan(loss).any(axis=1)] = np.inf
+    c, j = np.unravel_index(int(np.argmin(loss)), loss.shape)
+    if not loss[c, j] < np.inf:
+        return None
+    p = pos[j]
+    return int(c), xs[p - 1, c], xs[p, c]
 
 
 class RegressionTree:
@@ -54,9 +93,8 @@ class RegressionTree:
         ``"best"`` (CART) or ``"random"`` (completely random).
     strategy:
         ``"exact"`` (argsort split search on raw values) or ``"hist"``
-        (histogram search over quantile bins).
-    n_bins:
-        Bin budget per feature for ``strategy="hist"`` (2..255).
+        (histogram search over at most ``binning.MAX_BINS`` quantile
+        bins per feature).
     """
 
     def __init__(
@@ -66,15 +104,12 @@ class RegressionTree:
         max_features: "int | str | None" = None,
         splitter: str = "best",
         strategy: str = "exact",
-        n_bins: int = MAX_BINS,
         rng=None,
     ):
         if splitter not in ("best", "random"):
             raise ValueError(f"unknown splitter {splitter!r}")
         if strategy not in ("exact", "hist"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        if not 2 <= n_bins <= MAX_BINS:
-            raise ValueError(f"n_bins must be in [2, {MAX_BINS}], got {n_bins}")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if max_depth is not None and max_depth < 1:
@@ -84,7 +119,6 @@ class RegressionTree:
         self.max_features = max_features
         self.splitter = splitter
         self.strategy = strategy
-        self.n_bins = n_bins
         self._rng = as_rng(rng)
         # Flat tree arrays, filled by fit().
         self._feature: list[int] = []
@@ -113,7 +147,7 @@ class RegressionTree:
         if X.shape[0] == 0:
             raise ValueError("cannot fit on empty data")
         if self.strategy == "hist":
-            binned = quantile_bin(X, max_bins=self.n_bins)
+            binned = quantile_bin(X)
             return self.fit_binned(binned.codes, binned.edges, y)
         self._reset(X.shape[1])
         self._build(X, y, np.arange(X.shape[0]), depth=0, edges=None)
@@ -259,42 +293,18 @@ class RegressionTree:
     # -- exact split search ------------------------------------------------------
 
     def _best_split(self, X, yn, idx) -> tuple[int, float] | None:
-        n, d = idx.shape[0], X.shape[1]
+        d = X.shape[1]
         k = self._n_candidate_features(d)
         feats = (
             self._rng.choice(d, size=k, replace=False) if k < d else np.arange(d)
         )
-        msl = self.min_samples_leaf
-        best_loss = np.inf
-        best = None
-        for f in feats:
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xs_sorted = xs[order]
-            ys = yn[order]
-            # Valid split positions: between i-1 and i, with both children
-            # >= msl and a strict change in x.
-            s1 = np.cumsum(ys)
-            s2 = np.cumsum(ys * ys)
-            pos = np.arange(msl, n - msl + 1)
-            if pos.size == 0:
-                continue
-            distinct = xs_sorted[pos - 1] < xs_sorted[pos]
-            pos = pos[distinct]
-            if pos.size == 0:
-                continue
-            nl = pos.astype(float)
-            nr = n - nl
-            sl1, sl2 = s1[pos - 1], s2[pos - 1]
-            sr1, sr2 = s1[-1] - sl1, s2[-1] - sl2
-            loss = (sl2 - sl1 * sl1 / nl) + (sr2 - sr1 * sr1 / nr)
-            j = int(np.argmin(loss))
-            if loss[j] < best_loss:
-                best_loss = float(loss[j])
-                p = pos[j]
-                thr = 0.5 * (xs_sorted[p - 1] + xs_sorted[p])
-                best = (int(f), float(thr))
-        return best
+        cut = _scan_sorted(
+            X[idx[:, None], feats[None, :]], yn, self.min_samples_leaf
+        )
+        if cut is None:
+            return None
+        c, left, right = cut
+        return int(feats[c]), float(0.5 * (left + right))
 
     def _random_split(self, X, idx) -> tuple[int, float] | None:
         d = X.shape[1]
@@ -320,7 +330,8 @@ class RegressionTree:
         offsetting each feature's codes into its own bin range —
         O(n·k + k·B) per node.  The selected boundary maps back to a
         raw-space threshold through ``edges``, so the fitted tree
-        predicts on raw inputs like an exact tree.
+        predicts on raw inputs like an exact tree.  Nodes of at most
+        ``_HIST_SORT_CUTOFF`` rows run :func:`_scan_sorted` on the codes.
         """
         n, d = idx.shape[0], codes.shape[1]
         k = self._n_candidate_features(d)
@@ -333,7 +344,12 @@ class RegressionTree:
         if n_bins < 2:
             return None  # every candidate feature is a single bin here
         if n <= _HIST_SORT_CUTOFF:
-            return self._hist_scan_sorted(sub, feats, yn, edges)
+            cut = _scan_sorted(sub, yn, msl)
+            if cut is None:
+                return None
+            c, b, _ = cut
+            f, b = int(feats[c]), int(b)
+            return f, float(edges[f][b]), sub[:, c] <= b
         offsets = np.arange(k, dtype=np.int64) * n_bins
         flat = (sub.astype(np.int64) + offsets[None, :]).ravel()
         w = np.repeat(yn, k)
@@ -364,37 +380,6 @@ class RegressionTree:
         # valid => the right child is non-empty, so some code > b exists
         # and b indexes inside this feature's boundary array.
         return f, float(edges[f][b]), sub[:, fi] <= b
-
-    def _hist_scan_sorted(self, sub, feats, yn, edges):
-        """Small-node histogram split: argsort the codes and prefix-scan
-        positions (the exact splitter's shape, on codes).  Near the
-        leaves ``n`` is far below the bin count and building B-wide
-        histograms would cost more than sorting a handful of bytes."""
-        n, k = sub.shape
-        msl = self.min_samples_leaf
-        pos = np.arange(msl, n - msl + 1)
-        if pos.size == 0:
-            return None
-        order = np.argsort(sub, axis=0, kind="stable")  # (n, k)
-        xs = np.take_along_axis(sub, order, axis=0)
-        ys = yn[order]
-        s1 = np.cumsum(ys, axis=0)
-        s2 = np.cumsum(ys * ys, axis=0)
-        valid = xs[pos - 1] < xs[pos]  # (P, k): codes differ across the cut
-        if not valid.any():
-            return None
-        nl = pos.astype(float)[:, None]
-        nr = n - nl
-        sl1, sl2 = s1[pos - 1], s2[pos - 1]
-        sr1, sr2 = s1[-1][None, :] - sl1, s2[-1][None, :] - sl2
-        loss = (sl2 - sl1 * sl1 / nl) + (sr2 - sr1 * sr1 / nr)
-        loss = np.where(valid, loss, np.inf).T  # (k, P): feature-major ties
-        c, j = np.unravel_index(int(np.argmin(loss)), loss.shape)
-        if not np.isfinite(loss[c, j]):
-            return None
-        b = int(xs[pos[j] - 1, c])
-        f = int(feats[c])
-        return f, float(edges[f][b]), sub[:, c] <= b
 
     def _random_split_hist(self, codes, idx, edges):
         """Completely-random split over bin boundaries: a random feature

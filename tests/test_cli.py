@@ -162,6 +162,22 @@ class TestPolicy:
         out = capsys.readouterr().out
         assert "Verification on the testbed" in out
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_train_jobs_is_usage_error(
+        self, value, capsys, monkeypatch
+    ):
+        from repro.core.profiler import Profiler
+
+        calls = []
+        monkeypatch.setattr(
+            Profiler, "profile", lambda self, *a, **k: calls.append(a)
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["policy", "--pair", "redis", "knn", "--train-jobs", value])
+        assert exc.value.code == 2
+        assert "argument --train-jobs" in capsys.readouterr().err
+        assert calls == []  # rejected before any profiling
+
     def test_help_lists_train_jobs_only(self, capsys):
         # Forest training keeps its pool; the timeout search has none.
         with pytest.raises(SystemExit) as exc:

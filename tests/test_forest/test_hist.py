@@ -192,7 +192,7 @@ class TestHistForest:
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=2, strategy="nope")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RandomForestRegressor(n_estimators=2, n_bins=1)
         with pytest.raises(ValueError):
             RegressionTree(strategy="nope")
