@@ -144,11 +144,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _profiler_settings(args) -> ProfilerSettings:
+    return ProfilerSettings(
+        n_queries=args.queries, private_mb=args.private_mb, shared_mb=args.shared_mb
+    )
+
+
 def _cmd_profile(args) -> int:
     conditions = uniform_conditions(tuple(args.pair), n=args.conditions, rng=args.seed)
     profiler = Profiler(
         machine=get_machine(args.machine),
-        settings=ProfilerSettings(n_queries=args.queries),
+        settings=_profiler_settings(args),
         rng=args.seed,
     )
     ds = profiler.profile(conditions)
@@ -169,7 +175,7 @@ def _cmd_policy(args) -> int:
     machine = get_machine(args.machine)
     profiler = Profiler(
         machine=machine,
-        settings=ProfilerSettings(n_queries=args.queries),
+        settings=_profiler_settings(args),
         rng=args.seed,
     )
     print(f"profiling {pair} ({args.conditions} conditions)...")
@@ -178,6 +184,8 @@ def _cmd_policy(args) -> int:
     model = StacModel(
         machine=machine,
         learner=args.learner,
+        private_mb=args.private_mb,
+        shared_mb=args.shared_mb,
         n_jobs=args.train_jobs,
         forest_strategy=args.forest_strategy,
         rng=args.seed,
@@ -191,6 +199,8 @@ def _cmd_policy(args) -> int:
             specs=[get_workload(n) for n in pair],
             utilization=args.utilization,
             n_queries=args.queries * 3,
+            private_mb=args.private_mb,
+            shared_mb=args.shared_mb,
             rng=args.seed + 1,
         )
         base = evaluator.p95(no_sharing_policy(len(pair)).timeouts)

@@ -33,14 +33,16 @@ from repro.core.ea_model import EAModel
 from repro.core.profile_vec import (
     ProfileDataset,
     RuntimeCondition,
+    chain_partner,
+    chain_static_features,
     dynamic_features,
-    static_features,
 )
+from repro.core.profiler import collocation
 from repro.core.rt_model import ResponseTimeModel
 from repro.counters.events import N_COUNTERS, synthesize_ticks
 from repro.queueing.metrics import ResponseTimeSummary
+from repro.testbed.collocation import CollocationConfig
 from repro.testbed.machine import XeonSpec, default_machine
-from repro.workloads.suite import get_workload
 
 
 @functools.cache
@@ -155,18 +157,16 @@ class StacModel:
         # per-row loop this replaced).
         conds = []
         for i, row in enumerate(dataset.rows):
-            c = row.condition
-            spec = get_workload(row.service_name)
+            c, j = row.condition, row.service_idx
+            cfg = self._layout(c)
             conds.append(
                 dict(
-                    utilization=c.utilizations[row.service_idx],
-                    timeout=c.timeouts[row.service_idx],
-                    gross_increase=self._gross_increase(
-                        len(c.workloads), row.service_idx
-                    ),
+                    utilization=c.utilizations[j],
+                    timeout=c.timeouts[j],
+                    gross_increase=cfg.gross_increase(j),
                     effective_allocation=float(ea[i]),
-                    service_cv=spec.service_cv,
-                    mean_service_time=self._default_service_time(spec),
+                    service_cv=cfg.services[j].workload.service_cv,
+                    mean_service_time=self._default_service_time(cfg, j),
                 )
             )
         with telemetry.span("stage3.simulate_rows", n_conditions=len(conds)):
@@ -175,52 +175,43 @@ class StacModel:
         rt_p95 = np.array([f.summary.p95 for f in feedback])
         return {"ea": ea, "rt_mean": rt_mean, "rt_p95": rt_p95}
 
-    def _default_service_time(self, spec) -> float:
-        """Expected service time at the default (private) allocation on
-        the normalized clock — below 1.0 when the private reservation
-        exceeds the workload's baseline capacity."""
-        mb = 1024 * 1024
-        return float(
-            spec.service_time(self.private_mb * mb) / spec.baseline_service_time
-        )
+    def _layout(self, condition: RuntimeCondition) -> CollocationConfig:
+        """The testbed chain layout ``condition`` is profiled on (raises
+        ``ValueError`` when the machine cannot lay it out)."""
+        return collocation(condition, self.machine, self.private_mb, self.shared_mb)
 
-    def _gross_increase(self, n_services: int, idx: int) -> float:
-        """l_a'/l_a implied by the chain layout on this machine."""
-        p = self.machine.mb_to_ways(self.private_mb)
-        s = self.machine.mb_to_ways(self.shared_mb)
-        if n_services == 1:
-            return 1.0
-        sides = 2 if 0 < idx < n_services - 1 else 1
-        return (p + sides * s) / p
+    @staticmethod
+    def _default_service_time(cfg: CollocationConfig, i: int) -> float:
+        """Expected service time of service ``i`` at its private
+        allocation on the normalized clock (the testbed's
+        ``1 / base_rate``) — below 1.0 when the reserved ways exceed the
+        workload's baseline capacity."""
+        spec = cfg.services[i].workload
+        return float(spec.service_time(cfg.private_bytes) / spec.baseline_service_time)
 
     # -- prediction for hypothetical conditions -----------------------------------
 
-    @staticmethod
-    def _chain_neighbor(n: int, idx: int) -> int | None:
-        """The chain neighbour whose shared region ``idx`` borrows (the
-        same convention the profiler uses)."""
-        if n <= 1:
-            return None
-        return idx + 1 if idx < n - 1 else idx - 1
-
-    def _boosted_capacity(self, specs, j: int, boost_fractions) -> float:
+    def _boosted_capacity(
+        self, cfg: CollocationConfig, j: int, boost_fractions
+    ) -> float:
         """Expected LLC bytes for service ``j`` while it holds its boost,
         accounting for each adjacent sharer boosting concurrently."""
-        mb = 1024 * 1024
-        shared = self.shared_mb * mb
-        cap = self.private_mb * mb
+        shared = cfg.shared_bytes
+        cap = cfg.private_bytes
+        spec = cfg.services[j].workload
         for k in (j - 1, j + 1):
-            if 0 <= k < len(specs):
+            if 0 <= k < cfg.n_services:
                 pb = float(boost_fractions[k])
-                split = _shared_split(self._contention, shared, specs[j], specs[k])
+                other = cfg.services[k].workload
+                split = _shared_split(self._contention, shared, spec, other)
                 cap += (1 - pb) * shared + pb * split
         return cap
 
-    def _nominal_trace(self, specs_per, utils_per, boost_per) -> list[np.ndarray]:
+    def _nominal_trace(self, layouts, boost_per) -> list[np.ndarray]:
         """Synthesize the expected counter traces of one fixed-point round.
 
-        Takes every condition's services, utilizations and predicted
-        boost fractions, and returns per condition the stacked
+        Takes every condition's layout and predicted boost fractions,
+        and returns per condition the stacked
         ``(n_services, n_blocks * N_COUNTERS, trace_ticks)`` traces: the
         (own, chain-neighbour) counter blocks the profiler records, or the
         own block alone for a solo service.  Boosted ticks are spread
@@ -233,18 +224,19 @@ class StacModel:
         the concatenated ticks of all its blocks (elementwise and
         noise-free, so bit-identical to one call per block).
         """
-        if not specs_per:
+        if not layouts:
             return []
-        mb = 1024 * 1024
         n_ticks = self.trace_ticks
-        specs = [spec for group in specs_per for spec in group]
-        utils = np.array([u for group in utils_per for u in group], dtype=float)
+        services = [svc for cfg in layouts for svc in cfg.services]
+        specs = [svc.workload for svc in services]
+        utils = np.array([svc.utilization for svc in services], dtype=float)
         boost = np.concatenate(boost_per)
+        private = np.array([cfg.private_bytes for cfg in layouts for _ in cfg.services])
         cap_boost = np.array(
             [
-                self._boosted_capacity(group, j, bfs)
-                for group, bfs in zip(specs_per, boost_per)
-                for j in range(len(group))
+                self._boosted_capacity(cfg, j, bfs)
+                for cfg, bfs in zip(layouts, boost_per)
+                for j in range(cfg.n_services)
             ]
         )
         # Spread boosted ticks evenly (deterministic, seed-free): block b
@@ -255,7 +247,7 @@ class StacModel:
         hit = (k < n_boosted[:, None]) & (tick < n_ticks)
         boosted = np.zeros((len(specs), n_ticks), dtype=bool)
         boosted[np.nonzero(hit)[0], tick[hit]] = True
-        cap = np.where(boosted, cap_boost[:, None], self.private_mb * mb)
+        cap = np.where(boosted, cap_boost[:, None], private[:, None])
 
         blocks = np.empty((len(specs), N_COUNTERS, n_ticks))
         by_workload: dict[str, list[int]] = {}
@@ -278,26 +270,24 @@ class StacModel:
 
         traces = []
         start = 0
-        for group in specs_per:
-            n = len(group)
-            order = [
-                [i] if n == 1 else [i, self._chain_neighbor(n, i)] for i in range(n)
-            ]
+        for cfg in layouts:
+            n = cfg.n_services
+            order = [[i] if n == 1 else [i, chain_partner(n, i)] for i in range(n)]
             stacked = blocks[start + np.array(order)]
             traces.append(stacked.reshape(n, -1, n_ticks))
             start += n
         return traces
 
-    def _init_eas(self, specs, grosses) -> np.ndarray:
+    @staticmethod
+    def _init_eas(cfg: CollocationConfig, grosses) -> np.ndarray:
         """Starting EAs for one condition's fixed point: the
         no-contention first-principles EA."""
-        mb = 1024 * 1024
         return np.array(
             [
                 ideal_effective_allocation(
-                    spec, self.private_mb * mb, self.shared_mb * mb, gross
+                    svc.workload, cfg.private_bytes, cfg.shared_bytes, gross
                 )
-                for spec, gross in zip(specs, grosses)
+                for svc, gross in zip(cfg.services, grosses)
             ]
         )
 
@@ -307,26 +297,10 @@ class StacModel:
         n = len(specs)
         X_flat = []
         for i in range(n):
-            # Chain-neighbour convention, matching the profiler.
-            partner = self._chain_neighbor(n, i)
-            xs = static_features(
-                specs[i],
-                condition.timeouts[i],
-                condition.utilizations[i],
-                grosses[i],
-                partner=specs[partner] if partner is not None else None,
-                partner_timeout=(
-                    condition.timeouts[partner] if partner is not None else np.inf
-                ),
-                partner_util=(
-                    condition.utilizations[partner]
-                    if partner is not None
-                    else 0.0
-                ),
-                partner_gross=grosses[partner] if partner is not None else 1.0,
-            )
+            xs = chain_static_features(condition, specs, grosses, i)
             # Little's law: mean queue length = lambda x mean wait.
             lam = condition.utilizations[i] * self.rt_model.n_servers
+            partner = chain_partner(n, i)
             partner_bf = boost_fracs[partner] if partner is not None else 0.0
             xd = dynamic_features(
                 mean_queue_length=lam * feedback[i].mean_wait,
@@ -366,16 +340,13 @@ class StacModel:
         differ between conditions.
         """
         conditions = list(conditions)
-        specs_per = [
-            [get_workload(n) for n in cond.workloads] for cond in conditions
-        ]
+        layouts = [self._layout(cond) for cond in conditions]
+        specs_per = [[svc.workload for svc in cfg.services] for cfg in layouts]
         grosses_per = [
-            [self._gross_increase(len(specs), i) for i in range(len(specs))]
-            for specs in specs_per
+            [cfg.gross_increase(i) for i in range(cfg.n_services)] for cfg in layouts
         ]
         eas_per = [
-            self._init_eas(specs, grosses)
-            for specs, grosses in zip(specs_per, grosses_per)
+            self._init_eas(cfg, grosses) for cfg, grosses in zip(layouts, grosses_per)
         ]
         sim_base = [
             dict(
@@ -383,12 +354,13 @@ class StacModel:
                 timeout=cond.timeouts[i],
                 gross_increase=grosses[i],
                 service_cv=spec.service_cv,
-                mean_service_time=self._default_service_time(spec),
+                mean_service_time=self._default_service_time(cfg, i),
             )
-            for cond, specs, grosses in zip(conditions, specs_per, grosses_per)
+            for cond, cfg, specs, grosses in zip(
+                conditions, layouts, specs_per, grosses_per
+            )
             for i, spec in enumerate(specs)
         ]
-        utils_per = [cond.utilizations for cond in conditions]
         offsets = np.cumsum([0] + [len(specs) for specs in specs_per])
         with telemetry.span(
             "stage3.fixed_point",
@@ -415,9 +387,7 @@ class StacModel:
                         for feedback in feedback_per
                     ]
                     with telemetry.span("stage3.fixed_point.nominal_trace"):
-                        traces_per = self._nominal_trace(
-                            specs_per, utils_per, boost_per
-                        )
+                        traces_per = self._nominal_trace(layouts, boost_per)
                     X_per = [
                         self._feature_rows(*args)
                         for args in zip(

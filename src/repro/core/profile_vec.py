@@ -83,6 +83,27 @@ def static_features(
     return np.asarray(own_block + partner_block, dtype=float)
 
 
+def chain_partner(n: int, i: int) -> int | None:
+    """The chain neighbour whose shared region service ``i`` of ``n``
+    borrows: the next service, or the one before for the last (none
+    when running solo)."""
+    if n <= 1:
+        return None
+    return i + 1 if i < n - 1 else i - 1
+
+
+def chain_static_features(condition, specs, grosses, i: int) -> np.ndarray:
+    """Static vector of service ``i`` of ``condition``: its own block plus
+    its chain partner's, given every service's spec and gross increase."""
+    j = chain_partner(len(specs), i)
+    own = (specs[i], condition.timeouts[i], condition.utilizations[i], grosses[i])
+    if j is None:
+        return static_features(*own)
+    return static_features(
+        *own, specs[j], condition.timeouts[j], condition.utilizations[j], grosses[j]
+    )
+
+
 def dynamic_features(
     mean_queue_length: float,
     own_boost_fraction: float,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from repro.core.profile_vec import (
     ProfileDataset,
     ProfileRow,
     RuntimeCondition,
+    chain_partner,
+    chain_static_features,
     dynamic_features,
-    static_features,
 )
 from repro.testbed.collocation import CollocatedService, CollocationConfig
 from repro.testbed.machine import XeonSpec, default_machine
@@ -107,19 +108,32 @@ def _boost_overlap(
     return min(float(overlap / (t1 - t0)), 1.0)
 
 
+def collocation(
+    condition: RuntimeCondition,
+    machine: XeonSpec,
+    private_mb: "float | list[float]",
+    shared_mb: float,
+) -> CollocationConfig:
+    """The chain layout ``condition`` runs on: the one place a megabyte
+    reservation becomes whole LLC ways, for Stage 1 and Stage 3 alike."""
+    return CollocationConfig(
+        machine=machine,
+        services=[
+            CollocatedService(get_workload(name), timeout=t, utilization=u)
+            for name, t, u in zip(
+                condition.workloads, condition.timeouts, condition.utilizations
+            )
+        ],
+        private_mb=private_mb,
+        shared_mb=shared_mb,
+    )
+
+
 def _profile_one_condition(args):
     """Worker: run one condition and emit its profile rows."""
     condition, settings, machine, seed = args
-    specs = [get_workload(n) for n in condition.workloads]
-    cfg = CollocationConfig(
-        machine=machine,
-        services=[
-            CollocatedService(spec, timeout=t, utilization=u)
-            for spec, t, u in zip(specs, condition.timeouts, condition.utilizations)
-        ],
-        private_mb=settings.private_mb,
-        shared_mb=settings.shared_mb,
-    )
+    cfg = collocation(condition, machine, settings.private_mb, settings.shared_mb)
+    specs = [svc.workload for svc in cfg.services]
     runtime = CollocationRuntime(cfg, rng=seed)
     with telemetry.span("stage1.testbed_run", n_queries=settings.n_queries):
         run = runtime.run(
@@ -131,32 +145,14 @@ def _profile_one_condition(args):
     rng = np.random.default_rng(seed + 1)
     rows = []
     n_svc = len(specs)
+    grosses = [s.gross_increase for s in run.services]
     for i in range(n_svc):
         own = run.services[i]
-        # The relevant partner is the chain neighbour sharing this
-        # service's shared region (the last service's neighbour is the
-        # one before it).
-        if n_svc > 1:
-            partner_idx = i + 1 if i < n_svc - 1 else i - 1
-        else:
-            partner_idx = None
+        partner_idx = chain_partner(n_svc, i)
         partner = run.services[partner_idx] if partner_idx is not None else None
         own_spec = specs[i]
         partner_spec = specs[partner_idx] if partner_idx is not None else None
-        x_static = static_features(
-            own_spec,
-            condition.timeouts[i],
-            condition.utilizations[i],
-            own.gross_increase,
-            partner=partner_spec,
-            partner_timeout=(
-                condition.timeouts[partner_idx] if partner is not None else np.inf
-            ),
-            partner_util=(
-                condition.utilizations[partner_idx] if partner is not None else 0.0
-            ),
-            partner_gross=partner.gross_increase if partner is not None else 1.0,
-        )
+        x_static = chain_static_features(condition, specs, grosses, i)
         for w, sl in enumerate(own.window_slices(settings.n_windows)):
             wv = own.window_view(sl)
             if wv.n_queries < 3:
@@ -251,13 +247,8 @@ class Profiler:
 
     def quick_ea(self, condition: RuntimeCondition, n_queries: int = 200) -> np.ndarray:
         """Cheap seed measurement of per-service EA (stratified sampling)."""
-        settings = ProfilerSettings(
-            n_queries=n_queries,
-            n_windows=1,
-            trace_ticks=4,
-            counter_noise=self.settings.counter_noise,
-            private_mb=self.settings.private_mb,
-            shared_mb=self.settings.shared_mb,
+        settings = replace(
+            self.settings, n_queries=n_queries, n_windows=1, trace_ticks=4
         )
         seed = int(self._rng.integers(0, 2**31))
         rows = _profile_one_condition((condition, settings, self.machine, seed))

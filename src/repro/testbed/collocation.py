@@ -12,6 +12,7 @@ sharers — the structure proved in Section 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,6 +96,14 @@ class CollocationConfig:
                 raise ValueError(
                     f"private_mb has {len(per_service)} entries for {n} services"
                 )
+        if not all(math.isfinite(mb) and mb >= 0 for mb in per_service):
+            raise ValueError(
+                f"private_mb must be finite and >= 0, got {self.private_mb}"
+            )
+        if not (math.isfinite(self.shared_mb) and self.shared_mb >= 0):
+            raise ValueError(
+                f"shared_mb must be finite and >= 0, got {self.shared_mb}"
+            )
         self._private_ways_list = [
             self.machine.mb_to_ways(mb) for mb in per_service
         ]

@@ -188,6 +188,75 @@ class TestPolicy:
         assert "--jobs" not in out
 
 
+class TestReservationFlags:
+    """``--private-mb``/``--shared-mb`` reach every stage they configure."""
+
+    def test_profile_without_sharing_has_unit_gross_increase(self, tmp_path, capsys):
+        from repro.core import load_dataset
+        from repro.core.profile_vec import STATIC_FEATURE_NAMES
+
+        out = tmp_path / "prof.npz"
+        rc = main(
+            [
+                "profile",
+                "--pair", "redis", "knn",
+                "--conditions", "2",
+                "--queries", "150",
+                "--shared-mb", "0",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        col = STATIC_FEATURE_NAMES.index("own_gross_increase")
+        assert np.all(load_dataset(out).X_flat[:, col] == 1.0)
+
+    def test_policy_hands_flags_to_every_stage(self, monkeypatch, capsys):
+        import repro.cli as cli
+
+        built = {}
+
+        def spy(name, cls):
+            def make(*args, **kwargs):
+                built[name] = cls(*args, **kwargs)
+                return built[name]
+
+            monkeypatch.setattr(cli, name, make)
+
+        for name in ("Profiler", "StacModel", "RuntimeEvaluator"):
+            spy(name, getattr(cli, name))
+        rc = main(
+            [
+                "policy",
+                "--pair", "redis", "knn",
+                "--conditions", "2",
+                "--queries", "100",
+                "--learner", "linear",
+                "--private-mb", "4",
+                "--shared-mb", "0",
+                "--verify",
+            ]
+        )
+        assert rc == 0
+        for reservation in (
+            built["Profiler"].settings,
+            built["StacModel"],
+            built["RuntimeEvaluator"],
+        ):
+            assert (reservation.private_mb, reservation.shared_mb) == (4.0, 0.0)
+
+    def test_policy_zero_private_rejected_before_profiling(self, monkeypatch, capsys):
+        from repro.core.profiler import Profiler
+
+        calls = []
+        monkeypatch.setattr(
+            Profiler, "profile", lambda self, *a, **k: calls.append(a)
+        )
+        rc = main(["policy", "--pair", "redis", "knn", "--private-mb", "0"])
+        assert rc == 2
+        assert "private_mb" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestTelemetry:
     @pytest.fixture(autouse=True)
     def _reset_telemetry(self):

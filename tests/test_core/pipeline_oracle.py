@@ -38,8 +38,11 @@ def nominal_trace_oracle(model, specs, target, utils, boost_fractions) -> np.nda
     mb = 1024 * 1024
     private = model.private_mb * mb
     dt = 1.0 / model.sampling_hz
-    neighbor = model._chain_neighbor(len(specs), target)
-    order = [target] if neighbor is None else [target, neighbor]
+    n = len(specs)
+    if n == 1:
+        order = [target]
+    else:
+        order = [target, target + 1 if target < n - 1 else target - 1]
     blocks = []
     for j in order:
         spec = specs[j]

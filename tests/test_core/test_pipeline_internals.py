@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import StacModel
+from repro.core import RuntimeCondition, StacModel
 from repro.core import pipeline as pipeline_module
+from repro.core.profile_vec import chain_partner
 from repro.counters.events import COUNTER_NAMES, N_COUNTERS
 from repro.workloads import get_workload
 
@@ -18,34 +19,51 @@ def model():
     return StacModel(rng=0, trace_ticks=10, sampling_hz=1.0)
 
 
+def _layout(model, specs, utils=None):
+    """The model's chain layout for ``specs`` (timeouts play no part)."""
+    n = len(specs)
+    condition = RuntimeCondition(
+        workloads=tuple(spec.name for spec in specs),
+        utilizations=tuple(utils or (0.5,) * n),
+        timeouts=(np.inf,) * n,
+    )
+    return model._layout(condition)
+
+
+def _gross_increase(model, n, idx):
+    return _layout(model, [get_workload("redis")] * n).gross_increase(idx)
+
+
 class TestGrossIncrease:
     def test_solo_service(self, model):
-        assert model._gross_increase(1, 0) == 1.0
+        assert _gross_increase(model, 1, 0) == 1.0
 
     def test_pair_edges(self, model):
         # 2 MB private = 1 way, 2 MB shared = 1 way on the e5-2683.
-        assert model._gross_increase(2, 0) == pytest.approx(2.0)
-        assert model._gross_increase(2, 1) == pytest.approx(2.0)
+        assert _gross_increase(model, 2, 0) == pytest.approx(2.0)
+        assert _gross_increase(model, 2, 1) == pytest.approx(2.0)
 
     def test_chain_middle_has_two_regions(self, model):
-        assert model._gross_increase(3, 1) == pytest.approx(3.0)
-        assert model._gross_increase(3, 0) == pytest.approx(2.0)
-        assert model._gross_increase(3, 2) == pytest.approx(2.0)
+        assert _gross_increase(model, 3, 1) == pytest.approx(3.0)
+        assert _gross_increase(model, 3, 0) == pytest.approx(2.0)
+        assert _gross_increase(model, 3, 2) == pytest.approx(2.0)
 
 
 class TestChainNeighbor:
-    def test_conventions(self, model):
-        assert model._chain_neighbor(1, 0) is None
-        assert model._chain_neighbor(2, 0) == 1
-        assert model._chain_neighbor(2, 1) == 0
-        assert model._chain_neighbor(3, 0) == 1
-        assert model._chain_neighbor(3, 1) == 2
-        assert model._chain_neighbor(3, 2) == 1
+    def test_conventions(self):
+        assert chain_partner(1, 0) is None
+        assert chain_partner(2, 0) == 1
+        assert chain_partner(2, 1) == 0
+        assert chain_partner(3, 0) == 1
+        assert chain_partner(3, 1) == 2
+        assert chain_partner(3, 2) == 1
 
 
 def _trace(model, specs, target, utils, boost_fractions):
     """The nominal trace of one service, through the per-round batch."""
-    traces = model._nominal_trace([specs], [utils], [np.array(boost_fractions)])
+    traces = model._nominal_trace(
+        [_layout(model, specs, utils)], [np.array(boost_fractions)]
+    )
     return traces[0][target]
 
 
@@ -91,13 +109,14 @@ class TestNominalTrace:
         m2 = StacModel(rng=0, private_mb=2.0)
         m6 = StacModel(rng=0, private_mb=6.0)
         spec = get_workload("redis")
-        assert m2._default_service_time(spec) == pytest.approx(1.0)
-        assert m6._default_service_time(spec) < 1.0
+        assert m2._default_service_time(_layout(m2, [spec]), 0) == pytest.approx(1.0)
+        assert m6._default_service_time(_layout(m6, [spec]), 0) < 1.0
 
     def test_boosted_capacity_chain_middle(self, model):
         specs = [get_workload("redis"), get_workload("social"), get_workload("knn")]
-        mid = model._boosted_capacity(specs, 1, np.array([0.0, 1.0, 0.0]))
-        edge = model._boosted_capacity(specs, 0, np.array([1.0, 0.0, 0.0]))
+        cfg = _layout(model, specs)
+        mid = model._boosted_capacity(cfg, 1, np.array([0.0, 1.0, 0.0]))
+        edge = model._boosted_capacity(cfg, 0, np.array([1.0, 0.0, 0.0]))
         # The middle service borrows two idle shared regions.
         assert mid > edge
 
@@ -134,7 +153,10 @@ class TestNominalTraceBatch:
         specs_per = [[get_workload(w) for w, _, _ in c] for c in conditions]
         utils_per = [tuple(u for _, u, _ in c) for c in conditions]
         boost_per = [np.array([b for _, _, b in c]) for c in conditions]
-        traces = model._nominal_trace(specs_per, utils_per, boost_per)
+        layouts = [
+            _layout(model, specs, utils) for specs, utils in zip(specs_per, utils_per)
+        ]
+        traces = model._nominal_trace(layouts, boost_per)
         assert len(traces) == len(conditions)
         for specs, utils, bfs, stacked in zip(
             specs_per, utils_per, boost_per, traces
@@ -148,8 +170,9 @@ class TestNominalTraceBatch:
     def test_boosted_capacity_matches_oracle(self, model):
         specs = [get_workload("redis"), get_workload("social"), get_workload("knn")]
         bfs = np.array([0.3, 1.0, 0.7])
+        cfg = _layout(model, specs)
         for j in range(3):
-            assert model._boosted_capacity(specs, j, bfs) == boosted_capacity_oracle(
+            assert model._boosted_capacity(cfg, j, bfs) == boosted_capacity_oracle(
                 model, specs, j, bfs
             )
 
@@ -169,11 +192,14 @@ class TestNominalTraceBatch:
         ]
         utils_per = [(0.5, 0.6), (0.7, 0.8, 0.9), (0.4,)]
         boost_per = [np.array([0.5, 0.1]), np.array([1.0, 0.0, 0.3]), np.array([0.2])]
-        model._nominal_trace(specs_per, utils_per, boost_per)
+        layouts = [
+            _layout(model, specs, utils) for specs, utils in zip(specs_per, utils_per)
+        ]
+        model._nominal_trace(layouts, boost_per)
         assert sorted(calls) == ["jacobi", "knn", "redis"]
 
     def test_empty_round(self, model):
-        assert model._nominal_trace([], [], []) == []
+        assert model._nominal_trace([], []) == []
         assert model.predict_conditions([]) == []
 
 

@@ -57,6 +57,23 @@ class TestProfilerApi:
         assert eas.shape == (2,)
         assert np.all(np.isfinite(eas))
 
+    def test_quick_ea_keeps_campaign_warmup(self, monkeypatch):
+        from repro.core import profiler as profiler_module
+
+        runtime = profiler_module.CollocationRuntime
+        real_run = runtime.run
+        warmups = []
+
+        def spy(self, n_queries=600, warmup_fraction=0.1):
+            warmups.append(warmup_fraction)
+            return real_run(self, n_queries=n_queries, warmup_fraction=warmup_fraction)
+
+        monkeypatch.setattr(runtime, "run", spy)
+        p = Profiler(settings=ProfilerSettings(warmup_fraction=0.4), rng=3)
+        cond = RuntimeCondition(("redis", "knn"), (0.8, 0.8), (0.5, 0.5))
+        p.quick_ea(cond, n_queries=150)
+        assert warmups == [0.4]
+
     def test_parallel_profiling_matches_row_count(self):
         settings = ProfilerSettings(n_queries=200, n_windows=2, trace_ticks=8)
         conds = [

@@ -21,7 +21,6 @@ from repro.queueing import (
     simulate_stap_queue,
     simulate_stap_queue_batch,
 )
-from repro.workloads import get_workload
 
 PAIR = ("redis", "social")
 UTILS = (0.9, 0.85)
@@ -151,15 +150,12 @@ class TestFixedPointObservability:
             telemetry.disable()
             # The EAs the last round started from.
             if n_iterations == 1:
+                layouts = [fitted._layout(c) for c in self.CONDITIONS]
                 before = [
                     fitted._init_eas(
-                        [get_workload(w) for w in c.workloads],
-                        [
-                            fitted._gross_increase(len(c.workloads), i)
-                            for i in range(len(c.workloads))
-                        ],
+                        cfg, [cfg.gross_increase(i) for i in range(cfg.n_services)]
                     )
-                    for c in self.CONDITIONS
+                    for cfg in layouts
                 ]
             else:
                 fitted.n_iterations = n_iterations - 1

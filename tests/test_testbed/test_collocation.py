@@ -77,6 +77,21 @@ class TestLayout:
             make_config(("jacobi", "bfs"), machine=get_machine("e5-2620"),
                         private_mb=8.0, shared_mb=8.0)
 
+    @pytest.mark.parametrize(
+        "value", [-1.0, np.nan, np.inf, [2.0, -1.0], [2.0, np.inf]]
+    )
+    def test_impossible_private_reservation_rejected(self, value):
+        with pytest.raises(ValueError, match="private_mb"):
+            make_config(private_mb=value)
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_impossible_shared_reservation_rejected(self, value):
+        with pytest.raises(ValueError, match="shared_mb"):
+            make_config(shared_mb=value)
+
+    def test_zero_private_reservation_is_one_way(self):
+        assert make_config(private_mb=0.0).private_ways == 1
+
     def test_controller_registration(self):
         ctl = make_config().controller()
         assert set(ctl.workloads) == {"jacobi", "bfs"}
