@@ -6,8 +6,9 @@ The tentpole contract, verified end to end:
   trees to the serial exact fit (the pool only changes who grows each
   tree, never what is grown) — asserted in every mode, including smoke;
 - ``strategy="hist"`` is the opt-in approximate path: quantile-binned
-  ``uint8`` codes shared across trees (and across pool workers via
-  POSIX shared memory), prefix-summed bincount split search;
+  ``uint8`` codes shared across trees (and handed to each pool worker
+  once, through the pool initializer), prefix-summed bincount split
+  search;
 - the exact splitter's vectorised sorted scan must grow the same tree
   as the per-feature loop it replaced (``tests/test_forest/
   tree_oracle.py``) on a single-tree baseline over every feature —
@@ -172,7 +173,7 @@ def test_split_search_matches_loop(monkeypatch):
 def test_forest_training_scaling():
     n_cpus = len(os.sched_getaffinity(0))
     # At least 2 workers even on tiny boxes, so the identity asserts
-    # always exercise the real process pool + shared-memory path.
+    # always exercise the real process pool.
     pool_jobs = max(2, min(4, n_cpus))
     X, y = _mgs_like_dataset(np.random.default_rng(0))
     Xt, yt = _mgs_like_dataset(np.random.default_rng(1))

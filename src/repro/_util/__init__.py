@@ -1,16 +1,10 @@
 """Shared utilities: seeded RNG handling and argument validation."""
 
 from repro._util.rng import as_rng, spawn_rngs
-from repro._util.validation import (
-    check_fraction,
-    check_positive,
-    check_probability_vector,
-)
+from repro._util.validation import check_positive
 
 __all__ = [
     "as_rng",
     "spawn_rngs",
-    "check_fraction",
     "check_positive",
-    "check_probability_vector",
 ]

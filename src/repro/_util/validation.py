@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def check_positive(name: str, value: float, *, strict: bool = True) -> float:
     """Validate that ``value`` is positive (or non-negative when not strict)."""
@@ -13,26 +11,3 @@ def check_positive(name: str, value: float, *, strict: bool = True) -> float:
         raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 
-
-def check_fraction(name: str, value: float, *, closed: bool = True) -> float:
-    """Validate that ``value`` lies in [0, 1] (or (0, 1) when open)."""
-    if closed:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-    else:
-        if not 0.0 < value < 1.0:
-            raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-    return value
-
-
-def check_probability_vector(name: str, values) -> np.ndarray:
-    """Validate that ``values`` is a non-negative vector summing to 1."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if np.any(arr < 0):
-        raise ValueError(f"{name} must be non-negative")
-    total = arr.sum()
-    if not np.isclose(total, 1.0):
-        raise ValueError(f"{name} must sum to 1, got {total}")
-    return arr

@@ -47,9 +47,6 @@ class WayMask:
         """The CBM as an integer (bit ``i`` set when way ``i`` is enabled)."""
         return ((1 << self.length) - 1) << self.offset
 
-    def contains(self, way: int) -> bool:
-        return self.offset <= way < self.end
-
     def covers(self, other: "WayMask") -> bool:
         """True when every way of ``other`` is inside this mask."""
         return self.offset <= other.offset and other.end <= self.end

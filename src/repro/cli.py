@@ -373,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--train-jobs",
         type=_parse_positive_int,
         default=1,
-        help="worker processes for forest training (one shared-memory "
-        "pool per cascade level / MGS pass; identical model for any value)",
+        help="worker processes for forest training (one process pool per "
+        "cascade level / MGS pass; identical model for any value)",
     )
     p_pol.set_defaults(func=_cmd_policy)
 

@@ -8,7 +8,7 @@ converts EA into response time through queueing simulation.  The
 :mod:`repro.core.policy_search` explores timeout vectors.
 """
 
-from repro.core.ea import window_effective_allocation, ideal_effective_allocation
+from repro.core.ea import ideal_effective_allocation
 from repro.core.profile_vec import (
     RuntimeCondition,
     ProfileRow,
@@ -34,7 +34,6 @@ from repro.core.io import (
 )
 
 __all__ = [
-    "window_effective_allocation",
     "ideal_effective_allocation",
     "RuntimeCondition",
     "ProfileRow",

@@ -1,23 +1,8 @@
-"""Effective cache allocation (Equation 3) measurement helpers."""
+"""Effective cache allocation (Equation 3): the no-contention ideal."""
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.testbed.runtime import ServiceResult
 from repro.workloads.base import WorkloadSpec
-
-
-def window_effective_allocation(
-    result: ServiceResult, sl: slice
-) -> float:
-    """EA measured over one query window of a service's run.
-
-    Splitting long runs into windows multiplies the number of profile
-    rows (Section 3.1: "split long running tests into multiple smaller
-    measurements of effective cache allocation").
-    """
-    return result.window_view(sl).effective_allocation()
 
 
 def ideal_effective_allocation(

@@ -131,9 +131,18 @@ class StacModel:
         """Stage 2 training on a Stage 1 profile dataset.
 
         The nominal-trace synthesizer adopts the training traces' tick
-        count so hypothetical-condition inputs match the fitted MGS.
+        count and counter sampling rate so hypothetical-condition inputs
+        match the fitted MGS.  A dataset sampled at several rates raises
+        ``ValueError``.
         """
         if len(dataset) > 0:
+            rates = {row.condition.sampling_hz for row in dataset.rows}
+            if len(rates) > 1:
+                raise ValueError(
+                    f"dataset mixes sampling_hz values {sorted(rates)}; "
+                    "profile every condition at one rate"
+                )
+            self.sampling_hz = rates.pop()
             self.trace_ticks = int(dataset.traces.shape[2])
         with telemetry.span(
             "stage2.fit", n_rows=len(dataset), learner=self.ea_model.learner

@@ -9,10 +9,12 @@ propagation, which is why deep forests are stable where CNNs are not
 
 Training parallelism is hoisted to the level: all trees of all forests
 of a level — including every cross-fit fold model — are planned first
-(consuming RNG in the same order the old sequential loop did) and then
-executed through one process-pool pass
-(:func:`repro.forest.parallel.fit_plans`), so ``n_jobs`` scales across
-the whole level rather than within one small forest at a time.
+(:func:`_plan_cross_fit`, consuming RNG in the same order the old
+sequential loop did), executed through one
+:func:`repro.forest.parallel.fit_plans` pass, and read back out of fold
+(:func:`_collect_out_of_fold`), so ``n_jobs`` scales across the whole
+level rather than within one small forest at a time.
+:func:`cross_fit_predict` is the same three steps for one model.
 """
 
 from __future__ import annotations
@@ -30,35 +32,35 @@ from repro.forest.ensemble import (
 from repro.forest.parallel import fit_plans
 
 
-def _cross_fit_folds(X, y, k: int, rng):
-    """Validate and draw the cross-fit fold split."""
+def _plan_cross_fit(make_model, X, y, k: int, rng):
+    """Draw the fold split and build one model per fold.
+
+    Models are constructed and planned in fold order, so RNG use matches
+    the old fit-as-you-go loop; predictions consume no RNG and happen
+    after execution.  Models without ``plan_fit`` (the baselines) are
+    fitted here, in place, and contribute no plan.
+    """
     n = X.shape[0]
     if k < 2:
         raise ValueError("k must be >= 2")
     if n < k:
         raise ValueError(f"need at least k={k} samples, got {n}")
-    perm = as_rng(rng).permutation(n)
-    return np.array_split(perm, k)
-
-
-def _plan_cross_fit(make_model, X, y, k: int, rng):
-    """Fold models plus their fit plans, RNG-identical to the old
-    fit-as-you-go loop (models are constructed and planned in fold
-    order; predictions consume no RNG and happen after execution)."""
-    folds = _cross_fit_folds(X, y, k, rng)
-    n = X.shape[0]
+    folds = np.array_split(as_rng(rng).permutation(n), k)
     models, plans = [], []
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
         model = make_model()
-        plans.append(model.plan_fit(X[mask], y[mask]))
+        if hasattr(model, "plan_fit"):
+            plans.append(model.plan_fit(X[mask], y[mask]))
+        else:
+            model.fit(X[mask], y[mask])
         models.append(model)
     return models, folds, plans
 
 
-def _collect_out_of_fold(models, folds, X, n: int) -> np.ndarray:
-    out = np.empty(n)
+def _collect_out_of_fold(models, folds, X) -> np.ndarray:
+    out = np.empty(X.shape[0])
     for model, fold in zip(models, folds):
         out[fold] = model.predict(X[fold])
     return out
@@ -71,28 +73,16 @@ def cross_fit_predict(
 
     Each sample's concept value comes from a model that never saw it,
     so cascade features do not leak the training target.  Models that
-    expose ``plan_fit`` (the forests) train through the shared pool
-    harness — all folds' trees in one pass when ``n_jobs > 1`` — with
-    results bit-identical to the sequential loop; other models fall
-    back to fitting in fold order.
+    expose ``plan_fit`` (the forests) train through one
+    :func:`~repro.forest.parallel.fit_plans` pass — all folds' trees
+    together — bit-identical for every ``n_jobs``; other models are
+    fitted in fold order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    folds = _cross_fit_folds(X, y, k, rng)
-    n = X.shape[0]
-    models, plans = [], []
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        model = make_model()
-        if hasattr(model, "plan_fit"):
-            plans.append(model.plan_fit(X[mask], y[mask]))
-        else:
-            model.fit(X[mask], y[mask])
-        models.append(model)
-    if plans:
-        fit_plans(plans, n_jobs=n_jobs)
-    return _collect_out_of_fold(models, folds, X, n)
+    models, folds, plans = _plan_cross_fit(make_model, X, y, k, rng)
+    fit_plans(plans, n_jobs=n_jobs)
+    return _collect_out_of_fold(models, folds, X)
 
 
 @dataclass
@@ -212,9 +202,7 @@ class CascadeForest:
                 fit_plans(plans, n_jobs=self.n_jobs)
                 concepts = np.empty((n, self.forests_per_level))
                 for j, (models, folds) in enumerate(fold_infos):
-                    concepts[:, j] = _collect_out_of_fold(
-                        models, folds, current, n
-                    )
+                    concepts[:, j] = _collect_out_of_fold(models, folds, current)
                 self._levels.append(
                     _Level(forests=forests, n_input_features=current.shape[1])
                 )

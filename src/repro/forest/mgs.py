@@ -63,9 +63,10 @@ class MultiGrainScanner:
         every sample is not.
     n_jobs:
         Process-pool width for tree training.  The pool spans *all*
-        window forests in one pass (and is plumbed into each forest, so
-        a later standalone refit also parallelizes); results are
-        bit-identical for every value.
+        window forests in one pass, and each forest's window instances
+        reach a worker once, through the pool initializer (``n_jobs`` is
+        also plumbed into each forest, so a later standalone refit
+        parallelizes); results are bit-identical for every value.
     strategy:
         Split-finding strategy for the window forests: ``"exact"``
         (default) or ``"hist"``.

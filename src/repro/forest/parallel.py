@@ -1,27 +1,21 @@
-"""Shared-memory, level-wide parallel tree training.
-
-The old per-forest pool pickled the full training matrix once per tree
-(``n_estimators`` copies of ``X`` crossing the process boundary per
-forest) and could only parallelize within one forest at a time.  This
-module replaces both:
+"""Level-wide tree training, serial or across one process pool.
 
 - **One data crossing per worker.**  Each forest's training arrays (the
   raw matrix on the exact path, the ``uint8`` bin codes on the hist
-  path) are exported once into ``multiprocessing.shared_memory``
-  segments; workers attach in the pool initializer and every job
-  carries only ``(plan id, sample indices, seed)``.  Where shared
-  memory is unavailable (or segment creation fails), the arrays fall
-  back to riding the initializer inline — still once per worker, never
-  per tree.
+  path) ride the pool initializer once per worker, and every job
+  carries only ``(plan index, sample indices, seed)``.  Under ``fork``
+  the workers inherit the arrays without pickling; under ``spawn`` or
+  ``forkserver`` they are pickled once per worker, never once per tree.
 - **Level-wide batching.**  :func:`fit_plans` accepts the fit plans of
   *many* forests — all trees of all forests of a cascade level
   (including every cross-fit fold model) or all MGS window forests —
   and drains them through a single process pool, so small forests no
   longer serialize behind each other.
 
-Trees are fitted from pre-drawn seeds (the parent consumes all RNG
-state while planning), so results are bit-identical for every
-``n_jobs`` and identical to the old per-forest loop.
+Every tree job, serial or pooled, returns ``(tree, seconds)``; the
+parent records the timings when telemetry is on.  Trees are fitted
+from pre-drawn seeds (the parent consumes all RNG state while
+planning), so results are bit-identical for every ``n_jobs``.
 """
 
 from __future__ import annotations
@@ -30,24 +24,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro import telemetry
 from repro.forest.tree import RegressionTree
 
-try:
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - always present on CPython >= 3.8
-    _shared_memory = None
-
-#: Worker-side state, populated by the pool initializer: plan key ->
-#: {"arrays": {name: ndarray}, "meta": {...}}.
+#: Worker-side state, set by the pool initializer: plan index ->
+#: ``(arrays, meta)``.
 _WORKER_DATASETS = None
-#: Attached segments, kept referenced for the worker's lifetime.
-_WORKER_SEGMENTS: list = []
-#: Worker-side telemetry flag, set explicitly by the pool initializer
-#: (never inherited) so job return shapes are deterministic.
-_WORKER_TELEMETRY = False
 
 
 @dataclass
@@ -77,8 +59,10 @@ class TreeFitPlan:
     jobs: list
 
 
-def _fit_tree(arrays, meta, sample_idx, seed) -> RegressionTree:
-    """Fit a single tree; shared by the serial and pooled paths."""
+def _fit_tree(arrays, meta, sample_idx, seed) -> tuple[RegressionTree, float]:
+    """Fit a single tree and time it; shared by the serial and pooled
+    paths."""
+    t0 = time.perf_counter()
     params = meta["tree_params"]
     y = arrays["y"]
     if meta["strategy"] == "hist":
@@ -95,81 +79,18 @@ def _fit_tree(arrays, meta, sample_idx, seed) -> RegressionTree:
             tree.fit(X, y)
         else:
             tree.fit(X[sample_idx], y[sample_idx])
-    return tree
+    return tree, time.perf_counter() - t0
 
 
-# -- shared-memory export / attach ---------------------------------------------
+def _pool_init(datasets) -> None:
+    global _WORKER_DATASETS
+    _WORKER_DATASETS = datasets
 
 
-def _export_array(arr):
-    """Export one array for the pool: ``(payload entry, segment | None)``.
-
-    Tries a shared-memory segment first (zero-copy for every worker on
-    POSIX); on failure the array itself becomes the payload entry and is
-    pickled once per worker through the initializer.
-    """
-    arr = np.ascontiguousarray(arr)
-    if _shared_memory is not None and arr.nbytes > 0:
-        try:
-            seg = _shared_memory.SharedMemory(create=True, size=arr.nbytes)
-        except (OSError, ValueError):
-            return ("inline", arr), None
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-        view[...] = arr
-        return ("shm", seg.name, arr.shape, arr.dtype.str), seg
-    return ("inline", arr), None
-
-
-def _attach_array(entry) -> np.ndarray:
-    """Worker-side counterpart of :func:`_export_array`."""
-    if entry[0] == "inline":
-        return entry[1]
-    _, name, shape, dtype = entry
-    # Attaching re-registers the segment with the resource tracker,
-    # which the parent (the owner) already tracks — the duplicate makes
-    # worker exits unlink segments still in use and spams the tracker
-    # with KeyErrors.  Suppress registration for the attach; Python
-    # 3.13 exposes this properly as ``track=False``.
-    from multiprocessing import resource_tracker
-
-    orig_register = resource_tracker.register
-    resource_tracker.register = lambda *a, **kw: None
-    try:
-        seg = _shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = orig_register
-    _WORKER_SEGMENTS.append(seg)  # keep the mapping alive
-    return np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-
-
-def _pool_init(payload, telemetry_on: bool = False) -> None:
-    global _WORKER_DATASETS, _WORKER_TELEMETRY
-    _WORKER_TELEMETRY = telemetry_on
-    _WORKER_DATASETS = {
-        key: {
-            "arrays": {
-                name: _attach_array(entry)
-                for name, entry in entry_set["arrays"].items()
-            },
-            "meta": entry_set["meta"],
-        }
-        for key, entry_set in payload.items()
-    }
-
-
-def _fit_tree_job(job):
-    """Fit one tree; under telemetry, also return its fit wall-time so
-    the parent can merge worker-side timings into its registry."""
+def _fit_tree_job(job) -> tuple[RegressionTree, float]:
     key, sample_idx, seed = job
-    ds = _WORKER_DATASETS[key]
-    if _WORKER_TELEMETRY:
-        t0 = time.perf_counter()
-        tree = _fit_tree(ds["arrays"], ds["meta"], sample_idx, seed)
-        return tree, time.perf_counter() - t0
-    return _fit_tree(ds["arrays"], ds["meta"], sample_idx, seed)
-
-
-# -- the level-wide harness ----------------------------------------------------
+    arrays, meta = _WORKER_DATASETS[key]
+    return _fit_tree(arrays, meta, sample_idx, seed)
 
 
 def fit_plans(plans, n_jobs: int = 1) -> list:
@@ -190,8 +111,6 @@ def fit_plans(plans, n_jobs: int = 1) -> list:
         for i, plan in enumerate(plans)
         for (sample_idx, seed) in plan.jobs
     ]
-    # Telemetry: one enabled-flag check; observation only, no RNG.
-    _tel = telemetry.enabled()
     with telemetry.span(
         "forest.fit_plans",
         n_plans=len(plans),
@@ -199,24 +118,17 @@ def fit_plans(plans, n_jobs: int = 1) -> list:
         n_jobs=n_jobs,
     ):
         if n_jobs > 1 and len(flat) > 1:
-            trees = _fit_pooled(plans, flat, n_jobs, telemetry_on=_tel)
-        elif _tel:
-            trees = []
-            for i, sample_idx, seed in flat:
-                t0 = time.perf_counter()
-                trees.append(
-                    _fit_tree(plans[i].arrays, plans[i].meta, sample_idx, seed)
-                )
-                telemetry.histogram_observe(
-                    "forest.tree_fit_seconds", time.perf_counter() - t0
-                )
+            fitted = _fit_pooled(plans, flat, n_jobs)
         else:
-            trees = [
+            fitted = [
                 _fit_tree(plans[i].arrays, plans[i].meta, sample_idx, seed)
                 for i, sample_idx, seed in flat
             ]
-    if _tel:
-        telemetry.counter_inc("forest.trees_fitted", len(flat))
+        if telemetry.enabled():
+            for _, seconds in fitted:
+                telemetry.histogram_observe("forest.tree_fit_seconds", seconds)
+            telemetry.counter_inc("forest.trees_fitted", len(flat))
+    trees = [tree for tree, _ in fitted]
     out = []
     pos = 0
     for plan in plans:
@@ -228,39 +140,10 @@ def fit_plans(plans, n_jobs: int = 1) -> list:
     return out
 
 
-def _fit_pooled(plans, flat, n_jobs, telemetry_on: bool = False) -> list:
-    payload = {}
-    segments = []
-    try:
-        for i, plan in enumerate(plans):
-            exported = {}
-            for name, arr in plan.arrays.items():
-                entry, seg = _export_array(arr)
-                exported[name] = entry
-                if seg is not None:
-                    segments.append(seg)
-            payload[i] = {"arrays": exported, "meta": plan.meta}
-        chunksize = max(1, len(flat) // (4 * n_jobs))
-        with ProcessPoolExecutor(
-            max_workers=n_jobs,
-            initializer=_pool_init,
-            initargs=(payload, telemetry_on),
-        ) as pool:
-            results = list(pool.map(_fit_tree_job, flat, chunksize=chunksize))
-        if not telemetry_on:
-            return results
-        # Merge worker-side timings into the parent registry.  The
-        # (tree, seconds) pairs rode home on the existing result
-        # channel, so worker seeding and job order are untouched.
-        trees = []
-        for tree, dt in results:
-            trees.append(tree)
-            telemetry.histogram_observe("forest.tree_fit_seconds", dt)
-        return trees
-    finally:
-        for seg in segments:
-            try:
-                seg.close()
-                seg.unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
+def _fit_pooled(plans, flat, n_jobs) -> list:
+    datasets = {i: (plan.arrays, plan.meta) for i, plan in enumerate(plans)}
+    chunksize = max(1, len(flat) // (4 * n_jobs))
+    with ProcessPoolExecutor(
+        max_workers=n_jobs, initializer=_pool_init, initargs=(datasets,)
+    ) as pool:
+        return list(pool.map(_fit_tree_job, flat, chunksize=chunksize))

@@ -30,10 +30,6 @@ class QueryRecord:
     completion_token: int = 0  # invalidates stale completion events
 
     @property
-    def started(self) -> bool:
-        return self.start >= 0.0
-
-    @property
     def completed(self) -> bool:
         return self.completion >= 0.0
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import RuntimeCondition, StacModel
 from repro.core import pipeline as pipeline_module
 from repro.core.profile_vec import chain_partner
+from repro.core.profiler import Profiler, ProfilerSettings
 from repro.counters.events import COUNTER_NAMES, N_COUNTERS
 from repro.workloads import get_workload
 
@@ -234,3 +235,43 @@ class TestInputBoundary:
     def test_boundary_values_accepted(self):
         m = StacModel(private_mb=0.5, shared_mb=0.0, sampling_hz=0.2, trace_ticks=1)
         assert (m.shared_mb, m.trace_ticks) == (0.0, 1)
+
+
+def _profile_at(rates):
+    """One small jacobi/bfs profile with one condition per rate."""
+    conditions = [
+        RuntimeCondition(("jacobi", "bfs"), (u, 0.5), (1.0, 1.0), sampling_hz=hz)
+        for u, hz in zip((0.4, 0.6), rates)
+    ]
+    profiler = Profiler(
+        settings=ProfilerSettings(n_queries=200, n_windows=2, trace_ticks=20),
+        rng=1,
+    )
+    return conditions, profiler.profile(conditions)
+
+
+class TestSamplingRateAdoption:
+    """``fit`` adopts the profile's counter sampling rate, as it adopts
+    the tick count, so nominal traces count events over the same tick
+    length as the traces the EA model was trained on."""
+
+    def test_fit_adopts_dataset_rate(self):
+        _, ds = _profile_at((0.2, 0.2))
+        m = StacModel(rng=0, learner="linear", sim_queries=500).fit(ds)
+        assert m.sampling_hz == 0.2
+
+    def test_nominal_traces_match_profiled_scale(self):
+        conditions, ds = _profile_at((0.2, 0.2))
+        m = StacModel(rng=0, learner="linear", sim_queries=500).fit(ds)
+        nominal = np.concatenate(
+            [p.traces.ravel() for p in m.predict_conditions(conditions)]
+        )
+        profiled = ds.traces
+        ratio = nominal[nominal != 0].mean() / profiled[profiled != 0].mean()
+        # A 1 Hz synthesizer on a 0.2 Hz profile lands near 0.2.
+        assert 0.67 < ratio < 1.5
+
+    def test_mixed_rates_raise(self):
+        _, ds = _profile_at((0.2, 1.0))
+        with pytest.raises(ValueError, match="sampling_hz"):
+            StacModel(rng=0, learner="linear").fit(ds)

@@ -1,12 +1,17 @@
-"""Tests for the plan/execute fit split and the shared-memory pool.
+"""Tests for the plan/execute fit split and the process pool.
 
 The acceptance bar: ``strategy="exact"`` must produce bit-identical
 trees to the pre-refactor per-forest loop, for every ``n_jobs``.
 """
 
+import functools
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro._util import spawn_rngs
 from repro.baselines.dtree import DecisionTreeBaseline
 from repro.forest import (
@@ -95,26 +100,44 @@ class TestForestPoolIdentity:
         )
 
 
-class TestPoolFallbacks:
-    def test_inline_fallback_without_shared_memory(self, monkeypatch):
-        # With shared memory unavailable, arrays ride the initializer
-        # inline — results must not change.
+class TestPoolPath:
+    @pytest.mark.parametrize("ctx", ["spawn", "forkserver"])
+    def test_pickling_start_methods_bit_identical(self, monkeypatch, ctx):
+        # Under spawn/forkserver the training arrays are pickled once per
+        # worker through the pool initializer; the trees must not change.
         X, y = friedman_like(120)
         f1 = RandomForestRegressor(n_estimators=3, rng=2).fit(X, y)
-        monkeypatch.setattr(parallel_mod, "_shared_memory", None)
+        monkeypatch.setattr(
+            parallel_mod,
+            "ProcessPoolExecutor",
+            functools.partial(
+                ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context(ctx),
+            ),
+        )
         f2 = RandomForestRegressor(n_estimators=3, n_jobs=2, rng=2).fit(X, y)
         assert all(trees_equal(a, b) for a, b in zip(f1.trees_, f2.trees_))
 
-    def test_export_inline_entry_roundtrip(self):
-        arr = np.arange(12.0).reshape(3, 4)
-        entry, seg = parallel_mod._export_array(arr)
-        try:
-            back = parallel_mod._attach_array(entry)
-            assert np.array_equal(back, arr)
-        finally:
-            if seg is not None:
-                seg.close()
-                seg.unlink()
+    def test_pooled_telemetry_matches_serial(self):
+        X, y = friedman_like(90, rng=2)
+        kw = dict(n_levels=2, forests_per_level=2, n_estimators=3, k_folds=3)
+        fits, counts = [], []
+        for n_jobs in (1, 2):
+            reg = telemetry.configure()
+            try:
+                fits.append(CascadeForest(rng=5, n_jobs=n_jobs, **kw).fit(X, y))
+            finally:
+                telemetry.disable()
+            counts.append(
+                (
+                    reg.counter("forest.trees_fitted"),
+                    reg.histogram("forest.tree_fit_seconds").count,
+                )
+            )
+        # (2 levels x 2 forests x (3 folds + refit) + 2 output) x 3 trees.
+        assert counts[0] == counts[1] == (54, 54)
+        assert np.array_equal(fits[0].predict(X), fits[1].predict(X))
+        assert fits[0].level_scores_ == fits[1].level_scores_
 
     def test_fit_plans_validation(self):
         with pytest.raises(ValueError):
