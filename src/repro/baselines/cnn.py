@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro._util import as_rng, spawn_rngs
-from repro.baselines.mlp import Adam, _Dense, _ReLU
+from repro.baselines.mlp import _check_lr, _check_sizes, _Dense, _Network, _ReLU
 
 
 class _Conv2D:
@@ -58,7 +58,7 @@ class _Conv2D:
 @dataclass
 class CNNHyperParams:
     """The hyper parameters the paper tunes: epochs, batch size, learning
-    rate, neurons, drop rate (Section 5.1)."""
+    rate and neurons (Section 5.1), plus the convolution's shape."""
 
     n_filters: int = 8
     kernel: tuple[int, int] = (3, 3)
@@ -66,29 +66,40 @@ class CNNHyperParams:
     epochs: int = 60
     batch_size: int = 32
     lr: float = 1e-3
-    dropout: float = 0.0
+
+    def __post_init__(self):
+        _check_sizes(
+            n_filters=self.n_filters,
+            hidden=self.hidden,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+        )
+        _check_lr(self.lr)
 
 
-class CNNRegressor:
+class CNNRegressor(_Network):
     """Conv -> ReLU -> flatten -> dense -> ReLU -> dense, Adam on MSE."""
 
-    def __init__(self, params: CNNHyperParams | None = None, rng=None):
-        self.params = params or CNNHyperParams()
-        self._rng = as_rng(rng)
-        self._conv = None
-        self.loss_history_: list[float] = []
+    _inputs = (("traces", 3, 0), ("X_flat", 2, 0))
 
-    def _build(self, H: int, W: int, extra: int) -> None:
+    def __init__(self, params: CNNHyperParams | None = None, rng=None):
+        p = self.params = params or CNNHyperParams()
+        super().__init__(p.epochs, p.batch_size, p.lr, rng)
+
+    def _build(self, traces, X_flat) -> None:
         p = self.params
+        H, W = traces.shape[1:]
         self._conv = _Conv2D(p.n_filters, p.kernel, self._rng)
         oh, ow = H - p.kernel[0] + 1, W - p.kernel[1] + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"kernel {p.kernel} too large for trace {(H, W)}")
+        extra = 0 if X_flat is None else X_flat.shape[1]
         flat = oh * ow * p.n_filters + extra
         self._relu1 = _ReLU()
         self._fc1 = _Dense(flat, p.hidden, self._rng)
         self._relu2 = _ReLU()
         self._fc2 = _Dense(p.hidden, 1, self._rng)
+        self._layers = [self._conv, self._fc1, self._fc2]
 
     def _forward(self, traces, flat_extra):
         c = self._relu1.forward(self._conv.forward(traces))
@@ -113,61 +124,12 @@ class CNNRegressor:
         g = self._relu1.backward(g)
         self._conv.backward(g)
 
-    def _layers(self):
-        return (self._conv, self._fc1, self._fc2)
-
-    def _normalize(self, traces, X_flat, fit=False):
-        t = np.ascontiguousarray(traces, dtype=float)
-        if fit:
-            self._t_mean = t.mean(axis=0, keepdims=True)
-            self._t_std = t.std(axis=0, keepdims=True)
-            self._t_std[self._t_std == 0] = 1.0
-        t = (t - self._t_mean) / self._t_std
-        xf = None
-        if X_flat is not None:
-            xf = np.ascontiguousarray(X_flat, dtype=float)
-            if fit:
-                self._f_mean = xf.mean(axis=0)
-                self._f_std = xf.std(axis=0)
-                self._f_std[self._f_std == 0] = 1.0
-            xf = (xf - self._f_mean) / self._f_std
-        return t, xf
-
     def fit(self, X_flat, traces, y) -> "CNNRegressor":
         """Train on (flat features, traces, targets); traces required."""
-        if traces is None:
-            raise ValueError("CNNRegressor requires traces")
-        y = np.ascontiguousarray(y, dtype=float).reshape(-1, 1)
-        t, xf = self._normalize(traces, X_flat, fit=True)
-        if t.shape[0] != y.shape[0]:
-            raise ValueError("traces and y must have matching first dims")
-        self._y_mean, self._y_std = float(y.mean()), float(y.std()) or 1.0
-        ys = (y - self._y_mean) / self._y_std
-        self._build(t.shape[1], t.shape[2], xf.shape[1] if xf is not None else 0)
-        p = self.params
-        opt = Adam(lr=p.lr)
-        n = t.shape[0]
-        self.loss_history_ = []
-        for _ in range(p.epochs):
-            perm = self._rng.permutation(n)
-            loss = 0.0
-            for s in range(0, n, p.batch_size):
-                idx = perm[s : s + p.batch_size]
-                pred = self._forward(t[idx], None if xf is None else xf[idx])
-                diff = pred - ys[idx]
-                loss += float((diff**2).sum())
-                self._backward(2.0 * diff / idx.shape[0])
-                for layer in self._layers():
-                    opt.step(layer.params_and_grads())
-            self.loss_history_.append(loss / n)
-        return self
+        return self._fit(y, traces, X_flat)
 
     def predict(self, X_flat, traces) -> np.ndarray:
-        if self._conv is None:
-            raise RuntimeError("model is not fitted")
-        t, xf = self._normalize(traces, X_flat, fit=False)
-        out = self._forward(t, xf)
-        return out.ravel() * self._y_std + self._y_mean
+        return self._predict(traces, X_flat)
 
 
 def tune_cnn(
@@ -209,7 +171,6 @@ def tune_cnn(
             epochs=int(t_rng.choice([30, 60])),
             batch_size=int(t_rng.choice([16, 32])),
             lr=float(t_rng.choice([3e-4, 1e-3, 3e-3])),
-            dropout=0.0,
         )
         model = CNNRegressor(params, rng=t_rng)
         xtr, ttr, ytr = subset(train)

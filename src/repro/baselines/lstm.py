@@ -11,12 +11,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng
-from repro.baselines.mlp import Adam, _Dense
+from repro.baselines.mlp import _check_sizes, _Dense, _Network
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+
+
+def _to_sequence(traces):
+    """(n, C, T) counter traces -> (n, T, C) step sequences."""
+    if traces is None:
+        return None
+    t = np.ascontiguousarray(traces, dtype=float)
+    if t.ndim != 3:
+        raise ValueError(f"traces must be (n, C, T), got {t.shape}")
+    return np.swapaxes(t, 1, 2).copy()
 
 
 class _LSTMCore:
@@ -94,8 +103,10 @@ class _LSTMCore:
         yield self.b, self.db
 
 
-class LSTMRegressor:
+class LSTMRegressor(_Network):
     """LSTM over (n, C, T) traces, optional flat features at the head."""
+
+    _inputs = (("traces", 3, (0, 1)), ("X_flat", 2, 0))
 
     def __init__(
         self,
@@ -105,81 +116,28 @@ class LSTMRegressor:
         lr: float = 3e-3,
         rng=None,
     ):
-        if n_hidden < 1 or epochs < 1 or batch_size < 1:
-            raise ValueError("n_hidden, epochs and batch_size must be >= 1")
-        if lr <= 0:
-            raise ValueError("lr must be > 0")
+        _check_sizes(n_hidden=n_hidden)
+        super().__init__(epochs, batch_size, lr, rng)
         self.n_hidden = n_hidden
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self._rng = as_rng(rng)
-        self._core: _LSTMCore | None = None
-        self.loss_history_: list[float] = []
 
-    def _to_sequence(self, traces: np.ndarray) -> np.ndarray:
-        """(n, C, T) counter traces -> (n, T, C) step sequences."""
-        t = np.ascontiguousarray(traces, dtype=float)
-        if t.ndim != 3:
-            raise ValueError(f"traces must be (n, C, T), got {t.shape}")
-        return np.swapaxes(t, 1, 2).copy()
+    def _build(self, seq, X_flat) -> None:
+        extra = 0 if X_flat is None else X_flat.shape[1]
+        self._core = _LSTMCore(seq.shape[2], self.n_hidden, self._rng)
+        self._head = _Dense(self.n_hidden + extra, 1, self._rng)
+        self._layers = [self._head, self._core]
+
+    def _forward(self, seq, X_flat):
+        h = self._core.forward(seq)
+        if X_flat is not None:
+            h = np.concatenate([h, X_flat], axis=1)
+        return self._head.forward(h)
+
+    def _backward(self, grad):
+        g = self._head.backward(grad)
+        self._core.backward(g[:, : self.n_hidden])
 
     def fit(self, X_flat, traces, y) -> "LSTMRegressor":
-        if traces is None:
-            raise ValueError("LSTMRegressor requires traces")
-        seq = self._to_sequence(traces)
-        y = np.ascontiguousarray(y, dtype=float).reshape(-1, 1)
-        if seq.shape[0] != y.shape[0]:
-            raise ValueError("traces and y must have matching first dims")
-        self._s_mean = seq.mean(axis=(0, 1), keepdims=True)
-        self._s_std = seq.std(axis=(0, 1), keepdims=True)
-        self._s_std[self._s_std == 0] = 1.0
-        seq = (seq - self._s_mean) / self._s_std
-        xf = None
-        if X_flat is not None:
-            xf = np.ascontiguousarray(X_flat, dtype=float)
-            self._f_mean, self._f_std = xf.mean(axis=0), xf.std(axis=0)
-            self._f_std[self._f_std == 0] = 1.0
-            xf = (xf - self._f_mean) / self._f_std
-        self._has_flat = xf is not None
-        self._y_mean, self._y_std = float(y.mean()), float(y.std()) or 1.0
-        ys = (y - self._y_mean) / self._y_std
-
-        d = seq.shape[2]
-        extra = xf.shape[1] if xf is not None else 0
-        self._core = _LSTMCore(d, self.n_hidden, self._rng)
-        self._head = _Dense(self.n_hidden + extra, 1, self._rng)
-        opt = Adam(lr=self.lr)
-        n = seq.shape[0]
-        self.loss_history_ = []
-        for _ in range(self.epochs):
-            perm = self._rng.permutation(n)
-            loss = 0.0
-            for s in range(0, n, self.batch_size):
-                idx = perm[s : s + self.batch_size]
-                h = self._core.forward(seq[idx])
-                feats = (
-                    np.concatenate([h, xf[idx]], axis=1) if xf is not None else h
-                )
-                pred = self._head.forward(feats)
-                diff = pred - ys[idx]
-                loss += float((diff**2).sum())
-                grad = self._head.backward(2.0 * diff / idx.shape[0])
-                self._core.backward(grad[:, : self.n_hidden])
-                opt.step(self._head.params_and_grads())
-                opt.step(self._core.params_and_grads())
-            self.loss_history_.append(loss / n)
-        return self
+        return self._fit(y, _to_sequence(traces), X_flat)
 
     def predict(self, X_flat, traces) -> np.ndarray:
-        if self._core is None:
-            raise RuntimeError("model is not fitted")
-        seq = (self._to_sequence(traces) - self._s_mean) / self._s_std
-        h = self._core.forward(seq)
-        if self._has_flat:
-            if X_flat is None:
-                raise ValueError("model was fitted with flat features")
-            xf = (np.asarray(X_flat, dtype=float) - self._f_mean) / self._f_std
-            h = np.concatenate([h, xf], axis=1)
-        out = self._head.forward(h)
-        return out.ravel() * self._y_std + self._y_mean
+        return self._predict(_to_sequence(traces), X_flat)

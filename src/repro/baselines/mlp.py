@@ -1,15 +1,37 @@
-"""NumPy MLP with backpropagation and Adam.
+"""NumPy MLP with backpropagation and Adam, and the shared trainer.
 
-Provides the dense layers the CNN baseline reuses.  Back-prop models
-overwrite weights during training, which is the source of the run-to-
-run variance Figure 5 contrasts against deep forests.
+Provides the layers, the optimizer and the one minibatch trainer the
+CNN, LSTM and residual baselines reuse.  Back-prop models overwrite
+weights during training, which is the source of the run-to-run
+variance Figure 5 contrasts against deep forests.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro._util import as_rng
+
+
+def _check_sizes(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
+def _check_lr(lr: float) -> None:
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
+
+
+def _moments(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std over ``axis``; a constant slice keeps std 1."""
+    mean = a.mean(axis=axis, keepdims=True)
+    std = a.std(axis=axis, keepdims=True)
+    std[std == 0] = 1.0
+    return mean, std
 
 
 class _Dense:
@@ -72,11 +94,14 @@ class _Dropout:
 
 
 class Adam:
-    """Adam optimizer over (param, grad) pairs keyed by identity."""
+    """Adam optimizer over (param, grad) pairs keyed by identity.
+
+    Call :meth:`step` once per minibatch with every parameter: each call
+    advances the bias-correction clock.
+    """
 
     def __init__(self, lr: float = 1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        if lr <= 0:
-            raise ValueError("lr must be > 0")
+        _check_lr(lr)
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}
@@ -95,8 +120,100 @@ class Adam:
             p -= self.lr * mh / (np.sqrt(vh) + self.eps)
 
 
-class MLPRegressor:
+class _Network:
+    """Adam-on-MSE minibatch trainer shared by the NumPy networks.
+
+    ``_inputs`` lists each input as ``(name, ndim, scaling axes)``; the
+    first is required and the rest may be ``None``.  Every input and
+    the target are standardized with :func:`_moments`.  A subclass
+    builds its layers in ``_build`` from the scaled training inputs,
+    keeps the parameter-holding ones in ``_layers`` and implements
+    ``_forward`` and ``_backward`` over scaled minibatches.
+    """
+
+    _inputs: tuple[tuple[str, int, int | tuple[int, ...]], ...]
+    _scales: list | None = None
+
+    def __init__(self, epochs: int, batch_size: int, lr: float, rng):
+        _check_sizes(epochs=epochs, batch_size=batch_size)
+        _check_lr(lr)
+        self.epochs = epochs
+        self.batch_size = batch_size
+        self.lr = lr
+        self._rng = as_rng(rng)
+        self._layers: list = []
+        self.loss_history_: list[float] = []
+
+    def _set_training(self, training: bool) -> None:
+        """Switch train-only layers on or off (none by default)."""
+
+    def _scaled(self, inputs) -> list[np.ndarray | None]:
+        out = []
+        for (name, _, _), x, scale in zip(self._inputs, inputs, self._scales):
+            if (x is None) != (scale is None):
+                raise ValueError(f"{name} must be given iff it was given to fit")
+            out.append(None if x is None else (x - scale[0]) / scale[1])
+        return out
+
+    def _fit(self, y, *inputs):
+        y = np.ascontiguousarray(y, dtype=float).reshape(-1, 1)
+        arrays = []
+        for (name, ndim, _), x in zip(self._inputs, inputs):
+            if x is None:
+                if not arrays:
+                    raise ValueError(f"{type(self).__name__} requires {name}")
+                arrays.append(None)
+                continue
+            x = np.ascontiguousarray(x, dtype=float)
+            if x.ndim != ndim or x.shape[0] != y.shape[0]:
+                raise ValueError(f"bad shapes: {name} {x.shape}, y {y.shape}")
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} must be finite")
+            arrays.append(x)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y must be finite")
+        self._scales = [
+            None if x is None else _moments(x, axes)
+            for (_, _, axes), x in zip(self._inputs, arrays)
+        ]
+        self._y_scale = _moments(y, 0)
+        xs = self._scaled(arrays)
+        ys = (y - self._y_scale[0]) / self._y_scale[1]
+        self._build(*xs)
+        opt = Adam(lr=self.lr)
+        n = y.shape[0]
+        self.loss_history_ = []
+        self._set_training(True)
+        for _ in range(self.epochs):
+            perm = self._rng.permutation(n)
+            loss = 0.0
+            for s in range(0, n, self.batch_size):
+                idx = perm[s : s + self.batch_size]
+                pred = self._forward(*(None if x is None else x[idx] for x in xs))
+                diff = pred - ys[idx]
+                loss += float((diff**2).sum())
+                self._backward(2.0 * diff / idx.shape[0])
+                opt.step(
+                    pg for layer in self._layers for pg in layer.params_and_grads()
+                )
+            self.loss_history_.append(loss / n)
+        self._set_training(False)
+        return self
+
+    def _predict(self, *inputs) -> np.ndarray:
+        if self._scales is None:
+            raise RuntimeError("model is not fitted")
+        xs = self._scaled(
+            [None if x is None else np.asarray(x, dtype=float) for x in inputs]
+        )
+        y_mean, y_std = self._y_scale
+        return (self._forward(*xs) * y_std + y_mean).ravel()
+
+
+class MLPRegressor(_Network):
     """Multi-layer perceptron trained with Adam on MSE loss."""
+
+    _inputs = (("X", 2, 0),)
 
     def __init__(
         self,
@@ -107,20 +224,13 @@ class MLPRegressor:
         dropout: float = 0.0,
         rng=None,
     ):
-        if epochs < 1 or batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        super().__init__(epochs, batch_size, lr, rng)
         self.hidden = tuple(hidden)
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
         self.dropout = dropout
-        self._rng = as_rng(rng)
-        self._layers: list = []
-        self.loss_history_: list[float] = []
 
-    def _build(self, n_in: int) -> None:
+    def _build(self, X: np.ndarray) -> None:
         self._layers = []
-        prev = n_in
+        prev = X.shape[1]
         for h in self.hidden:
             self._layers.append(_Dense(prev, h, self._rng))
             self._layers.append(_ReLU())
@@ -144,40 +254,7 @@ class MLPRegressor:
                 layer.training = training
 
     def fit(self, X, y) -> "MLPRegressor":
-        X = np.ascontiguousarray(X, dtype=float)
-        y = np.ascontiguousarray(y, dtype=float).reshape(-1, 1)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
-        self._x_mean, self._x_std = X.mean(axis=0), X.std(axis=0)
-        self._x_std[self._x_std == 0] = 1.0
-        self._y_mean, self._y_std = float(y.mean()), float(y.std()) or 1.0
-        Xs = (X - self._x_mean) / self._x_std
-        ys = (y - self._y_mean) / self._y_std
-        self._build(X.shape[1])
-        opt = Adam(lr=self.lr)
-        n = X.shape[0]
-        self.loss_history_ = []
-        self._set_training(True)
-        for _ in range(self.epochs):
-            perm = self._rng.permutation(n)
-            epoch_loss = 0.0
-            for s in range(0, n, self.batch_size):
-                idx = perm[s : s + self.batch_size]
-                xb, yb = Xs[idx], ys[idx]
-                pred = self._forward(xb)
-                diff = pred - yb
-                epoch_loss += float((diff**2).sum())
-                self._backward(2.0 * diff / xb.shape[0])
-                for layer in self._layers:
-                    opt.step(layer.params_and_grads())
-            self.loss_history_.append(epoch_loss / n)
-        self._set_training(False)
-        return self
+        return self._fit(y, X)
 
     def predict(self, X) -> np.ndarray:
-        if not self._layers:
-            raise RuntimeError("model is not fitted")
-        X = np.ascontiguousarray(X, dtype=float)
-        Xs = (X - self._x_mean) / self._x_std
-        self._set_training(False)
-        return self._forward(Xs).ravel() * self._y_std + self._y_mean
+        return self._predict(X)

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro._util import as_rng
-from repro.baselines.mlp import Adam, _Dense, _ReLU
+from repro.baselines.mlp import _check_sizes, _Dense, _Network, _ReLU
 
 
 class _ResidualBlock:
@@ -33,8 +32,10 @@ class _ResidualBlock:
         yield from self.fc2.params_and_grads()
 
 
-class ResidualMLPRegressor:
+class ResidualMLPRegressor(_Network):
     """Input projection + N residual blocks + linear head, Adam on MSE."""
+
+    _inputs = (("X", 2, 0),)
 
     def __init__(
         self,
@@ -45,25 +46,18 @@ class ResidualMLPRegressor:
         lr: float = 1e-3,
         rng=None,
     ):
-        if width < 1 or n_blocks < 1 or epochs < 1 or batch_size < 1:
-            raise ValueError("width, n_blocks, epochs, batch_size must be >= 1")
-        if lr <= 0:
-            raise ValueError("lr must be > 0")
+        _check_sizes(width=width, n_blocks=n_blocks)
+        super().__init__(epochs, batch_size, lr, rng)
         self.width = width
         self.n_blocks = n_blocks
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self._rng = as_rng(rng)
-        self._layers: list = []
-        self.loss_history_: list[float] = []
 
-    def _build(self, n_in: int) -> None:
-        self._proj = _Dense(n_in, self.width, self._rng)
+    def _build(self, X: np.ndarray) -> None:
+        self._proj = _Dense(X.shape[1], self.width, self._rng)
         self._blocks = [
             _ResidualBlock(self.width, self._rng) for _ in range(self.n_blocks)
         ]
         self._head = _Dense(self.width, 1, self._rng)
+        self._layers = [self._proj, *self._blocks, self._head]
 
     def _forward(self, x: np.ndarray) -> np.ndarray:
         h = self._proj.forward(x)
@@ -77,41 +71,8 @@ class ResidualMLPRegressor:
             g = blk.backward(g)
         self._proj.backward(g)
 
-    def _all_params(self):
-        yield from self._proj.params_and_grads()
-        for blk in self._blocks:
-            yield from blk.params_and_grads()
-        yield from self._head.params_and_grads()
-
     def fit(self, X, y) -> "ResidualMLPRegressor":
-        X = np.ascontiguousarray(X, dtype=float)
-        y = np.ascontiguousarray(y, dtype=float).reshape(-1, 1)
-        if X.ndim != 2 or X.shape[0] != y.shape[0]:
-            raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
-        self._x_mean, self._x_std = X.mean(axis=0), X.std(axis=0)
-        self._x_std[self._x_std == 0] = 1.0
-        Xs = (X - self._x_mean) / self._x_std
-        self._y_mean, self._y_std = float(y.mean()), float(y.std()) or 1.0
-        ys = (y - self._y_mean) / self._y_std
-        self._build(X.shape[1])
-        opt = Adam(lr=self.lr)
-        n = X.shape[0]
-        self.loss_history_ = []
-        for _ in range(self.epochs):
-            perm = self._rng.permutation(n)
-            loss = 0.0
-            for s in range(0, n, self.batch_size):
-                idx = perm[s : s + self.batch_size]
-                pred = self._forward(Xs[idx])
-                diff = pred - ys[idx]
-                loss += float((diff**2).sum())
-                self._backward(2.0 * diff / idx.shape[0])
-                opt.step(self._all_params())
-            self.loss_history_.append(loss / n)
-        return self
+        return self._fit(y, X)
 
     def predict(self, X) -> np.ndarray:
-        if not hasattr(self, "_head"):
-            raise RuntimeError("model is not fitted")
-        Xs = (np.asarray(X, dtype=float) - self._x_mean) / self._x_std
-        return self._forward(Xs).ravel() * self._y_std + self._y_mean
+        return self._predict(X)

@@ -94,8 +94,10 @@ class StacModel:
         (deep_forest, cascade, random_forest; the rest ignore them).
         ``forest_strategy="exact"`` (default) keeps trees bit-identical
         to previous releases for every ``n_jobs``."""
-        if n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
+        if n_iterations < 2:
+            # Round 1 simulates the first-principles EA; the Stage 2
+            # prediction it feeds back only takes effect in round 2.
+            raise ValueError(f"n_iterations must be >= 2, got {n_iterations}")
         if forest_strategy not in ("exact", "hist"):
             raise ValueError(f"unknown forest_strategy {forest_strategy!r}")
         for name, value, strict in (

@@ -3,7 +3,9 @@
 The model predicts response time for every combination of candidate
 timeouts (the paper explores 5 settings per workload, 25 combinations
 per pair) and the SLO-driven matching policy picks a vector that is
-near-optimal for *every* collocated service simultaneously.
+near-optimal for *every* collocated service simultaneously: the
+minimax-regret combination, whose worst ratio of predicted response
+time to that service's best is smallest.
 
 All combinations are predicted in one lockstep
 (:meth:`StacModel.predict_conditions`), so every fixed-point round is a
@@ -32,27 +34,21 @@ DEFAULT_TIMEOUT_GRID: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 4.0)
 _STATISTICS = ("mean", "p50", "p95", "p99")
 
 
-def slo_matching(
-    rt_matrix: np.ndarray, tolerance: float = 0.05
-) -> int:
-    """Pick the combination satisfying the paper's two-step policy.
+def slo_matching(rt_matrix: np.ndarray) -> int:
+    """Pick the combination that is near-optimal for every service.
 
-    Step 1: for each service, mark combinations whose predicted response
-    time is within ``tolerance`` of that service's best.  Step 2: choose
-    a combination marked by *every* service; when the intersection is
-    empty the tolerance is relaxed geometrically until one exists (the
-    minimax-regret combination wins ties).
+    Each service's regret for a combination is its predicted response
+    time over that service's best.  The pick minimizes the worst regret
+    over all services (minimax regret); ties go to the first row.  This
+    is the row the paper's two-step policy (mark each service's
+    near-best combinations, then take one every service marked) lands
+    on, since it lies inside every non-empty intersection.
 
     Parameters
     ----------
     rt_matrix:
         (n_combinations, n_services) predicted response times.
-    tolerance:
-        Relative slack over each service's best, ``>= 0``; ``inf``
-        lets every combination qualify.
     """
-    if not tolerance >= 0:
-        raise ValueError("tolerance must be >= 0")
     rt = np.asarray(rt_matrix, dtype=float)
     if rt.ndim != 2 or rt.shape[0] == 0:
         raise ValueError("rt_matrix must be a non-empty 2-D array")
@@ -60,18 +56,7 @@ def slo_matching(
         raise ValueError("response times must be finite")
     if np.any(rt <= 0):
         raise ValueError("response times must be positive")
-    best = rt.min(axis=0)  # per-service optimum
-    tol = tolerance
-    for _ in range(32):
-        ok = rt <= best * (1.0 + tol)
-        candidates = np.nonzero(ok.all(axis=1))[0]
-        if candidates.size:
-            # Among candidates, minimize the worst relative regret.
-            regret = (rt[candidates] / best).max(axis=1)
-            return int(candidates[np.argmin(regret)])
-        tol *= 2.0
-    # Unreachable in practice; fall back to global minimax regret.
-    return int(np.argmin((rt / best).max(axis=1)))
+    return int(np.argmin((rt / rt.min(axis=0)).max(axis=1)))
 
 
 def _conditions(workloads, utilizations, combos) -> list[RuntimeCondition]:
@@ -123,7 +108,6 @@ def model_driven_policy(
     workloads: tuple[str, ...],
     utilizations: tuple[float, ...],
     timeout_grid=DEFAULT_TIMEOUT_GRID,
-    tolerance: float = 0.05,
     statistic: str = "p95",
     name: str = "model-driven",
 ) -> PolicyDecision:
@@ -131,5 +115,5 @@ def model_driven_policy(
     combos, rt = explore_timeouts(
         model, workloads, utilizations, timeout_grid, statistic
     )
-    chosen = slo_matching(rt, tolerance=tolerance)
+    chosen = slo_matching(rt)
     return PolicyDecision(name, combos[chosen])

@@ -1,0 +1,108 @@
+"""Tests for the minibatch trainer the NumPy networks share."""
+
+import numpy as np
+import pytest
+
+from repro.baselines import (
+    CNNRegressor,
+    LSTMRegressor,
+    MLPRegressor,
+    ResidualMLPRegressor,
+)
+from repro.baselines.cnn import CNNHyperParams
+from repro.baselines.mlp import Adam
+
+N = 24
+_r = np.random.default_rng(0)
+X = _r.normal(size=(N, 3))
+TRACES = _r.normal(size=(N, 4, 6))
+Y = X[:, 0] + TRACES[:, 1].mean(axis=1)
+
+
+def _mlp(**kw):
+    return MLPRegressor(hidden=(8, 4), rng=0, **kw)
+
+
+def _resnet(**kw):
+    return ResidualMLPRegressor(width=6, n_blocks=2, rng=0, **kw)
+
+
+def _cnn(**kw):
+    return CNNRegressor(CNNHyperParams(n_filters=2, hidden=4, **kw), rng=0)
+
+
+def _lstm(**kw):
+    return LSTMRegressor(n_hidden=4, rng=0, **kw)
+
+
+# name -> (factory, the data its fit takes, in order)
+NETWORKS = {
+    "mlp": (_mlp, ("X", "y")),
+    "resnet": (_resnet, ("X", "y")),
+    "cnn": (_cnn, ("X_flat", "traces", "y")),
+    "lstm": (_lstm, ("X_flat", "traces", "y")),
+}
+DATA = {"X": X, "X_flat": X, "traces": TRACES, "y": Y}
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+def test_one_adam_step_moves_every_parameter_by_lr(name, monkeypatch):
+    """Adam's first step moves each weight by ``lr`` against its
+    gradient.  A clock advanced once per layer instead of once per
+    minibatch shrank later layers' steps (the MLP head moved ~0.55 lr)."""
+    steps = []
+    real_step = Adam.step
+
+    def spy(self, params_and_grads):
+        pairs = list(params_and_grads)
+        before = [p.copy() for p, _ in pairs]
+        real_step(self, pairs)
+        steps.append([(p - b, g) for (p, g), b in zip(pairs, before)])
+
+    monkeypatch.setattr(Adam, "step", spy)
+    make, fields = NETWORKS[name]
+    lr = 1e-2
+    make(epochs=1, batch_size=N, lr=lr).fit(*(DATA[f] for f in fields))
+    assert len(steps) == 1
+    for move, grad in steps[0]:
+        big = np.abs(grad) > 1e-3
+        assert big.any()
+        np.testing.assert_allclose(np.abs(move[big]), lr, rtol=1e-4)
+        np.testing.assert_array_equal(np.sign(move[big]), -np.sign(grad[big]))
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, 0.0, -1e-3])
+def test_adam_rejects_bad_lr(lr):
+    with pytest.raises(ValueError, match="lr"):
+        Adam(lr=lr)
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf])
+@pytest.mark.parametrize("name", NETWORKS)
+def test_networks_reject_non_finite_lr(name, lr):
+    with pytest.raises(ValueError, match="lr"):
+        NETWORKS[name][0](lr=lr)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "name, field", [(n, f) for n, (_, fields) in NETWORKS.items() for f in fields]
+)
+def test_fit_rejects_non_finite_values(name, field, bad):
+    make, fields = NETWORKS[name]
+    data = dict(DATA, **{field: DATA[field].copy()})
+    data[field].flat[5] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        make(epochs=1).fit(*(data[f] for f in fields))
+
+
+@pytest.mark.parametrize("field", ["epochs", "batch_size", "hidden", "n_filters"])
+def test_cnn_hyper_params_reject_zero(field):
+    with pytest.raises(ValueError, match=field):
+        CNNHyperParams(**{field: 0})
+
+
+def test_cnn_hyper_params_have_no_dropout():
+    """Nothing read the CNN's drop rate, so it is not a parameter."""
+    with pytest.raises(TypeError):
+        CNNHyperParams(dropout=0.1)

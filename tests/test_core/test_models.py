@@ -187,15 +187,21 @@ class TestStacModel:
         with pytest.raises(ValueError):
             StacModel(n_iterations=0)
 
+    def test_single_iteration_rejected(self):
+        """One round returns summaries simulated at the first-principles
+        EA, so the Stage 2 model would be silently ignored."""
+        with pytest.raises(ValueError, match="n_iterations"):
+            StacModel(n_iterations=1)
+
 
 class TestSloMatching:
     def test_picks_joint_optimum(self):
         rt = np.array([[1.0, 5.0], [5.0, 1.0], [1.04, 1.04]])
-        assert slo_matching(rt, tolerance=0.05) == 2
+        assert slo_matching(rt) == 2
 
     def test_relaxes_when_no_intersection(self):
         rt = np.array([[1.0, 2.0], [2.0, 1.0]])
-        idx = slo_matching(rt, tolerance=0.01)
+        idx = slo_matching(rt)
         assert idx in (0, 1)
 
     def test_single_service(self):
@@ -239,23 +245,21 @@ class TestPolicySearch:
 
 class TestSloMatchingEdgeCases:
     def test_single_service_relaxation(self):
-        """One service: the per-service optimum always wins, even when
-        the initial tolerance band holds only that combination."""
+        """One service: the per-service optimum always wins."""
         rt = np.array([[2.0], [1.0], [1.9]])
-        assert slo_matching(rt, tolerance=0.001) == 1
+        assert slo_matching(rt) == 1
 
     def test_empty_intersection_relaxes_to_compromise(self):
-        """No combination satisfies every service at the base tolerance;
-        geometric relaxation must find the balanced compromise rather
-        than either service's lopsided optimum."""
+        """No combination is near-best for every service; the balanced
+        compromise wins over either service's lopsided optimum."""
         rt = np.array([[1.0, 3.0], [3.0, 1.0], [1.5, 1.5]])
-        assert slo_matching(rt, tolerance=0.01) == 2
+        assert slo_matching(rt) == 2
 
     def test_tie_break_by_minimax_regret(self):
-        """All combinations fall inside the tolerance band; the one with
-        the smallest worst-case relative regret wins."""
+        """All combinations are near-best; the one with the smallest
+        worst-case relative regret wins."""
         rt = np.array([[1.0, 1.04], [1.04, 1.0], [1.02, 1.02]])
-        assert slo_matching(rt, tolerance=0.05) == 2
+        assert slo_matching(rt) == 2
 
     def test_identical_rows_pick_first(self):
         rt = np.ones((4, 3))
@@ -264,7 +268,7 @@ class TestSloMatchingEdgeCases:
     def test_wide_matrix_many_services(self):
         rng = np.random.default_rng(0)
         rt = rng.uniform(1.0, 2.0, size=(25, 6))
-        idx = slo_matching(rt, tolerance=0.05)
+        idx = slo_matching(rt)
         assert 0 <= idx < 25
         # The pick never has worse minimax regret than the global one.
         regret = (rt / rt.min(axis=0)).max(axis=1)
@@ -279,19 +283,10 @@ class TestSloMatchingEdgeCases:
         with pytest.raises(ValueError, match="finite"):
             slo_matching(rt)
 
-    @pytest.mark.parametrize("bad", [np.nan, -0.5])
-    def test_bad_tolerance_rejected(self, bad):
-        """A NaN or negative tolerance used to fall through all 32
-        relaxation rounds to the minimax fallback without an error."""
-        rt = np.array([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]])
-        with pytest.raises(ValueError, match="tolerance"):
-            slo_matching(rt, tolerance=bad)
-
     def test_infinite_tolerance_admits_every_combination(self):
-        """``inf`` is a valid tolerance: every row qualifies, so the
-        minimax-regret row wins."""
+        """Every row is a candidate, so the minimax-regret row wins."""
         rt = np.array([[1.0, 2.0], [2.0, 1.0], [1.5, 1.5]])
-        assert slo_matching(rt, tolerance=np.inf) == 2
+        assert slo_matching(rt) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -301,13 +296,24 @@ class TestSloMatchingEdgeCases:
             elements=st.floats(0.1, 10.0),
         ),
         seed=st.integers(0, 2**16),
-        tolerance=st.floats(0.0, 0.5),
     )
-    def test_invariant_to_service_order(self, rt, seed, tolerance):
+    def test_invariant_to_service_order(self, rt, seed):
         perm = np.random.default_rng(seed).permutation(rt.shape[1])
-        assert slo_matching(rt[:, perm], tolerance) == slo_matching(
-            rt, tolerance
+        assert slo_matching(rt[:, perm]) == slo_matching(rt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rt=arrays(
+            float,
+            st.tuples(st.integers(1, 12), st.integers(1, 5)),
+            elements=st.floats(0.1, 10.0),
         )
+    )
+    def test_picks_first_minimax_regret_row(self, rt):
+        """The pick is the first row whose worst regret is smallest."""
+        best = rt.min(axis=0)
+        regret = [max(row / best) for row in rt]
+        assert slo_matching(rt) == regret.index(min(regret))
 
 
 class TestParallelPolicySearch:
