@@ -4,7 +4,6 @@ report formatting for the benchmark harness."""
 from repro.analysis.clustering import KMeans
 from repro.analysis.errors import ape_summary, median_ape, percentile_ape
 from repro.analysis.concepts import cluster_workloads_by_concepts
-from repro.analysis.importance import ea_feature_importances, top_features
 from repro.analysis.reporting import format_table, format_series
 
 __all__ = [
@@ -13,8 +12,6 @@ __all__ = [
     "median_ape",
     "percentile_ape",
     "cluster_workloads_by_concepts",
-    "ea_feature_importances",
-    "top_features",
     "format_table",
     "format_series",
 ]

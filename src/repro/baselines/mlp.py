@@ -72,8 +72,6 @@ class _Dropout:
     """Inverted dropout; active only during training."""
 
     def __init__(self, rate: float, rng):
-        if not 0 <= rate < 1:
-            raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
         self.rng = rng
         self.training = True
@@ -225,6 +223,9 @@ class MLPRegressor(_Network):
         rng=None,
     ):
         super().__init__(epochs, batch_size, lr, rng)
+        # Written so NaN fails too (every comparison with NaN is False).
+        if not 0 <= dropout < 1:
+            raise ValueError("dropout rate must be in [0, 1)")
         self.hidden = tuple(hidden)
         self.dropout = dropout
 

@@ -16,10 +16,8 @@ from repro.cache.cat import (
     private_region,
 )
 from repro.cache.setassoc import SetAssociativeCache, AccessResult
-from repro.cache.hierarchy import CacheHierarchy, HierarchyCounters, CacheLevelSpec
 from repro.cache.mrc import MissRatioCurve, fit_exponential_mrc, measure_mrc
 from repro.cache.contention import SharedWayContention
-from repro.cache.monitor import CacheMonitor, MonitorReading
 
 __all__ = [
     "CacheGeometry",
@@ -30,13 +28,8 @@ __all__ = [
     "private_region",
     "SetAssociativeCache",
     "AccessResult",
-    "CacheHierarchy",
-    "HierarchyCounters",
-    "CacheLevelSpec",
     "MissRatioCurve",
     "fit_exponential_mrc",
     "measure_mrc",
     "SharedWayContention",
-    "CacheMonitor",
-    "MonitorReading",
 ]

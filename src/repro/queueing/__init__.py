@@ -6,13 +6,6 @@ in system exceeds the short-term allocation timeout.
 """
 
 from repro.queueing.events import EventLoop
-from repro.queueing.distributions import (
-    Deterministic,
-    Exponential,
-    LogNormal,
-    Hyperexponential,
-    Empirical,
-)
 from repro.queueing.ggk import (
     BatchQueueResult,
     StapQueueConfig,
@@ -35,11 +28,6 @@ from repro.queueing.metrics import (
 
 __all__ = [
     "EventLoop",
-    "Deterministic",
-    "Exponential",
-    "LogNormal",
-    "Hyperexponential",
-    "Empirical",
     "BatchQueueResult",
     "StapQueueConfig",
     "QueueResult",

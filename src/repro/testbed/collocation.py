@@ -40,7 +40,9 @@ class CollocatedService:
     burst_fraction: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.timeout < 0:
+        # Written so NaN fails too (every comparison with NaN is False);
+        # timeout=inf stays legal.
+        if not self.timeout >= 0:
             raise ValueError(f"timeout must be >= 0, got {self.timeout}")
         if not 0 < self.utilization < 1:
             raise ValueError(
@@ -49,6 +51,14 @@ class CollocatedService:
         if self.arrival_process not in ("poisson", "mmpp"):
             raise ValueError(
                 f"unknown arrival_process {self.arrival_process!r}"
+            )
+        if not 1 < self.burst_factor < math.inf:
+            raise ValueError(
+                f"burst_factor must be finite and > 1, got {self.burst_factor}"
+            )
+        if not 0 < self.burst_fraction < 1:
+            raise ValueError(
+                f"burst_fraction must be in (0, 1), got {self.burst_fraction}"
             )
 
 

@@ -16,7 +16,7 @@ dynamics the models must learn — boost overlap, contention, queueing
 feedback — are preserved, while pairs with extreme service-time ratios
 (Redis at 1 ms vs Spark k-means at 81 s) stay simulatable.  Reported
 response times are de-normalized through each service's baseline service
-time.  Pass ``normalize_time=False`` for wall-clock coupling.
+time.
 """
 
 from __future__ import annotations
@@ -51,12 +51,12 @@ class SegmentTable:
     boosted: np.ndarray
 
     @classmethod
-    def from_records(cls, records, time_scale: float = 1.0) -> "SegmentTable":
+    def from_records(cls, records) -> "SegmentTable":
         """Columns of ``(time, capacity, n_in_service, n_queued, boosted)``
-        tuples, with times divided by ``time_scale``."""
+        tuples."""
         time, capacity, n_in, n_queued, boosted = zip(*records)
         return cls(
-            time=np.array(time, dtype=float) / time_scale,
+            time=np.array(time, dtype=float),
             capacity=np.array(capacity, dtype=float),
             n_in_service=np.array(n_in, dtype=np.int64),
             n_queued=np.array(n_queued, dtype=np.int64),
@@ -92,7 +92,7 @@ class ServiceResult:
     demands: np.ndarray
     boosted_time: np.ndarray
     overdue: np.ndarray
-    #: State snapshots on the same (normalized) clock as the arrays above.
+    #: State snapshots on the same normalized clock as the arrays above.
     segments: SegmentTable
 
     @property
@@ -224,13 +224,11 @@ class CollocationRuntime:
         self,
         config: CollocationConfig,
         contention: SharedWayContention | None = None,
-        normalize_time: bool = True,
         rng=None,
     ):
         config.validate_conjectures()
         self.config = config
         self.contention = contention or SharedWayContention()
-        self.normalize_time = normalize_time
         self._rng = as_rng(rng)
 
     # -- capacity / rate model ---------------------------------------------
@@ -279,25 +277,20 @@ class CollocationRuntime:
         live: list[_LiveService] = []
         for i, (svc, pol) in enumerate(zip(cfg.services, policies)):
             spec = svc.workload
-            scale = 1.0 if self.normalize_time else spec.baseline_service_time
-            warning = (
-                math.inf if math.isinf(svc.timeout) else svc.timeout * scale
-            )
             proxy = ProxyService(
                 spec.name,
                 n_servers=cfg.machine.cores_per_service,
-                warning_delay=warning if not math.isinf(warning) else 1e18,
+                warning_delay=1e18 if math.isinf(svc.timeout) else svc.timeout,
             )
             ls = _LiveService(i, spec, svc, proxy, pol)
             # Constant contention weight: fill pressure at baseline capacity.
             ls.boost_capacity_weight = spec.fill_intensity(spec.baseline_capacity)
             live.append(ls)
 
-        # Pre-sample arrivals and demands on the (possibly normalized) clock.
+        # Pre-sample arrivals and demands on the normalized clock.
         arrival_lists = []
         for i, ls in enumerate(live):
-            scale = 1.0 if self.normalize_time else ls.spec.baseline_service_time
-            rate = ls.svc.utilization * cfg.machine.cores_per_service / scale
+            rate = ls.svc.utilization * cfg.machine.cores_per_service
             if ls.svc.arrival_process == "mmpp":
                 from repro.workloads.arrivals import MarkovModulatedArrivals
 
@@ -305,15 +298,13 @@ class CollocationRuntime:
                     rate=rate,
                     burst_factor=ls.svc.burst_factor,
                     burst_fraction=ls.svc.burst_fraction,
-                    mean_dwell=10.0 * scale,
                 )
                 arrivals = proc.sample(n_queries, rng=rngs[2 * i])
             else:
                 gaps = rngs[2 * i].exponential(1.0 / rate, size=n_queries)
                 arrivals = np.cumsum(gaps)
             demands = ls.spec.sample_demands(n_queries, rng=rngs[2 * i + 1])
-            works = demands * scale
-            arrival_lists.append((arrivals, demands, works))
+            arrival_lists.append((arrivals, demands))
 
         # Initial capacities and segment snapshots.
         caps = self._capacities(live)
@@ -411,26 +402,23 @@ class CollocationRuntime:
             try_dispatch(ls)
             snapshot(ls)  # records queue growth when no server was free
 
-        for ls, (arrivals, demands, works) in zip(live, arrival_lists):
+        for ls, (arrivals, demands) in zip(live, arrival_lists):
             for k in range(n_queries):
-                q = QueryRecord(qid=k, arrival=float(arrivals[k]), work=float(works[k]))
+                q = QueryRecord(
+                    qid=k, arrival=float(arrivals[k]), work=float(demands[k])
+                )
                 loop.schedule(q.arrival, lambda ls=ls, q=q: arrive(ls, q))
 
         loop.run()
 
         results = []
-        for ls, (arrivals, demands, works) in zip(live, arrival_lists):
+        for ls in live:
             recs = sorted(ls.proxy.completed, key=lambda q: q.qid)
             skip = int(len(recs) * warmup_fraction)
             recs = recs[skip:]
-            scale = 1.0 if self.normalize_time else ls.spec.baseline_service_time
             results.append(
                 ServiceResult(
                     name=ls.spec.name,
-                    # Arrays and segment times below are stored on the
-                    # normalized clock (the wall-clock run divides by scale),
-                    # so de-normalization always multiplies by the real
-                    # baseline service time.
                     baseline_service_time=ls.spec.baseline_service_time,
                     gross_increase=ls.policy.gross_increase,
                     timeout=ls.svc.timeout,
@@ -441,13 +429,13 @@ class CollocationRuntime:
                             cfg.private_bytes_per_service[ls.idx]
                         ),
                     ),
-                    arrival_times=np.array([q.arrival for q in recs]) / scale,
-                    start_times=np.array([q.start for q in recs]) / scale,
-                    completion_times=np.array([q.completion for q in recs]) / scale,
-                    demands=np.array([q.work for q in recs]) / scale,
-                    boosted_time=np.array([q.boosted_time for q in recs]) / scale,
+                    arrival_times=np.array([q.arrival for q in recs]),
+                    start_times=np.array([q.start for q in recs]),
+                    completion_times=np.array([q.completion for q in recs]),
+                    demands=np.array([q.work for q in recs]),
+                    boosted_time=np.array([q.boosted_time for q in recs]),
                     overdue=np.array([q.overdue for q in recs], dtype=bool),
-                    segments=SegmentTable.from_records(ls.segments, scale),
+                    segments=SegmentTable.from_records(ls.segments),
                 )
             )
         return RunResult(services=results, horizon=loop.now, config=cfg)

@@ -15,13 +15,6 @@ from repro.workloads.suite import (
     table1_rows,
 )
 from repro.workloads.social import SocialGraph, build_social_workload
-from repro.workloads.mix import (
-    QueryClass,
-    QueryMix,
-    YCSB_SESSION_MIX,
-    SPARK_TASK_MIX,
-    SOCIAL_REQUEST_MIX,
-)
 from repro.workloads.access import (
     zipf_stream,
     sequential_stream,
@@ -35,7 +28,6 @@ from repro.workloads.arrivals import (
     MarkovModulatedArrivals,
     arrivals_for_utilization,
 )
-from repro.workloads.replay import ArrivalTrace, replay_through_queue
 
 __all__ = [
     "WorkloadSpec",
@@ -46,11 +38,6 @@ __all__ = [
     "table1_rows",
     "SocialGraph",
     "build_social_workload",
-    "QueryClass",
-    "QueryMix",
-    "YCSB_SESSION_MIX",
-    "SPARK_TASK_MIX",
-    "SOCIAL_REQUEST_MIX",
     "zipf_stream",
     "sequential_stream",
     "strided_stream",
@@ -60,6 +47,4 @@ __all__ = [
     "DeterministicArrivals",
     "MarkovModulatedArrivals",
     "arrivals_for_utilization",
-    "ArrivalTrace",
-    "replay_through_queue",
 ]

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,17 +62,23 @@ class WorkloadSpec:
     n_processes: int = 16
     baseline_capacity: float = 2 * MB
     stream_kind: str = "zipf"
-    query_mix: "object | None" = None  # optional QueryMix (Table 2 "query mix")
 
     def __post_init__(self) -> None:
-        if self.baseline_service_time <= 0:
-            raise ValueError("baseline_service_time must be > 0")
+        # Written so NaN fails too (every comparison with NaN is False).
+        if not 0 < self.baseline_service_time < math.inf:
+            raise ValueError("baseline_service_time must be finite and > 0")
         if not 0.0 <= self.memory_boundedness <= 1.0:
             raise ValueError("memory_boundedness must be in [0, 1]")
-        if self.service_cv < 0:
-            raise ValueError("service_cv must be >= 0")
-        if self.access_intensity <= 0:
-            raise ValueError("access_intensity must be > 0")
+        if not 0 <= self.service_cv < math.inf:
+            raise ValueError("service_cv must be finite and >= 0")
+        if not 0 < self.access_intensity < math.inf:
+            raise ValueError("access_intensity must be finite and > 0")
+        if not 0.0 <= self.store_fraction <= 1.0:
+            raise ValueError("store_fraction must be in [0, 1]")
+        if not self.n_processes >= 1:
+            raise ValueError("n_processes must be >= 1")
+        if not 0 < self.baseline_capacity < math.inf:
+            raise ValueError("baseline_capacity must be finite and > 0")
 
     # -- service-time response to cache -----------------------------------
 
@@ -117,22 +124,10 @@ class WorkloadSpec:
         """Per-query service demands, normalized to mean 1.
 
         Demands are *work* multipliers: actual service time is demand x
-        :meth:`service_time` at the instantaneous allocation.  When a
-        :class:`~repro.workloads.mix.QueryMix` is attached, demands come
-        from the mixture instead of the single lognormal.
+        :meth:`service_time` at the instantaneous allocation.
         """
         rng = as_rng(rng)
-        if self.query_mix is not None:
-            demands, _ = self.query_mix.sample_demands(n, rng=rng)
-            return demands
         if self.service_cv == 0:
             return np.ones(n)
         mu, sigma = self._lognormal_params()
         return rng.lognormal(mu, sigma, size=n)
-
-    def with_mix(self, mix) -> "WorkloadSpec":
-        """A copy of this spec using ``mix`` for query demands, with
-        ``service_cv`` updated to the mixture's effective CV."""
-        from dataclasses import replace
-
-        return replace(self, query_mix=mix, service_cv=mix.effective_cv())

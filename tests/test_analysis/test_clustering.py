@@ -65,3 +65,18 @@ class TestKMeans:
         # More clusters can only reduce (well-fitted) inertia; allow slack
         # for local optima.
         assert i2 <= i1 * 1.15
+
+
+def test_max_iter_must_be_positive():
+    with pytest.raises(ValueError, match="max_iter"):
+        KMeans(k=2, max_iter=0)
+
+
+def test_duplicate_points_still_seed_k_centroids():
+    # Every squared distance to the first centroid is zero, so k-means++
+    # falls back to a uniform draw instead of dividing by zero.
+    X = np.ones((5, 2))
+    km = KMeans(k=3, rng=0).fit(X)
+    assert km.centroids_.shape == (3, 2)
+    assert np.all(km.centroids_ == 1.0)
+    assert km.inertia_ == 0.0

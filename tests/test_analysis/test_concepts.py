@@ -38,3 +38,8 @@ class TestConceptClustering:
             cluster_workloads_by_concepts(concept_model, ProfileDataset(), k=2)
         with pytest.raises(ValueError):
             cluster_workloads_by_counters(ProfileDataset(), k=2)
+
+
+def test_counter_clustering_needs_k_workloads(mixed_pair_dataset):
+    with pytest.raises(ValueError, match="distinct workloads"):
+        cluster_workloads_by_counters(mixed_pair_dataset, k=10, rng=0)

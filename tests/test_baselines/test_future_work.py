@@ -98,3 +98,9 @@ class TestResidualMLP:
             ResidualMLPRegressor().fit(np.zeros((3, 2)), np.zeros(4))
         with pytest.raises(RuntimeError):
             ResidualMLPRegressor().predict(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("shape", [(4, 12), (4, 2, 3, 12)])
+def test_lstm_rejects_traces_that_are_not_3d(shape):
+    with pytest.raises(ValueError, match=r"\(n, C, T\)"):
+        LSTMRegressor(epochs=1, rng=0).fit(None, np.zeros(shape), np.zeros(4))

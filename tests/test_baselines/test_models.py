@@ -149,3 +149,14 @@ class TestCNN:
         t, y = self._trace_data(n=20)
         with pytest.raises(ValueError):
             tune_cnn(None, t, y, n_trials=0)
+
+
+def test_ridge_coefficients_need_a_fit():
+    with pytest.raises(RuntimeError, match="not fitted"):
+        RidgeRegression().coef_
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+def test_mlp_rejects_dropout_rate_outside_unit_interval(rate):
+    with pytest.raises(ValueError, match="dropout"):
+        MLPRegressor(epochs=1, dropout=rate, rng=0)

@@ -106,3 +106,27 @@ class TestDynaSprint:
     def test_empty_grid_rejected(self, evaluator):
         with pytest.raises(ValueError):
             dynasprint_policy(evaluator, timeout_grid=())
+
+
+class _FixedP95:
+    """Evaluator stand-in whose p95 depends only on share vs private."""
+
+    n_services = 2
+
+    def __init__(self, share, private):
+        self._p95 = {0.0: np.array(share), np.inf: np.array(private)}
+
+    def p95(self, timeouts):
+        return self._p95[timeouts[0]]
+
+
+def test_static_best_picks_private_when_sharing_hurts():
+    d = static_best_policy(_FixedP95(share=[3.0, 3.0], private=[2.0, 2.5]))
+    assert d.name == "static-private"
+    assert d.timeouts == (np.inf, np.inf)
+
+
+def test_static_best_prefers_sharing_on_a_tie():
+    d = static_best_policy(_FixedP95(share=[2.0, 2.0], private=[2.0, 2.0]))
+    assert d.name == "static-share"
+    assert d.timeouts == (0.0, 0.0)

@@ -184,3 +184,24 @@ class TestPairwiseLayout:
         inter = pa.boost.intersection(pb.boost)
         assert inter is not None and inter.length == 2
         assert pa.timeout == 0.5 and pb.timeout == 1.5
+
+
+class TestPrivateRegionShrinking:
+    def test_left_intrusion_keeps_right_side(self):
+        own = ShortTermPolicy(WayMask(0, 4), WayMask(0, 4), timeout=1.0)
+        other = ShortTermPolicy(WayMask(0, 1), WayMask(0, 1), timeout=1.0)
+        assert private_region(own, [other]) == WayMask(1, 3)
+
+    def test_right_intrusion_keeps_left_side(self):
+        own = ShortTermPolicy(WayMask(0, 4), WayMask(0, 4), timeout=1.0)
+        other = ShortTermPolicy(WayMask(3, 1), WayMask(3, 1), timeout=1.0)
+        assert private_region(own, [other]) == WayMask(0, 3)
+
+    def test_policy_lookup_returns_registered_policy(self):
+        ctl = CatController(n_ways=8)
+        pa, pb = pairwise_layout(8, private_ways=2, shared_ways=2, timeouts=(1.0, 2.0))
+        ctl.register("A", pa)
+        ctl.register("B", pb)
+        assert ctl.policy("A") is pa and ctl.policy("B") is pb
+        with pytest.raises(KeyError):
+            ctl.policy("C")

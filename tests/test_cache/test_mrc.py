@@ -88,3 +88,13 @@ class TestMeasurement:
         caps, ratios = measure_mrc(lines * 64, g)
         fit = fit_exponential_mrc(caps, ratios)
         assert 0 <= fit.m_inf <= fit.m0 <= 1
+
+
+def test_rising_measurements_fit_a_flat_curve():
+    # Miss ratio growing with capacity has no exponential-decay reading;
+    # the fit falls back to the flat curve at the measured mean.
+    caps = np.linspace(1e5, 2e7, 20)
+    misses = np.linspace(0.1, 0.5, 20)
+    fit = fit_exponential_mrc(caps, misses)
+    assert fit.m0 == fit.m_inf == pytest.approx(misses.mean())
+    assert np.allclose(fit.miss_ratio(caps), misses.mean())

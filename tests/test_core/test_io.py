@@ -1,5 +1,7 @@
 """Tests for dataset/forest persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -79,3 +81,16 @@ class TestPackedForestRoundtrip:
         assert np.allclose(loaded.predict(Xt), packed.predict(Xt))
         assert loaded.n_trees == packed.n_trees
         assert loaded.max_depth == packed.max_depth
+
+
+def test_unknown_dataset_version_rejected(small_dataset, tmp_path):
+    path = tmp_path / "d.npz"
+    save_dataset(path, small_dataset)
+    with np.load(path) as data:
+        arrays = dict(data)
+    header = json.loads(arrays["header"].tobytes().decode())
+    header["version"] = 2
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
+    with pytest.raises(ValueError, match="unsupported dataset version 2"):
+        load_dataset(path)

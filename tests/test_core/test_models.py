@@ -321,3 +321,18 @@ class TestParallelPolicySearch:
         model, _, _ = fitted
         with pytest.raises(ValueError):
             explore_timeouts(model, ("redis",), (0.9,), timeout_grid=())
+
+
+def test_cnn_ea_model_predicts_in_range(small_dataset):
+    train, test = small_dataset.split(0.5, rng=4)
+    m = EAModel(learner="cnn", rng=0).fit(train)
+    pred = m.predict_dataset(test)
+    assert pred.shape == (len(test),)
+    assert np.all((pred >= 0.05) & (pred <= 2.0))
+
+
+def test_concept_features_need_a_fit(small_dataset):
+    with pytest.raises(RuntimeError, match="not fitted"):
+        EAModel(learner="cascade", rng=0).concept_features(
+            small_dataset.X_flat, None
+        )

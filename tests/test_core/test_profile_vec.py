@@ -103,3 +103,11 @@ class TestDatasetContainer:
         sub = small_dataset.subset([0, 1])
         assert len(sub) == 2
         assert sub.rows[0] is small_dataset.rows[0]
+
+
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, float("nan")])
+def test_split_conditions_rejects_fraction_outside_open_interval(
+    small_dataset, fraction
+):
+    with pytest.raises(ValueError, match="train_fraction"):
+        small_dataset.split_conditions(fraction, rng=0)

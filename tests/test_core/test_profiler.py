@@ -165,3 +165,13 @@ class TestSignalPresence:
             n_queries=400,
         )
         assert tight[0] > never[0]  # redis boosts often -> higher measured EA
+
+
+@pytest.mark.parametrize("n_windows, rows", [(2, 4), (12, 0)])
+def test_windows_under_three_queries_yield_no_rows(n_windows, rows):
+    # 24 queries minus 10% warm-up leave 22 per service: two windows hold
+    # 11 each, twelve windows hold one or two and are all skipped.
+    condition = RuntimeCondition(("redis", "social"), (0.7, 0.7), (1.0, 1.0))
+    settings = ProfilerSettings(n_queries=24, n_windows=n_windows, trace_ticks=4)
+    data = Profiler(settings=settings, rng=0).profile([condition])
+    assert len(data) == rows

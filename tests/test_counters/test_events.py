@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.counters import COUNTER_NAMES, N_COUNTERS, synthesize_tick
+from repro.counters.events import synthesize_ticks
 from repro.workloads import get_workload
 from repro.workloads.base import MB
 
@@ -98,3 +99,16 @@ class TestValidation:
             tick(busy=1.5)
         with pytest.raises(ValueError):
             tick(boost=-0.1)
+
+
+def test_per_tick_inputs_must_be_at_most_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        synthesize_ticks(
+            get_workload("bfs"),
+            capacity_bytes=np.full((2, 3), 4 * MB),
+            busy_fraction=1.0,
+            boost_fraction=0.0,
+            dt=1.0,
+            ways_allocated=2.0,
+            rng=0,
+        )

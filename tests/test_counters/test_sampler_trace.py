@@ -198,3 +198,29 @@ class TestTrace:
             CacheUsageTrace.from_counters(
                 [np.zeros((5, N_COUNTERS))], ["a", "b"], n_ticks=5
             )
+
+
+class TestTraceShapeChecks:
+    def test_data_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            CacheUsageTrace(np.zeros(N_COUNTERS), ("w",))
+
+    def test_rows_must_match_service_count(self):
+        with pytest.raises(ValueError, match="n_services"):
+            CacheUsageTrace(np.zeros((N_COUNTERS, 4)), ("a", "b"))
+
+    def test_counter_matrices_need_every_counter(self):
+        with pytest.raises(ValueError, match="29-counter"):
+            CacheUsageTrace.from_counters(
+                [np.zeros((5, N_COUNTERS - 1))], ["a"], n_ticks=5
+            )
+
+    def test_n_ticks_and_n_services(self):
+        t = CacheUsageTrace(np.zeros((2 * N_COUNTERS, 7)), ("a", "b"))
+        assert (t.n_services, t.n_ticks) == (2, 7)
+
+
+def test_counters_need_a_completed_query(run_result):
+    empty = run_result.services[0].window_view(slice(0, 0))
+    with pytest.raises(ValueError, match="no completed queries"):
+        sample_service_counters(empty, get_workload("jacobi"), default_machine())

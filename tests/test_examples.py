@@ -1,8 +1,7 @@
 """Smoke tests: the runnable examples must stay runnable.
 
-Only the fastest example executes in the unit suite; the others are
-exercised manually / by the bench session (they share all their code
-paths with tested modules).
+Only the fastest example executes in the unit suite; CI runs the
+others in a separate step.
 """
 
 import subprocess

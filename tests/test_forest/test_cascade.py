@@ -195,3 +195,37 @@ class TestDeepForest:
         df = DeepForestRegressor()
         with pytest.raises(RuntimeError):
             df.predict(np.zeros((1, 2)), None)
+
+
+@pytest.mark.parametrize("n_jobs", [0, -1])
+def test_cascade_rejects_non_positive_n_jobs(n_jobs):
+    with pytest.raises(ValueError, match="n_jobs"):
+        CascadeForest(n_jobs=n_jobs)
+
+
+def test_cascade_predict_checks_feature_width():
+    X, y = hidden_interaction(60, rng=13)
+    c = CascadeForest(n_levels=1, forests_per_level=2, n_estimators=4, rng=0)
+    c.fit(X, y)
+    with pytest.raises(ValueError, match="expected 6 features, got 5"):
+        c.predict(X[:, :5])
+
+
+def test_deep_forest_rejects_1d_flat_features():
+    with pytest.raises(ValueError, match="2-D"):
+        DeepForestRegressor(windows=None, rng=0).fit(np.zeros(4), None, np.zeros(4))
+
+
+def test_deep_forest_without_windows_reads_flattened_traces():
+    r = np.random.default_rng(14)
+    traces = r.normal(size=(50, 4, 5))
+    y = traces[:, 1, :].mean(axis=1)
+    params = dict(windows=None, n_levels=1, forests_per_level=2, n_estimators=6)
+    on_traces = DeepForestRegressor(rng=0, **params).fit(None, traces, y)
+    on_flat = DeepForestRegressor(rng=0, **params).fit(
+        traces.reshape(50, -1), None, y
+    )
+    assert np.array_equal(
+        on_traces.predict(None, traces),
+        on_flat.predict(traces.reshape(50, -1), None),
+    )

@@ -197,3 +197,8 @@ class TestStructure:
         packed = PackedForest.from_forest(forest)
         with pytest.raises(ValueError):
             packed.predict(np.zeros((3, 2)))
+
+
+def test_from_trees_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="no fitted trees"):
+        PackedForest.from_trees([])

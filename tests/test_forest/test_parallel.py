@@ -241,3 +241,9 @@ class TestPredictPerTreePacked:
             RandomForestRegressor(n_estimators=2).predict_per_tree(
                 np.zeros((3, 2))
             )
+
+
+def test_spawn_rngs_rejects_negative_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        spawn_rngs(0, -1)
+    assert spawn_rngs(0, 0) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.forest import RegressionTree
+from repro.forest import RegressionTree, quantile_bin
 
 
 def toy_step(n=200, rng=0):
@@ -176,3 +176,29 @@ class TestProperties:
         tree_err = np.mean((t.predict(X) - y) ** 2)
         mean_err = np.var(y)
         assert tree_err <= mean_err + 1e-12
+
+
+class TestFitBinnedValidation:
+    def _binned(self, n=6, d=2):
+        X = np.random.default_rng(0).uniform(size=(n, d))
+        return quantile_bin(X)
+
+    def test_shape_mismatch(self):
+        b = self._binned()
+        with pytest.raises(ValueError, match="bad shapes"):
+            RegressionTree().fit_binned(b.codes, b.edges, np.zeros(5))
+
+    def test_empty_data(self):
+        b = self._binned()
+        with pytest.raises(ValueError, match="empty"):
+            RegressionTree().fit_binned(b.codes[:0], b.edges, np.zeros(0))
+
+    def test_one_edge_array_per_feature(self):
+        b = self._binned()
+        with pytest.raises(ValueError, match="1 edge arrays for 2 features"):
+            RegressionTree().fit_binned(b.codes, b.edges[:1], np.zeros(6))
+
+
+def test_depth_needs_a_fit():
+    with pytest.raises(RuntimeError, match="not fitted"):
+        RegressionTree().depth

@@ -14,7 +14,7 @@ from repro import (
 from repro.baselines import RuntimeEvaluator, no_sharing_policy
 from repro.core.profiler import ProfilerSettings
 from repro.testbed import default_machine
-from repro.workloads import YCSB_SESSION_MIX, get_workload
+from repro.workloads import get_workload
 
 FAST = dict(
     windows=[(5, 5)],
@@ -116,28 +116,6 @@ class TestEdgeConditions:
         )
         assert len(ds) > 0
         assert ds.traces.shape[1] == 29  # one service block only
-
-    def test_query_mix_through_pipeline(self):
-        """A mixed-demand workload flows through profiling and training."""
-        mixed = get_workload("redis").with_mix(YCSB_SESSION_MIX)
-        from repro.testbed import (
-            CollocatedService,
-            CollocationConfig,
-            CollocationRuntime,
-        )
-
-        cfg = CollocationConfig(
-            machine=default_machine(),
-            services=[
-                CollocatedService(mixed, timeout=0.5, utilization=0.9),
-                CollocatedService(get_workload("knn"), timeout=1.0, utilization=0.9),
-            ],
-        )
-        res = CollocationRuntime(cfg, rng=4).run(n_queries=500)
-        svc = res.service("redis")
-        # Mixture demands: heavier tail than the plain lognormal.
-        assert svc.demands.max() / svc.demands.mean() > 2.0
-        assert 0 < svc.effective_allocation() < 2.0
 
     def test_asymmetric_utilizations(self):
         profiler = Profiler(

@@ -205,3 +205,13 @@ class TestGroundTruthSeeding:
         r1 = OnlineManager(controller, n_queries=300, rng=9).run(scenario)
         r2 = OnlineManager(controller, n_queries=300, rng=10).run(scenario)
         assert not np.array_equal(r1[0].p95, r2[0].p95)
+
+
+def test_diurnal_rejects_zero_epochs():
+    with pytest.raises(ValueError, match="n_epochs"):
+        LoadScenario.diurnal(2, 0.3, 0.9, 0)
+
+
+def test_controller_needs_a_workload(controller):
+    with pytest.raises(ValueError, match="at least one workload"):
+        AdaptiveTimeoutController(model=controller.model, workloads=())

@@ -75,3 +75,10 @@ class TestEventLoop:
             loop.schedule(float(t), lambda: None)
         loop.run()
         assert loop.events_processed == 4
+
+
+def test_step_on_empty_heap_is_a_no_op():
+    loop = EventLoop()
+    assert loop.step() is False
+    assert loop.now == 0.0
+    assert loop.events_processed == 0

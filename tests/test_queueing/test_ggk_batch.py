@@ -187,3 +187,11 @@ class TestEdgeCases:
             simulate_stap_queue_batch(
                 np.zeros((2, 3, 4)), np.ones((2, 3, 4)), [StapQueueConfig()] * 2
             )
+
+
+@pytest.mark.parametrize("fraction", [-0.1, 1.0, float("nan")])
+def test_batch_drop_warmup_rejects_bad_fraction(fraction):
+    arrivals, demands = _sample(2, 20)
+    batch = simulate_stap_queue_batch(arrivals, demands, [StapQueueConfig()] * 2)
+    with pytest.raises(ValueError, match="fraction"):
+        batch.drop_warmup(fraction)

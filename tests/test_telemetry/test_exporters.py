@@ -186,3 +186,61 @@ class TestRendering:
         assert not telemetry.enabled()
         m = exporters.build_manifest(command=[], config={}, seeds={})
         validate_manifest(m)
+
+
+def _with(path, value):
+    """A valid manifest with the field at ``path`` replaced by ``value``."""
+    m = _instrumented_manifest()
+    node = m
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return m
+
+
+class TestValidatorNamesEachViolation:
+    def test_non_object_manifest(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            validate_manifest(["not", "a", "dict"])
+
+    @pytest.mark.parametrize(
+        "path, value, problem",
+        [
+            (("created_unix",), "yesterday", "'created_unix' must be a number"),
+            (("created_unix",), True, "'created_unix' must be a number"),
+            (("command",), "policy", "'command' must be list"),
+            (("stages",), [3], "stages[0] must be an object"),
+            (("spans",), ["x"], "spans[0] must be an object"),
+            (("metrics", "gauges"), [], "metrics.gauges must be a mapping"),
+            (
+                ("metrics", "histograms", "fit.seconds"),
+                7,
+                "metrics.histograms['fit.seconds'] must be an object",
+            ),
+            (
+                ("metrics", "histograms", "fit.seconds"),
+                {"edges": [1.0]},
+                "needs 'edges' and 'counts' lists",
+            ),
+        ],
+    )
+    def test_violation_is_named(self, path, value, problem):
+        with pytest.raises(ValueError) as exc:
+            validate_manifest(_with(path, value))
+        assert problem in str(exc.value)
+
+    def test_negative_stage_duration(self):
+        m = _instrumented_manifest()
+        m["stages"][0]["duration_s"] = -1.0
+        with pytest.raises(ValueError, match=r"stages\[0\]\.duration_s must be >= 0"):
+            validate_manifest(m)
+
+    def test_unserialisable_config_value_kept_as_repr(self):
+        class Opaque:
+            def __repr__(self):
+                return "<opaque>"
+
+        m = build_manifest(command=[], config={"obj": Opaque()}, seeds={})
+        assert m["config"]["obj"] == "<opaque>"
+        json.dumps(m)
+        validate_manifest(m)

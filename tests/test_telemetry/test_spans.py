@@ -124,3 +124,11 @@ class TestNoopPath:
         (rec,) = telemetry.get_span_log().records
         assert rec.name == "x"
         assert rec.attrs == {"k": 2, "extra": 3}
+
+
+def test_enabled_timer_records_into_the_registry():
+    telemetry.configure()
+    with telemetry.timer("stage.seconds"):
+        pass
+    snap = telemetry.get_registry().snapshot()
+    assert sum(snap["histograms"]["stage.seconds"]["counts"]) == 1

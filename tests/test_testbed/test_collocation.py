@@ -31,6 +31,23 @@ class TestCollocatedService:
         svc = CollocatedService(get_workload("bfs"), timeout=np.inf)
         assert np.isinf(svc.timeout)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("timeout", np.nan),
+            ("burst_factor", np.nan),
+            ("burst_factor", np.inf),
+            ("burst_factor", 1.0),
+            ("burst_fraction", np.nan),
+            ("burst_fraction", 0.0),
+            ("burst_fraction", 1.0),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected(self, field, value):
+        kw = {"timeout": 1.0, "arrival_process": "mmpp", field: value}
+        with pytest.raises(ValueError, match=field):
+            CollocatedService(get_workload("bfs"), **kw)
+
 
 class TestLayout:
     def test_paper_example_way_indices(self):
@@ -100,3 +117,14 @@ class TestLayout:
         cfg = make_config(("redis",), timeouts=[1.0])
         assert cfg.shared_regions() == []
         assert cfg.gross_increase(0) == 1.0
+
+
+def test_config_needs_a_service():
+    with pytest.raises(ValueError, match="at least one service"):
+        CollocationConfig(machine=default_machine(), services=[])
+
+
+def test_shared_ways_follow_the_shared_reservation():
+    cfg = make_config(shared_mb=4.0)
+    assert cfg.shared_ways == cfg.machine.mb_to_ways(4.0)
+    assert make_config(shared_mb=0.0).shared_ways == 0

@@ -185,7 +185,7 @@ class TestSegments:
         s = res.services[0]
         assert max(seg[3] for seg in s.segments) > 0  # queue built up
 
-    def test_segments_share_the_query_clock_without_normalization(self):
+    def test_segments_share_the_query_clock(self):
         cfg = CollocationConfig(
             machine=default_machine(),
             services=[
@@ -193,13 +193,13 @@ class TestSegments:
                 CollocatedService(get_workload("knn"), timeout=0.5, utilization=0.8),
             ],
         )
-        res = CollocationRuntime(cfg, normalize_time=False, rng=0).run(n_queries=300)
+        res = CollocationRuntime(cfg, rng=0).run(n_queries=300)
         for s in res.services:
-            times = np.array([seg[0] for seg in s.segments])
+            times = s.segments.time
             # The last snapshot follows the service's last completion, and
             # no snapshot lies past the end of the run on the same clock.
             assert times[-1] >= s.completion_times.max()
-            assert times[-1] <= res.horizon / s.baseline_service_time
+            assert times[-1] <= res.horizon
             assert np.all(np.diff(times) >= 0)
 
 
@@ -245,3 +245,29 @@ class TestContentionModes:
             occ.service("redis").effective_allocation()
             > eq.service("redis").effective_allocation()
         )
+
+
+class TestUnits:
+    def test_response_times_are_normalized_times_in_seconds(self):
+        s = run_pair(n_queries=200).services[0]
+        assert s.baseline_service_time != 1.0
+        assert np.array_equal(
+            s.response_times, s.response_times_norm * s.baseline_service_time
+        )
+
+    def test_empty_window_reports_neutral_allocation(self):
+        s = run_pair(n_queries=200).services[0]
+        empty = s.window_view(slice(0, 0))
+        assert empty.n_queries == 0
+        assert empty.boost_fraction == 0.0
+        assert empty.effective_allocation() == 1.0 / s.gross_increase
+
+
+@pytest.mark.parametrize("n_queries", [0, -5])
+def test_run_needs_at_least_one_query(n_queries):
+    cfg = CollocationConfig(
+        machine=default_machine(),
+        services=[CollocatedService(get_workload("redis"), timeout=1.0)],
+    )
+    with pytest.raises(ValueError, match="n_queries"):
+        CollocationRuntime(cfg, rng=0).run(n_queries=n_queries)

@@ -80,3 +80,8 @@ class TestStreamCacheBehaviour:
         # 512 lines >> 64-line cache and no reuse within the window.
         mr = self._miss_ratio(sequential_stream(4000, 512))
         assert mr > 0.9
+
+
+def test_sequential_stream_needs_lines():
+    with pytest.raises(ValueError, match="n_lines"):
+        sequential_stream(10, 0)

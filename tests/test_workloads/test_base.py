@@ -113,3 +113,32 @@ class TestValidation:
     def test_bad_intensity(self):
         with pytest.raises(ValueError):
             make_spec(access_intensity=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("baseline_service_time", np.nan),
+            ("baseline_service_time", np.inf),
+            ("service_cv", np.nan),
+            ("service_cv", np.inf),
+            ("access_intensity", np.nan),
+            ("access_intensity", np.inf),
+            ("store_fraction", np.nan),
+            ("store_fraction", -0.1),
+            ("store_fraction", 1.5),
+            ("n_processes", 0),
+            ("baseline_capacity", np.nan),
+            ("baseline_capacity", np.inf),
+            ("baseline_capacity", 0.0),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_spec(**{field: value})
+
+
+def test_workload_that_never_misses_is_cache_insensitive():
+    spec = make_spec(mrc=MissRatioCurve(m0=0.0, m_inf=0.0, footprint_bytes=4 * MB))
+    for cap in (0.5 * MB, 2 * MB, 64 * MB):
+        assert spec.service_time(cap) == spec.baseline_service_time
+        assert spec.speedup(cap) == 1.0
