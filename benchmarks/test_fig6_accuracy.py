@@ -157,46 +157,3 @@ def test_fig6_accuracy(benchmark, fig6_dataset):
     assert ours <= results["queueing model only"]["median"]
     # The paper reports ~11% median error; hold a generous band.
     assert ours < 0.25
-
-
-def test_fig6_hist_strategy_parity(fig6_dataset):
-    """Histogram split finding must not cost Figure 6 accuracy.
-
-    Same protocol as the main bench, two models: the exact-splitter
-    deep forest and its ``forest_strategy="hist"`` twin.  Quantile
-    binning changes which thresholds are candidates, so trees differ —
-    but with <= 255 bins per feature the candidate sets are nearly the
-    paper's, and the end-to-end response-time error must stay within
-    0.10 median APE of the exact model (it is usually within 0.03).
-    """
-    comp_train, test = fig6_dataset.split_conditions(0.70, rng=0)
-    ours_train, _ = comp_train.split_conditions(0.33 / 0.70, rng=1)
-    keys, actual = _ground_truth(test)
-
-    summaries = {}
-    for strategy in ("exact", "hist"):
-        model = StacModel(
-            rng=0, forest_strategy=strategy, **DF_CONFIG
-        ).fit(ours_train)
-        preds = []
-        cache = {}
-        for cond, sidx in keys:
-            if id(cond) not in cache:
-                cache[id(cond)] = model.predict_condition(cond)
-            preds.append(cache[id(cond)].summaries[sidx].mean)
-        summaries[strategy] = ape_summary(
-            np.maximum(np.asarray(preds), 1e-3), actual
-        )
-
-    rows = [
-        [s, summaries[s]["median"], summaries[s]["p95"], summaries[s]["n"]]
-        for s in ("exact", "hist")
-    ]
-    print_block(
-        format_table(
-            ["forest strategy", "median APE", "p95 APE", "n condition-services"],
-            rows,
-            title="Figure 6 protocol: exact vs histogram split finding",
-        )
-    )
-    assert summaries["hist"]["median"] <= summaries["exact"]["median"] + 0.10

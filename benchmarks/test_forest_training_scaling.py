@@ -1,15 +1,11 @@
-"""Exact vs histogram vs pooled forest training at MGS scale.
+"""Serial vs pooled forest training at MGS scale.
 
-The tentpole contract, verified end to end:
+The contract, verified end to end:
 
-- ``strategy="exact"`` with the process pool must produce *bit-identical*
-  trees to the serial exact fit (the pool only changes who grows each
-  tree, never what is grown) — asserted in every mode, including smoke;
-- ``strategy="hist"`` is the opt-in approximate path: quantile-binned
-  ``uint8`` codes shared across trees (and handed to each pool worker
-  once, through the pool initializer), prefix-summed bincount split
-  search;
-- the exact splitter's vectorised sorted scan must grow the same tree
+- the process pool must produce *bit-identical* trees to the serial fit
+  (the pool only changes who grows each tree, never what is grown) —
+  asserted in every mode, including smoke;
+- the splitter's vectorised sorted scan must grow the same tree
   as the per-feature loop it replaced (``tests/test_forest/
   tree_oracle.py``) on a single-tree baseline over every feature —
   also asserted in every mode.
@@ -18,10 +14,7 @@ The workload mirrors a multi-grained-scanner window forest fit — the
 training bottleneck of the Figure 6 campaign: thousands of sliding
 window instances, two dozen features, depth-capped trees.
 
-Following the policy-search benchmark convention, the >= 3x wall-clock
-assertion (hist + pool vs exact serial) only applies on machines
-exposing >= 4 CPUs; smaller boxes still record the numbers.  Each full
-(non-smoke) run appends its timing summary to
+Each full (non-smoke) run appends its timing summary to
 ``BENCH_forest_training.json`` at the repo root.
 """
 
@@ -77,12 +70,11 @@ def _fit_tree_best_of(X, y, reps):
     return tree, best
 
 
-def _fit(X, y, strategy, n_jobs):
+def _fit(X, y, n_jobs):
     f = RandomForestRegressor(
         n_estimators=N_TREES,
         max_depth=12,
         min_samples_leaf=3,
-        strategy=strategy,
         n_jobs=n_jobs,
         rng=0,
     )
@@ -91,12 +83,12 @@ def _fit(X, y, strategy, n_jobs):
     return f, time.perf_counter() - t0
 
 
-def _fit_best_of(X, y, strategy, n_jobs, reps):
+def _fit_best_of(X, y, n_jobs, reps):
     """Best-of-``reps`` wall clock (same fitted forest every rep — the
     fit is deterministic, so only the clock varies)."""
-    forest, best = _fit(X, y, strategy, n_jobs)
+    forest, best = _fit(X, y, n_jobs)
     for _ in range(reps - 1):
-        _, t = _fit(X, y, strategy, n_jobs)
+        _, t = _fit(X, y, n_jobs)
         best = min(best, t)
     return forest, best
 
@@ -179,32 +171,22 @@ def test_forest_training_scaling():
     Xt, yt = _mgs_like_dataset(np.random.default_rng(1))
     reps = 1 if SMOKE else 3
 
-    exact_serial, t_exact = _fit_best_of(X, y, "exact", 1, reps)
-    exact_pooled, t_exact_pool = _fit_best_of(X, y, "exact", pool_jobs, reps)
-    hist_serial, t_hist = _fit_best_of(X, y, "hist", 1, reps)
-    hist_pooled, t_hist_pool = _fit_best_of(X, y, "hist", pool_jobs, reps)
+    serial, t_serial = _fit_best_of(X, y, 1, reps)
+    pooled, t_pool = _fit_best_of(X, y, pool_jobs, reps)
 
-    # Identity asserts: always on, every mode.  The pool must never
-    # change the fitted model, on either strategy.
-    assert _trees_identical(exact_serial, exact_pooled)
-    assert _trees_identical(hist_serial, hist_pooled)
+    # Identity assert: always on, every mode.  The pool must never
+    # change the fitted model.
+    assert _trees_identical(serial, pooled)
 
-    # The fast path must stay accurate: held-out MSE within 20%.
-    mse_exact = float(np.mean((exact_serial.predict(Xt) - yt) ** 2))
-    mse_hist = float(np.mean((hist_serial.predict(Xt) - yt) ** 2))
-    assert mse_hist <= mse_exact * 1.2
-
-    speedup_hist = t_exact / t_hist
-    speedup_pool = t_exact / t_hist_pool
+    mse = float(np.mean((serial.predict(Xt) - yt) ** 2))
+    speedup_pool = t_serial / t_pool
     rows = [
-        ["exact, serial", t_exact * 1e3, 1.0, mse_exact],
-        ["exact, %d jobs" % pool_jobs, t_exact_pool * 1e3, t_exact / t_exact_pool, mse_exact],
-        ["hist, serial", t_hist * 1e3, speedup_hist, mse_hist],
-        ["hist, %d jobs" % pool_jobs, t_hist_pool * 1e3, speedup_pool, mse_hist],
+        ["serial", t_serial * 1e3, 1.0, mse],
+        ["%d jobs" % pool_jobs, t_pool * 1e3, speedup_pool, mse],
     ]
     print_block(
         format_table(
-            ["training path", "ms (best of %d)" % reps, "speedup vs exact serial", "held-out MSE"],
+            ["training path", "ms (best of %d)" % reps, "speedup vs serial", "held-out MSE"],
             rows,
             title=(
                 f"Forest training, n={N_SAMPLES} d={N_FEATURES} "
@@ -224,18 +206,9 @@ def test_forest_training_scaling():
                 "n_trees": N_TREES,
                 "n_cpus": n_cpus,
                 "pool_jobs": pool_jobs,
-                "exact_serial_s": round(t_exact, 6),
-                "exact_pool_s": round(t_exact_pool, 6),
-                "hist_serial_s": round(t_hist, 6),
-                "hist_pool_s": round(t_hist_pool, 6),
-                "speedup_hist": round(speedup_hist, 3),
-                "speedup_hist_pool": round(speedup_pool, 3),
-                "mse_exact": round(mse_exact, 6),
-                "mse_hist": round(mse_hist, 6),
+                "exact_serial_s": round(t_serial, 6),
+                "exact_pool_s": round(t_pool, 6),
+                "speedup_pool": round(speedup_pool, 3),
+                "mse_exact": round(mse, 6),
             }
         )
-        if n_cpus >= 4:
-            assert speedup_pool >= 3.0, (
-                f"expected >= 3x hist+pool speedup over exact serial on "
-                f"{n_cpus} CPUs, got {speedup_pool:.2f}x"
-            )

@@ -187,7 +187,6 @@ def _cmd_policy(args) -> int:
         private_mb=args.private_mb,
         shared_mb=args.shared_mb,
         n_jobs=args.train_jobs,
-        forest_strategy=args.forest_strategy,
         rng=args.seed,
     ).fit(ds)
     utils = tuple([args.utilization] * len(pair))
@@ -361,14 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("deep_forest", "cascade", "random_forest", "tree", "linear"),
     )
     p_pol.add_argument("--verify", action="store_true")
-    p_pol.add_argument(
-        "--forest-strategy",
-        choices=("exact", "hist"),
-        default="exact",
-        help="forest split finding: 'exact' (default, bit-identical "
-        "trees) or 'hist' (quantile-binned histograms: approximate "
-        "trees, faster only on large training sets)",
-    )
     p_pol.add_argument(
         "--train-jobs",
         type=_parse_positive_int,

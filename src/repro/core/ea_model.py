@@ -6,6 +6,8 @@ forest for simpler models while keeping the rest of the pipeline fixed.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
 from repro._util import as_rng
@@ -35,24 +37,30 @@ class EAModel:
         One of :data:`LEARNERS`.
     df_params:
         Keyword overrides for :class:`DeepForestRegressor` (windows,
-        estimators, levels, ``n_jobs``, ``strategy``...).  The forest
-        keys (``n_estimators``, ``min_samples_leaf``, ``max_depth``,
-        ``n_jobs``, ``strategy``) also reach the
-        ``random_forest`` learner; the remaining learners ignore them.
+        estimators, levels, ``n_jobs``...).  The forest keys
+        (``n_estimators``, ``min_samples_leaf``, ``max_depth``,
+        ``n_jobs``) also reach the ``random_forest`` learner; the
+        remaining learners ignore them.  A key that is not a
+        :class:`DeepForestRegressor` field raises ``TypeError`` for
+        every learner, so a misspelt override cannot pass unnoticed.
     """
 
     #: df_params keys forwarded to the plain random-forest learner.
-    _RF_KEYS = (
-        "n_estimators",
-        "min_samples_leaf",
-        "max_depth",
-        "n_jobs",
-        "strategy",
+    _RF_KEYS = ("n_estimators", "min_samples_leaf", "max_depth", "n_jobs")
+    #: Every key df_params may carry: the DeepForestRegressor fields.
+    _DF_KEYS = frozenset(
+        f.name for f in fields(DeepForestRegressor) if f.init and f.name != "rng"
     )
 
     def __init__(self, learner: str = "deep_forest", rng=None, **df_params):
         if learner not in LEARNERS:
             raise ValueError(f"unknown learner {learner!r}; choose from {LEARNERS}")
+        unknown = sorted(set(df_params) - self._DF_KEYS)
+        if unknown:
+            raise TypeError(
+                f"unknown EAModel parameter(s) {unknown}; expected "
+                f"DeepForestRegressor fields {sorted(self._DF_KEYS)}"
+            )
         self.learner = learner
         self._rng = as_rng(rng)
         self._df_params = df_params
@@ -71,6 +79,9 @@ class EAModel:
         X_flat = dataset.X_flat
         traces = dataset.traces
         y = dataset.y_ea
+        for name, values in (("X_flat", X_flat), ("traces", traces), ("y_ea", y)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite (no NaN/inf)")
         if self.learner == "deep_forest":
             params = dict(
                 windows=[(5, 5), (10, 10)],

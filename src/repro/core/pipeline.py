@@ -85,21 +85,16 @@ class StacModel:
         n_iterations: int = 2,
         sim_queries: int = 4000,
         n_jobs: int = 1,
-        forest_strategy: str = "exact",
         rng=None,
         **ea_params,
     ):
-        """``n_jobs`` and ``forest_strategy`` plumb Stage 2 training
-        parallelism / histogram split finding into the forest learners
-        (deep_forest, cascade, random_forest; the rest ignore them).
-        ``forest_strategy="exact"`` (default) keeps trees bit-identical
-        to previous releases for every ``n_jobs``."""
+        """``n_jobs`` plumbs Stage 2 training parallelism into the
+        forest learners (deep_forest, cascade, random_forest; the rest
+        ignore it); trees are bit-identical for every ``n_jobs``."""
         if n_iterations < 2:
             # Round 1 simulates the first-principles EA; the Stage 2
             # prediction it feeds back only takes effect in round 2.
             raise ValueError(f"n_iterations must be >= 2, got {n_iterations}")
-        if forest_strategy not in ("exact", "hist"):
-            raise ValueError(f"unknown forest_strategy {forest_strategy!r}")
         for name, value, strict in (
             ("private_mb", private_mb, True),
             ("shared_mb", shared_mb, False),
@@ -113,7 +108,6 @@ class StacModel:
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         ea_params.setdefault("n_jobs", n_jobs)
-        ea_params.setdefault("strategy", forest_strategy)
         self.machine = machine or default_machine()
         self.private_mb = private_mb
         self.shared_mb = shared_mb

@@ -7,7 +7,6 @@ multi-grained scanning (representational learning) and cascade levels
 """
 
 from repro.forest.tree import RegressionTree
-from repro.forest.binning import BinnedMatrix, quantile_bin
 from repro.forest.ensemble import (
     RandomForestRegressor,
     CompletelyRandomForestRegressor,
@@ -20,8 +19,6 @@ from repro.forest.parallel import TreeFitPlan, fit_plans
 
 __all__ = [
     "RegressionTree",
-    "BinnedMatrix",
-    "quantile_bin",
     "RandomForestRegressor",
     "CompletelyRandomForestRegressor",
     "MultiGrainScanner",

@@ -110,10 +110,6 @@ class CascadeForest:
         Process-pool width for tree fitting; the pool spans a whole
         level (every fold model and refit of every forest).  Results
         are bit-identical for every value.
-    strategy:
-        ``"exact"`` (default, bit-identical to previous releases) or
-        ``"hist"`` (histogram split finding; see
-        :mod:`repro.forest.binning`).
     """
 
     n_levels: int = 4
@@ -122,12 +118,7 @@ class CascadeForest:
     max_depth: int | None = None
     min_samples_leaf: int = 2
     k_folds: int = 3
-    #: gcForest-style early stopping: stop adding levels once the
-    #: out-of-fold error of the level's concept average stops improving.
-    early_stop: bool = False
-    patience: int = 1
     n_jobs: int = 1
-    strategy: str = "exact"
     rng: object = None
     _levels: list[_Level] = field(default_factory=list, init=False)
     _output_forests: list = field(default_factory=list, init=False)
@@ -138,8 +129,6 @@ class CascadeForest:
     def __post_init__(self) -> None:
         if self.n_levels < 1 or self.forests_per_level < 1:
             raise ValueError("n_levels and forests_per_level must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
         if self.n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
         self._rng = as_rng(self.rng)
@@ -154,7 +143,6 @@ class CascadeForest:
             n_estimators=self.n_estimators,
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
-            strategy=self.strategy,
             rng=rng,
         )
 
@@ -170,8 +158,6 @@ class CascadeForest:
         n = X.shape[0]
         n_rngs = self.n_levels * self.forests_per_level * 2 + self.forests_per_level
         rngs = iter(spawn_rngs(self._rng, n_rngs))
-        best_score = np.inf
-        stale = 0
         for level_idx in range(self.n_levels):
             # Plan the whole level — every forest's fold models and
             # full-data refit — then execute through one pool pass.
@@ -215,14 +201,6 @@ class CascadeForest:
                 f"cascade.level{level_idx}.oof_mse", score
             )
             telemetry.counter_inc("cascade.levels_grown")
-            if self.early_stop:
-                if score < best_score - 1e-12:
-                    best_score = score
-                    stale = 0
-                else:
-                    stale += 1
-                    if stale >= self.patience:
-                        break
         # Final output ensemble averages forests_per_level forests.
         self._output_forests = []
         out_plans = []

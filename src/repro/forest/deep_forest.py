@@ -26,11 +26,8 @@ class DeepForestRegressor:
 
     ``n_jobs`` spreads tree training across a process pool, one pass
     per training unit (all MGS window forests together; each cascade
-    level's forests, fold models included, together).  ``strategy``
-    selects split finding: ``"exact"`` (default, bit-identical to
-    previous releases for every ``n_jobs``) or ``"hist"`` (quantile-
-    binned histogram search — approximate thresholds, statistically
-    equivalent accuracy, no faster at profiling-campaign scale).
+    level's forests, fold models included, together); the fitted model
+    is bit-identical for every ``n_jobs``.
     """
 
     windows: list[tuple[int, int]] | None = field(
@@ -45,7 +42,6 @@ class DeepForestRegressor:
     min_samples_leaf: int = 2
     k_folds: int = 3
     n_jobs: int = 1
-    strategy: str = "exact"
     rng: object = None
     _scanner: MultiGrainScanner | None = field(default=None, init=False)
     _cascade: CascadeForest | None = field(default=None, init=False)
@@ -94,7 +90,6 @@ class DeepForestRegressor:
                 n_estimators=self.mgs_estimators,
                 max_instances=self.mgs_max_instances,
                 n_jobs=self.n_jobs,
-                strategy=self.strategy,
                 rng=rng_scan,
             )
         X = self._assemble(X_flat, traces, fit_y=y)
@@ -106,7 +101,6 @@ class DeepForestRegressor:
             min_samples_leaf=self.min_samples_leaf,
             k_folds=self.k_folds,
             n_jobs=self.n_jobs,
-            strategy=self.strategy,
             rng=rng_casc,
         )
         self._cascade.fit(X, y)

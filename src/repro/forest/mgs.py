@@ -67,9 +67,6 @@ class MultiGrainScanner:
         reach a worker once, through the pool initializer (``n_jobs`` is
         also plumbed into each forest, so a later standalone refit
         parallelizes); results are bit-identical for every value.
-    strategy:
-        Split-finding strategy for the window forests: ``"exact"``
-        (default) or ``"hist"``.
     """
 
     windows: list[tuple[int, int]] = field(default_factory=lambda: [(5, 5)])
@@ -77,7 +74,6 @@ class MultiGrainScanner:
     max_depth: int | None = 12
     max_instances: int = 20000
     n_jobs: int = 1
-    strategy: str = "exact"
     rng: object = None
     _forests: list[RandomForestRegressor] = field(default_factory=list, init=False)
     _fitted_shape: tuple[int, int] | None = field(default=None, init=False)
@@ -119,7 +115,6 @@ class MultiGrainScanner:
                 max_depth=self.max_depth,
                 min_samples_leaf=3,
                 n_jobs=self.n_jobs,
-                strategy=self.strategy,
                 rng=rngs[2 * k + 1],
             )
             plans.append(forest.plan_fit(X, yy))

@@ -1,9 +1,8 @@
 """Level-wide tree training, serial or across one process pool.
 
-- **One data crossing per worker.**  Each forest's training arrays (the
-  raw matrix on the exact path, the ``uint8`` bin codes on the hist
-  path) ride the pool initializer once per worker, and every job
-  carries only ``(plan index, sample indices, seed)``.  Under ``fork``
+- **One data crossing per worker.**  Each forest's training arrays ride
+  the pool initializer once per worker, and every job carries only
+  ``(plan index, sample indices, seed)``.  Under ``fork``
   the workers inherit the arrays without pickling; under ``spawn`` or
   ``forkserver`` they are pickled once per worker, never once per tree.
 - **Level-wide batching.**  :func:`fit_plans` accepts the fit plans of
@@ -24,11 +23,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import telemetry
 from repro.forest.tree import RegressionTree
 
 #: Worker-side state, set by the pool initializer: plan index ->
-#: ``(arrays, meta)``.
+#: ``(X, y, tree_params)``.
 _WORKER_DATASETS = None
 
 
@@ -41,44 +42,32 @@ class TreeFitPlan:
     forest:
         Receives ``_finish_fit(trees, n_features)`` once all its trees
         are back (``None`` to just collect the trees).
-    arrays:
-        Large training arrays, shared across the plan's trees:
-        ``{"X": ..., "y": ...}`` (exact) or ``{"codes": ..., "y": ...}``
-        (hist).  These cross the process boundary once per worker.
-    meta:
-        Small picklable metadata: ``tree_params``, ``strategy``,
-        ``n_features`` and (hist) ``edges``.
+    X, y:
+        Training arrays, shared across the plan's trees.  These cross
+        the process boundary once per worker.
+    tree_params:
+        :class:`~repro.forest.tree.RegressionTree` keyword arguments.
     jobs:
         One ``(sample_idx | None, seed)`` tuple per tree; ``None``
         means "all rows" (non-bootstrap forests).
     """
 
     forest: object
-    arrays: dict
-    meta: dict
+    X: np.ndarray
+    y: np.ndarray
+    tree_params: dict
     jobs: list
 
 
-def _fit_tree(arrays, meta, sample_idx, seed) -> tuple[RegressionTree, float]:
+def _fit_tree(X, y, tree_params, sample_idx, seed) -> tuple[RegressionTree, float]:
     """Fit a single tree and time it; shared by the serial and pooled
     paths."""
     t0 = time.perf_counter()
-    params = meta["tree_params"]
-    y = arrays["y"]
-    if meta["strategy"] == "hist":
-        codes = arrays["codes"]
-        tree = RegressionTree(rng=seed, strategy="hist", **params)
-        if sample_idx is None:
-            tree.fit_binned(codes, meta["edges"], y)
-        else:
-            tree.fit_binned(codes[sample_idx], meta["edges"], y[sample_idx])
+    tree = RegressionTree(rng=seed, **tree_params)
+    if sample_idx is None:
+        tree.fit(X, y)
     else:
-        tree = RegressionTree(rng=seed, **params)
-        X = arrays["X"]
-        if sample_idx is None:
-            tree.fit(X, y)
-        else:
-            tree.fit(X[sample_idx], y[sample_idx])
+        tree.fit(X[sample_idx], y[sample_idx])
     return tree, time.perf_counter() - t0
 
 
@@ -89,8 +78,7 @@ def _pool_init(datasets) -> None:
 
 def _fit_tree_job(job) -> tuple[RegressionTree, float]:
     key, sample_idx, seed = job
-    arrays, meta = _WORKER_DATASETS[key]
-    return _fit_tree(arrays, meta, sample_idx, seed)
+    return _fit_tree(*_WORKER_DATASETS[key], sample_idx, seed)
 
 
 def fit_plans(plans, n_jobs: int = 1) -> list:
@@ -121,7 +109,9 @@ def fit_plans(plans, n_jobs: int = 1) -> list:
             fitted = _fit_pooled(plans, flat, n_jobs)
         else:
             fitted = [
-                _fit_tree(plans[i].arrays, plans[i].meta, sample_idx, seed)
+                _fit_tree(
+                    plans[i].X, plans[i].y, plans[i].tree_params, sample_idx, seed
+                )
                 for i, sample_idx, seed in flat
             ]
         if telemetry.enabled():
@@ -135,13 +125,15 @@ def fit_plans(plans, n_jobs: int = 1) -> list:
         chunk = trees[pos : pos + len(plan.jobs)]
         pos += len(plan.jobs)
         if plan.forest is not None:
-            plan.forest._finish_fit(chunk, plan.meta["n_features"])
+            plan.forest._finish_fit(chunk, plan.X.shape[1])
         out.append(chunk)
     return out
 
 
 def _fit_pooled(plans, flat, n_jobs) -> list:
-    datasets = {i: (plan.arrays, plan.meta) for i, plan in enumerate(plans)}
+    datasets = {
+        i: (plan.X, plan.y, plan.tree_params) for i, plan in enumerate(plans)
+    }
     chunksize = max(1, len(flat) // (4 * n_jobs))
     with ProcessPoolExecutor(
         max_workers=n_jobs, initializer=_pool_init, initargs=(datasets,)

@@ -1,27 +1,14 @@
 """Vectorized CART regression tree.
 
-Two split-finding strategies are supported:
-
-- ``strategy="exact"`` (default): per node, the candidate-feature
-  columns are stable-argsorted together and every cut between two
-  distinct values is scored at once by prefix-summed variance reduction
-  (:func:`_scan_sorted`).  Results are bit-identical across releases.
-- ``strategy="hist"``: LightGBM-style histogram split finding.  The
-  feature matrix is quantile-binned into ``uint8`` codes
-  (:mod:`repro.forest.binning`), and per-node best-split search becomes
-  prefix-summed ``np.bincount`` statistics over bins — O(n + bins x
-  features) per node.  Small nodes run the same sorted scan as the
-  exact strategy, on codes.  Thresholds are recorded in *raw* feature
-  space, so prediction is identical in form to exact trees (no binning
-  at inference time).
-
-And two splitters on top of either strategy:
+Per node, the candidate-feature columns are stable-argsorted together
+and every cut between two distinct values is scored at once by
+prefix-summed variance reduction (:func:`_scan_sorted`).  Results are
+bit-identical across releases.  Two splitters are supported:
 
 - ``"best"``: CART — best variance-reduction split over a random
   feature subset (``max_features``), as in random forests.
 - ``"random"``: completely-random trees — a random feature and a
-  uniform-random threshold (a uniform-random bin boundary under
-  ``hist``), grown until leaves are pure (Section 4.1).
+  uniform-random threshold, grown until leaves are pure (Section 4.1).
 """
 
 from __future__ import annotations
@@ -29,22 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng
-from repro.forest.binning import quantile_bin
 
 _LEAF = -1
-
-#: Below this node size the histogram splitter scans a stable argsort of
-#: the codes instead of building B-wide histograms: near the leaves
-#: ``n`` is tiny and the O(bins) bincount/cumsum overhead would dominate
-#: the O(n) statistics.
-_HIST_SORT_CUTOFF = 96
 
 
 def _scan_sorted(cols, yn, min_samples_leaf):
     """Best variance-reduction cut over every column of ``cols`` at once.
 
-    ``cols`` is a node's (n, k) candidate-feature matrix: raw values on
-    the exact path, ``uint8`` codes on the histogram path.  Each column
+    ``cols`` is a node's (n, k) candidate-feature matrix.  Each column
     is stable-argsorted and every cut between two distinct sorted values
     that leaves ``min_samples_leaf`` rows on both sides is scored by the
     children's prefix-summed SSE.  Ties go to the earliest column, then
@@ -79,7 +58,7 @@ def _scan_sorted(cols, yn, min_samples_leaf):
 
 
 class RegressionTree:
-    """CART regression tree with selectable splitter and strategy.
+    """CART regression tree with a selectable splitter.
 
     Parameters
     ----------
@@ -91,10 +70,6 @@ class RegressionTree:
         Candidate features per split: int, ``"sqrt"``, or ``None`` (all).
     splitter:
         ``"best"`` (CART) or ``"random"`` (completely random).
-    strategy:
-        ``"exact"`` (argsort split search on raw values) or ``"hist"``
-        (histogram search over at most ``binning.MAX_BINS`` quantile
-        bins per feature).
     """
 
     def __init__(
@@ -103,13 +78,10 @@ class RegressionTree:
         min_samples_leaf: int = 1,
         max_features: "int | str | None" = None,
         splitter: str = "best",
-        strategy: str = "exact",
         rng=None,
     ):
         if splitter not in ("best", "random"):
             raise ValueError(f"unknown splitter {splitter!r}")
-        if strategy not in ("exact", "hist"):
-            raise ValueError(f"unknown strategy {strategy!r}")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if max_depth is not None and max_depth < 1:
@@ -118,7 +90,6 @@ class RegressionTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.splitter = splitter
-        self.strategy = strategy
         self._rng = as_rng(rng)
         # Flat tree arrays, filled by fit().
         self._feature: list[int] = []
@@ -146,61 +117,19 @@ class RegressionTree:
             raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on empty data")
-        if self.strategy == "hist":
-            binned = quantile_bin(X)
-            return self.fit_binned(binned.codes, binned.edges, y)
-        self._reset(X.shape[1])
-        self._build(X, y, np.arange(X.shape[0]), depth=0, edges=None)
-        self._freeze()
-        return self
-
-    def fit_binned(self, codes, edges, y) -> "RegressionTree":
-        """Fit on pre-binned features (histogram strategy).
-
-        Parameters
-        ----------
-        codes:
-            (n, d) ``uint8`` bin codes (see
-            :func:`repro.forest.binning.quantile_bin`).
-        edges:
-            Per-feature raw-space bin boundaries; recorded thresholds
-            come from here, so :meth:`predict` consumes raw inputs.
-        y:
-            Regression targets.
-
-        Forests bin once per fit and share the code matrix across all
-        trees (and across process-pool workers), which is why this
-        entry point takes codes rather than raw features.
-        """
-        codes = np.ascontiguousarray(codes, dtype=np.uint8)
-        y = np.ascontiguousarray(y, dtype=float)
-        if codes.ndim != 2 or y.ndim != 1 or codes.shape[0] != y.shape[0]:
-            raise ValueError(f"bad shapes: codes {codes.shape}, y {y.shape}")
-        if codes.shape[0] == 0:
-            raise ValueError("cannot fit on empty data")
-        if len(edges) != codes.shape[1]:
-            raise ValueError(
-                f"{len(edges)} edge arrays for {codes.shape[1]} features"
-            )
-        self._reset(codes.shape[1])
-        self._build(codes, y, np.arange(codes.shape[0]), depth=0, edges=edges)
-        self._freeze()
-        return self
-
-    def _reset(self, n_features: int) -> None:
         self._feature, self._threshold = [], []
         self._left, self._right, self._value = [], [], []
-        self.n_features_ = n_features
-        self._importance = np.zeros(n_features)
+        self.n_features_ = X.shape[1]
+        self._importance = np.zeros(X.shape[1])
         self._depth = 0
-
-    def _freeze(self) -> None:
-        """Freeze node lists to arrays for fast prediction."""
+        self._build(X, y)
+        # Freeze the node lists to arrays for fast prediction.
         self._feature_a = np.asarray(self._feature, dtype=np.intp)
         self._threshold_a = np.asarray(self._threshold)
         self._left_a = np.asarray(self._left, dtype=np.intp)
         self._right_a = np.asarray(self._right, dtype=np.intp)
         self._value_a = np.asarray(self._value)
+        return self
 
     def _new_node(self) -> int:
         self._feature.append(_LEAF)
@@ -210,32 +139,8 @@ class RegressionTree:
         self._value.append(0.0)
         return len(self._feature) - 1
 
-    def _split_node(self, X, yn, idx, edges):
-        """Best (or random) split of one node.
-
-        Returns ``(feature, raw threshold, go-left mask over idx)`` or
-        ``None``.  ``edges`` is ``None`` on the exact path and the
-        per-feature bin boundaries on the histogram path (where ``X``
-        holds ``uint8`` codes).
-        """
-        if edges is not None:
-            return (
-                self._best_split_hist(X, yn, idx, edges)
-                if self.splitter == "best"
-                else self._random_split_hist(X, idx, edges)
-            )
-        split = (
-            self._best_split(X, yn, idx)
-            if self.splitter == "best"
-            else self._random_split(X, idx)
-        )
-        if split is None:
-            return None
-        f, thr = split
-        return f, thr, X[idx, f] <= thr
-
-    def _build(self, X, y, idx, depth, edges) -> int:
-        """Grow the subtree rooted at ``idx`` with an explicit stack.
+    def _build(self, X, y) -> None:
+        """Grow the tree over all rows of ``X`` with an explicit stack.
 
         Iterative preorder (node, then left subtree, then right) with a
         LIFO stack, pushing the right child first: nodes are numbered —
@@ -244,18 +149,13 @@ class RegressionTree:
         bit-identical while unbounded-depth fits (``max_depth=None``)
         no longer risk ``RecursionError``.
         """
-        root = None
         # Frame: (sample indices, depth, parent node, is-left-child).
-        stack = [(idx, depth, -1, False)]
+        stack = [(np.arange(X.shape[0]), 0, -1, False)]
         while stack:
             idx, depth, parent, is_left = stack.pop()
             node = self._new_node()
-            if parent < 0:
-                root = node
-            elif is_left:
-                self._left[parent] = node
-            else:
-                self._right[parent] = node
+            if parent >= 0:
+                (self._left if is_left else self._right)[parent] = node
             yn = y[idx]
             self._value[node] = float(yn.mean())
             n = idx.shape[0]
@@ -265,10 +165,15 @@ class RegressionTree:
                 or np.all(yn == yn[0])
             ):
                 continue
-            split = self._split_node(X, yn, idx, edges)
+            split = (
+                self._best_split(X, yn, idx)
+                if self.splitter == "best"
+                else self._random_split(X, idx)
+            )
             if split is None:
                 continue
-            f, thr, mask = split
+            f, thr = split
+            mask = X[idx, f] <= thr
             left_idx, right_idx = idx[mask], idx[~mask]
             if (
                 left_idx.shape[0] < self.min_samples_leaf
@@ -288,9 +193,8 @@ class RegressionTree:
             self._depth = max(self._depth, depth + 1)
             stack.append((right_idx, depth + 1, node, False))
             stack.append((left_idx, depth + 1, node, True))
-        return root
 
-    # -- exact split search ------------------------------------------------------
+    # -- split search ------------------------------------------------------------
 
     def _best_split(self, X, yn, idx) -> tuple[int, float] | None:
         d = X.shape[1]
@@ -318,80 +222,6 @@ class RegressionTree:
                 if thr >= hi:
                     thr = np.nextafter(hi, lo)
                 return int(f), thr
-        return None
-
-    # -- histogram split search --------------------------------------------------
-
-    def _best_split_hist(self, codes, yn, idx, edges):
-        """Best split via prefix-summed bin statistics.
-
-        All candidate features' histograms are built in one
-        ``np.bincount`` call each for counts, sum(y) and sum(y^2) by
-        offsetting each feature's codes into its own bin range —
-        O(n·k + k·B) per node.  The selected boundary maps back to a
-        raw-space threshold through ``edges``, so the fitted tree
-        predicts on raw inputs like an exact tree.  Nodes of at most
-        ``_HIST_SORT_CUTOFF`` rows run :func:`_scan_sorted` on the codes.
-        """
-        n, d = idx.shape[0], codes.shape[1]
-        k = self._n_candidate_features(d)
-        feats = (
-            self._rng.choice(d, size=k, replace=False) if k < d else np.arange(d)
-        )
-        msl = self.min_samples_leaf
-        sub = codes[idx[:, None], feats[None, :]]  # (n, k) uint8
-        n_bins = int(sub.max()) + 1
-        if n_bins < 2:
-            return None  # every candidate feature is a single bin here
-        if n <= _HIST_SORT_CUTOFF:
-            cut = _scan_sorted(sub, yn, msl)
-            if cut is None:
-                return None
-            c, b, _ = cut
-            f, b = int(feats[c]), int(b)
-            return f, float(edges[f][b]), sub[:, c] <= b
-        offsets = np.arange(k, dtype=np.int64) * n_bins
-        flat = (sub.astype(np.int64) + offsets[None, :]).ravel()
-        w = np.repeat(yn, k)
-        cnt = np.bincount(flat, minlength=k * n_bins).reshape(k, n_bins)
-        s1 = np.bincount(flat, weights=w, minlength=k * n_bins).reshape(
-            k, n_bins
-        )
-        s2 = np.bincount(flat, weights=w * w, minlength=k * n_bins).reshape(
-            k, n_bins
-        )
-        # Split after bin b: left = bins [0..b], right = the rest.
-        nl = cnt.cumsum(axis=1)[:, :-1].astype(float)
-        cs1 = s1.cumsum(axis=1)[:, :-1]
-        cs2 = s2.cumsum(axis=1)[:, :-1]
-        t1 = s1.sum(axis=1, keepdims=True)
-        t2 = s2.sum(axis=1, keepdims=True)
-        nr = n - nl
-        valid = (nl >= msl) & (nr >= msl)
-        if not valid.any():
-            return None
-        with np.errstate(divide="ignore", invalid="ignore"):
-            loss = (cs2 - cs1 * cs1 / nl) + ((t2 - cs2) - (t1 - cs1) ** 2 / nr)
-        loss = np.where(valid, loss, np.inf)
-        fi, b = np.unravel_index(int(np.argmin(loss)), loss.shape)
-        if not np.isfinite(loss[fi, b]):
-            return None
-        f = int(feats[fi])
-        # valid => the right child is non-empty, so some code > b exists
-        # and b indexes inside this feature's boundary array.
-        return f, float(edges[f][b]), sub[:, fi] <= b
-
-    def _random_split_hist(self, codes, idx, edges):
-        """Completely-random split over bin boundaries: a random feature
-        and a uniform-random boundary between its observed extreme
-        codes (both children are guaranteed non-empty)."""
-        d = codes.shape[1]
-        for f in self._rng.permutation(d)[: min(d, 10)]:
-            c = codes[idx, f]
-            lo, hi = int(c.min()), int(c.max())
-            if lo < hi:
-                b = int(self._rng.integers(lo, hi))
-                return int(f), float(edges[f][b]), c <= b
         return None
 
     # -- prediction ------------------------------------------------------------

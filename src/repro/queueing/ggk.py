@@ -278,7 +278,7 @@ def simulate_stap_queue(
     return result
 
 
-# The per-query service step shared by the three loop specializations
+# The per-query service step shared by the two loop specializations
 # below (inlined in each: at C ~ 25 the loops are ufunc-dispatch-bound,
 # so the call frame and module-global lookups of a helper would cost
 # ~15% of the whole kernel).  Each iteration evaluates, elementwise over
@@ -300,33 +300,6 @@ def simulate_stap_queue(
 # at zero selects it bit-identically.  ``boost == 1`` conditions are
 # handled upstream by forcing ``warn_at = inf``, which lands them in the
 # no-boost branch exactly as the serial kernel's first conditional does.
-
-
-def _batch_loop_k1(arr_t, works_t, warn_t, boost, starts_t, comp_t, btime_t):
-    """Single-server inner loop: the earliest-free 'heap' is one scalar
-    per condition — the previous completion row."""
-    n_conditions = boost.shape[0]
-    free = np.zeros(n_conditions)
-    done = np.empty(n_conditions)
-    thr = np.empty(n_conditions)
-    m1 = np.empty(n_conditions, dtype=bool)
-    zeros = np.zeros(n_conditions)
-    add, sub, div = np.add, np.subtract, np.divide
-    vmax, ge, put = np.maximum, np.greater_equal, np.putmask
-    for a, work, warn, t0, t1, rem in zip(
-        arr_t, works_t, warn_t, starts_t, comp_t, btime_t
-    ):
-        vmax(a, free, out=t0)
-        add(t0, work, out=thr)
-        sub(warn, t0, out=done)
-        vmax(done, zeros, out=done)
-        ge(warn, thr, out=m1)
-        put(done, m1, work)
-        sub(work, done, out=rem)
-        div(rem, boost, out=rem)
-        add(done, rem, out=done)
-        add(t0, done, out=t1)
-        free = t1
 
 
 def _batch_loop_k2(arr_t, works_t, warn_t, boost, starts_t, comp_t, btime_t):
@@ -494,9 +467,7 @@ def simulate_stap_queue_batch(
     uniform_k = server_counts.pop() if len(server_counts) == 1 else None
     if n:
         loop_args = (arr_t, works_t, warn_t, boost, starts_t, comp_t, btime_t)
-        if uniform_k == 1:
-            _batch_loop_k1(*loop_args)
-        elif uniform_k == 2:
+        if uniform_k == 2:
             _batch_loop_k2(*loop_args)
         else:
             _batch_loop_general(*loop_args, configs)

@@ -344,3 +344,11 @@ class TestReport:
         rc = main(["report", str(bad)])
         assert rc == 2
         assert "invalid run manifest" in capsys.readouterr().err
+
+
+def test_policy_has_no_forest_strategy_flag(capsys):
+    """The forests have one split search, so there is nothing to select."""
+    with pytest.raises(SystemExit) as exc:
+        main(["policy", "--pair", "redis", "knn", "--forest-strategy", "exact"])
+    assert exc.value.code == 2
+    assert "--forest-strategy" in capsys.readouterr().err

@@ -1,0 +1,100 @@
+"""EAModel's public boundary: keyword overrides and training data.
+
+Every learner accepts exactly the :class:`DeepForestRegressor` fields as
+overrides, so a misspelt key fails at construction instead of being
+dropped.  Non-finite training data fails at ``fit``, naming the field,
+instead of surfacing later as a non-finite prediction.
+"""
+
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from repro.core import EAModel, StacModel
+from repro.core.ea_model import LEARNERS
+from repro.core.profile_vec import ProfileDataset
+from repro.forest import DeepForestRegressor
+
+#: Which dataset field each ProfileRow attribute feeds.
+ROW_FIELD_TO_INPUT = {
+    "x_static": "X_flat",
+    "x_dynamic": "X_flat",
+    "trace": "traces",
+    "ea": "y_ea",
+}
+
+
+def _corrupt(dataset, row_field, value, row=0):
+    """A copy of ``dataset`` with one entry of one row set to ``value``."""
+    rows = list(dataset.rows)
+    r = rows[row]
+    if row_field == "ea":
+        rows[row] = replace(r, ea=value)
+    else:
+        arr = np.array(getattr(r, row_field), dtype=float)
+        arr.flat[arr.size // 2] = value
+        rows[row] = replace(r, **{row_field: arr})
+    return ProfileDataset(rows=rows)
+
+
+class TestOverrideKeys:
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_misspelt_key_raises(self, learner):
+        with pytest.raises(TypeError, match="n_estimator'"):
+            EAModel(learner, n_estimator=5)
+
+    def test_every_deep_forest_field_accepted(self):
+        defaults = DeepForestRegressor()
+        overrides = {
+            f.name: getattr(defaults, f.name)
+            for f in fields(DeepForestRegressor)
+            if f.init and f.name != "rng"
+        }
+        assert EAModel("tree", **overrides).learner == "tree"
+
+    @pytest.mark.parametrize("learner", ["deep_forest", "cascade", "random_forest"])
+    def test_split_strategy_key_raises_through_stac_model(self, learner):
+        with pytest.raises(TypeError, match="strategy"):
+            StacModel(learner=learner, strategy="hist")
+
+    def test_error_names_every_unknown_key(self):
+        with pytest.raises(TypeError, match=r"\['early_stop', 'patience'\]"):
+            EAModel("cascade", patience=2, early_stop=True)
+
+
+class TestNonFiniteTrainingData:
+    @pytest.fixture(scope="class")
+    def rows(self, small_dataset):
+        return small_dataset.subset(range(12))
+
+    @pytest.mark.parametrize("learner", LEARNERS)
+    @pytest.mark.parametrize("row_field", sorted(ROW_FIELD_TO_INPUT))
+    def test_nan_rejected_naming_the_field(self, rows, learner, row_field):
+        bad = _corrupt(rows, row_field, np.nan)
+        name = ROW_FIELD_TO_INPUT[row_field]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EAModel(learner, rng=0).fit(bad)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("row_field", sorted(ROW_FIELD_TO_INPUT))
+    def test_infinity_rejected(self, rows, row_field, value):
+        bad = _corrupt(rows, row_field, value, row=len(rows) - 1)
+        name = ROW_FIELD_TO_INPUT[row_field]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            EAModel("random_forest", rng=0).fit(bad)
+
+    def test_rejected_fit_leaves_model_unfitted(self, rows):
+        m = EAModel("linear", rng=0)
+        with pytest.raises(ValueError):
+            m.fit(_corrupt(rows, "ea", np.nan))
+        with pytest.raises(RuntimeError, match="not fitted"):
+            m.predict_dataset(rows)
+
+    @pytest.mark.parametrize("learner", ["random_forest", "deep_forest"])
+    def test_stac_model_fit_rejects_before_training(self, rows, learner):
+        """A NaN target and a NaN condition feature in one dataset: the
+        condition features are checked first."""
+        bad = _corrupt(_corrupt(rows, "ea", np.nan), "x_static", np.nan, row=1)
+        with pytest.raises(ValueError, match="X_flat must be finite"):
+            StacModel(learner=learner, rng=0).fit(bad)

@@ -232,11 +232,6 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="n_jobs"):
             StacModel(n_jobs=value)
 
-    @pytest.mark.parametrize("value", ["approx", "HIST"])
-    def test_forest_strategy(self, value):
-        with pytest.raises(ValueError, match="forest_strategy"):
-            StacModel(forest_strategy=value)
-
     def test_boundary_values_accepted(self):
         m = StacModel(private_mb=0.5, shared_mb=0.0, sampling_hz=0.2, trace_ticks=1)
         assert (m.shared_mb, m.trace_ticks) == (0.0, 1)

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.forest import (
     CascadeForest,
+    CompletelyRandomForestRegressor,
     DeepForestRegressor,
+    MultiGrainScanner,
     RandomForestRegressor,
+    RegressionTree,
     cross_fit_predict,
 )
 
@@ -99,49 +103,30 @@ class TestCascade:
         with pytest.raises(ValueError):
             CascadeForest(n_levels=0)
         with pytest.raises(ValueError):
-            CascadeForest(patience=0)
-        with pytest.raises(ValueError):
             CascadeForest().fit(np.zeros((4, 2)), np.zeros(5))
 
     def test_level_scores_recorded(self):
         X, y = hidden_interaction(120, rng=20)
         c = CascadeForest(n_levels=3, forests_per_level=2, n_estimators=5, rng=0)
         c.fit(X, y)
-        assert len(c.level_scores_) == 3
+        assert len(c._levels) == len(c.level_scores_) == 3
         assert all(s >= 0 for s in c.level_scores_)
 
-    def test_early_stop_truncates_on_noise(self):
-        """On pure noise, added levels cannot help, so early stopping
-        should grow fewer levels than the cap."""
-        r = np.random.default_rng(21)
-        X = r.uniform(size=(90, 4))
-        y = r.normal(size=90)
-        c = CascadeForest(
-            n_levels=6,
-            forests_per_level=2,
-            n_estimators=5,
-            early_stop=True,
-            patience=1,
-            rng=0,
+    def test_level_scores_reach_telemetry(self):
+        X, y = hidden_interaction(90, rng=23)
+        reg = telemetry.configure()
+        try:
+            c = CascadeForest(
+                n_levels=3, forests_per_level=2, n_estimators=4, rng=0
+            ).fit(X, y)
+            spans = telemetry.get_span_log().by_name("stage2.cascade.level")
+        finally:
+            telemetry.disable()
+        assert reg.counter("cascade.levels_grown") == 3
+        assert [reg.gauge(f"cascade.level{i}.oof_mse") for i in range(3)] == (
+            c.level_scores_
         )
-        c.fit(X, y)
-        assert len(c._levels) < 6
-        # A truncated cascade must still predict.
-        assert c.predict(X).shape == (90,)
-
-    def test_early_stop_keeps_useful_levels(self):
-        X, y = hidden_interaction(260, rng=22)
-        c = CascadeForest(
-            n_levels=4,
-            forests_per_level=2,
-            n_estimators=15,
-            early_stop=True,
-            patience=1,
-            rng=0,
-        )
-        c.fit(X, y)
-        err = np.mean((c.predict(X) - y) ** 2)
-        assert err < np.var(y) * 0.3
+        assert [s.attrs["oof_mse"] for s in spans] == c.level_scores_
 
 
 class TestDeepForest:
@@ -195,6 +180,32 @@ class TestDeepForest:
         df = DeepForestRegressor()
         with pytest.raises(RuntimeError):
             df.predict(np.zeros((1, 2)), None)
+
+    def test_unfitted_concept_features_raise(self):
+        with pytest.raises(RuntimeError, match="not fitted"):
+            DeepForestRegressor().concept_features(np.zeros((1, 2)), None)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        RegressionTree,
+        RandomForestRegressor,
+        CompletelyRandomForestRegressor,
+        MultiGrainScanner,
+        CascadeForest,
+        DeepForestRegressor,
+    ],
+)
+def test_forests_have_one_split_search(make):
+    with pytest.raises(TypeError, match="strategy"):
+        make(strategy="exact")
+
+
+@pytest.mark.parametrize("kwargs", [{"early_stop": True}, {"patience": 2}])
+def test_cascade_has_no_early_stop(kwargs):
+    with pytest.raises(TypeError, match=next(iter(kwargs))):
+        CascadeForest(**kwargs)
 
 
 @pytest.mark.parametrize("n_jobs", [0, -1])

@@ -14,22 +14,16 @@ from repro.forest.fast_inference import _CHUNK_ROWS
 from .forest_oracle import predict_oracle, predict_per_tree_oracle
 
 
-def fitted_forest(
-    n_estimators=10, n=200, d=5, rng=0, cls=RandomForestRegressor, strategy="exact"
-):
+def fitted_forest(n_estimators=10, n=200, d=5, rng=0, cls=RandomForestRegressor):
     r = np.random.default_rng(rng)
     X = r.uniform(size=(n, d))
     y = np.sin(3 * X[:, 0]) + X[:, 1]
-    forest = cls(n_estimators=n_estimators, strategy=strategy, rng=rng)
+    forest = cls(n_estimators=n_estimators, rng=rng)
     return forest.fit(X, y), X
 
 
-FOREST_KINDS = [
-    (cls, strategy)
-    for cls in (RandomForestRegressor, CompletelyRandomForestRegressor)
-    for strategy in ("exact", "hist")
-]
-KIND_IDS = [f"{c.__name__}-{s}" for c, s in FOREST_KINDS]
+FOREST_KINDS = [RandomForestRegressor, CompletelyRandomForestRegressor]
+KIND_IDS = [c.__name__ for c in FOREST_KINDS]
 CHUNK_ROW_COUNTS = [
     0,
     1,
@@ -82,13 +76,9 @@ class TestForestIntegration:
 
     @pytest.mark.parametrize("n_rows", CHUNK_ROW_COUNTS)
     @pytest.mark.parametrize("n_estimators", [1, 7])
-    @pytest.mark.parametrize("cls,strategy", FOREST_KINDS, ids=KIND_IDS)
-    def test_predict_equals_oracle(
-        self, cls, strategy, n_estimators, n_rows, queries
-    ):
-        forest, _ = fitted_forest(
-            n_estimators=n_estimators, cls=cls, strategy=strategy
-        )
+    @pytest.mark.parametrize("cls", FOREST_KINDS, ids=KIND_IDS)
+    def test_predict_equals_oracle(self, cls, n_estimators, n_rows, queries):
+        forest, _ = fitted_forest(n_estimators=n_estimators, cls=cls)
         Xt = queries[:n_rows]
         mean = forest.predict(Xt)
         per_tree = forest.predict_per_tree(Xt)
@@ -133,9 +123,9 @@ class TestTraversal:
         X[rng.random((n, d)) < nan_frac] = np.nan
         return X
 
-    @pytest.mark.parametrize("cls,strategy", FOREST_KINDS, ids=KIND_IDS)
-    def test_nan_features_go_right(self, cls, strategy):
-        forest, _ = fitted_forest(n_estimators=6, cls=cls, strategy=strategy)
+    @pytest.mark.parametrize("cls", FOREST_KINDS, ids=KIND_IDS)
+    def test_nan_features_go_right(self, cls):
+        forest, _ = fitted_forest(n_estimators=6, cls=cls)
         packed = PackedForest.from_forest(forest)
         Xt = self._queries(300, 5, 1, nan_frac=0.3)
         Xt[0] = np.nan

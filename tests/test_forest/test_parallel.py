@@ -1,7 +1,7 @@
 """Tests for the plan/execute fit split and the process pool.
 
-The acceptance bar: ``strategy="exact"`` must produce bit-identical
-trees to the pre-refactor per-forest loop, for every ``n_jobs``.
+The acceptance bar: every forest must produce bit-identical trees to
+the pre-refactor per-forest loop, for every ``n_jobs``.
 """
 
 import functools
@@ -87,12 +87,11 @@ class TestLegacyLoopIdentity:
 @pytest.mark.parametrize(
     "cls", [RandomForestRegressor, CompletelyRandomForestRegressor]
 )
-@pytest.mark.parametrize("strategy", ["exact", "hist"])
 class TestForestPoolIdentity:
-    def test_n_jobs_bit_identical(self, cls, strategy):
+    def test_n_jobs_bit_identical(self, cls):
         X, y = friedman_like(150)
-        f1 = cls(n_estimators=4, strategy=strategy, rng=11).fit(X, y)
-        f2 = cls(n_estimators=4, strategy=strategy, n_jobs=2, rng=11).fit(X, y)
+        f1 = cls(n_estimators=4, rng=11).fit(X, y)
+        f2 = cls(n_estimators=4, n_jobs=2, rng=11).fit(X, y)
         assert all(trees_equal(a, b) for a, b in zip(f1.trees_, f2.trees_))
         assert np.array_equal(f1.predict(X), f2.predict(X))
         assert np.array_equal(
@@ -227,14 +226,6 @@ class TestPredictPerTreePacked:
         f = RandomForestRegressor(n_estimators=10, rng=1).fit(X, y)
         Xl = np.tile(X, (2 * _CHUNK_ROWS // 400 + 1, 1))  # spans three chunks
         assert np.array_equal(f.predict_per_tree(Xl), predict_per_tree_oracle(f, Xl))
-
-    def test_hist_forest_routes_packed_too(self):
-        X, y = friedman_like(300, rng=2)
-        f = RandomForestRegressor(
-            n_estimators=9, strategy="hist", rng=1
-        ).fit(X, y)
-        Xs = X[:40]
-        assert np.array_equal(f.predict_per_tree(Xs), predict_per_tree_oracle(f, Xs))
 
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.forest import RegressionTree, quantile_bin
+from repro.forest import RegressionTree
 
 
 def toy_step(n=200, rng=0):
@@ -178,27 +178,82 @@ class TestProperties:
         assert tree_err <= mean_err + 1e-12
 
 
-class TestFitBinnedValidation:
-    def _binned(self, n=6, d=2):
-        X = np.random.default_rng(0).uniform(size=(n, d))
-        return quantile_bin(X)
-
-    def test_shape_mismatch(self):
-        b = self._binned()
-        with pytest.raises(ValueError, match="bad shapes"):
-            RegressionTree().fit_binned(b.codes, b.edges, np.zeros(5))
-
-    def test_empty_data(self):
-        b = self._binned()
-        with pytest.raises(ValueError, match="empty"):
-            RegressionTree().fit_binned(b.codes[:0], b.edges, np.zeros(0))
-
-    def test_one_edge_array_per_feature(self):
-        b = self._binned()
-        with pytest.raises(ValueError, match="1 edge arrays for 2 features"):
-            RegressionTree().fit_binned(b.codes, b.edges[:1], np.zeros(6))
-
-
 def test_depth_needs_a_fit():
     with pytest.raises(RuntimeError, match="not fitted"):
         RegressionTree().depth
+
+
+def _node_rows(tree, X):
+    """Training rows reaching each node, found by routing ``X`` down."""
+    reach = {0: np.arange(X.shape[0])}
+    for node in range(tree.n_nodes):
+        f = tree._feature_a[node]
+        if f < 0:
+            continue
+        rows = reach[node]
+        go_left = X[rows, f] <= tree._threshold_a[node]
+        reach[tree._left_a[node]] = rows[go_left]
+        reach[tree._right_a[node]] = rows[~go_left]
+    return reach
+
+
+def _noisy_grid(n=160, d=4, rng=0):
+    """Rounded features (many ties) and a noisy target."""
+    r = np.random.default_rng(rng)
+    X = np.round(r.uniform(-3, 3, size=(n, d)), 1)
+    y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + r.normal(0, 0.3, n)
+    return X, y
+
+
+class TestSplitThresholds:
+    @pytest.mark.parametrize("max_features", [None, "sqrt"])
+    @pytest.mark.parametrize("min_samples_leaf", [1, 4])
+    def test_best_threshold_is_midpoint_of_adjacent_values(
+        self, max_features, min_samples_leaf
+    ):
+        """A CART cut sits halfway between the largest left value and the
+        smallest right value of its feature at that node."""
+        X, y = _noisy_grid()
+        t = RegressionTree(
+            max_features=max_features, min_samples_leaf=min_samples_leaf, rng=3
+        ).fit(X, y)
+        reach = _node_rows(t, X)
+        internal = np.flatnonzero(t._feature_a >= 0)
+        assert internal.size > 5
+        for node in internal:
+            f, thr = t._feature_a[node], t._threshold_a[node]
+            left = X[reach[t._left_a[node]], f]
+            right = X[reach[t._right_a[node]], f]
+            assert min(left.size, right.size) >= min_samples_leaf
+            assert left.max() < right.min()
+            assert thr == 0.5 * (left.max() + right.min())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_threshold_inside_node_range(self, seed):
+        """A completely-random cut lies in ``[min, max)`` of its feature
+        over the node's rows, so both children are non-empty."""
+        X, y = _noisy_grid(rng=seed)
+        t = RegressionTree(splitter="random", rng=seed).fit(X, y)
+        reach = _node_rows(t, X)
+        internal = np.flatnonzero(t._feature_a >= 0)
+        assert internal.size > 5
+        for node in internal:
+            f, thr = t._feature_a[node], t._threshold_a[node]
+            xs = X[reach[node], f]
+            assert xs.min() <= thr < xs.max()
+            assert reach[t._left_a[node]].size > 0
+            assert reach[t._right_a[node]].size > 0
+
+    def test_random_threshold_between_adjacent_floats(self):
+        """With a node's two values one ulp apart, a uniform draw can
+        round up to the maximum; the cut is pulled back below it so the
+        split still separates the two values."""
+        lo = 1.0
+        hi = np.nextafter(lo, 2.0)
+        X = np.array([[lo], [hi]] * 4)
+        y = np.array([0.0, 1.0] * 4)
+        for seed in range(8):
+            t = RegressionTree(splitter="random", rng=seed).fit(X, y)
+            assert t.n_nodes == 3
+            assert t._threshold_a[0] == lo
+            assert np.array_equal(t.predict(X), y)

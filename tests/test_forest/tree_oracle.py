@@ -1,7 +1,7 @@
 """Reference exact split search for equivalence tests.
 
 This is the per-feature loop ``RegressionTree._best_split`` ran before
-the exact and histogram splitters shared one vectorised sorted scan
+the split search became one vectorised sorted scan
 (``repro.forest.tree._scan_sorted``): one stable argsort and one
 prefix-sum variance scan per candidate feature, keeping the first
 feature whose best loss is strictly lower than every earlier one.  The
