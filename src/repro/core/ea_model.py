@@ -67,9 +67,7 @@ class EAModel:
         self._model = None
 
     @staticmethod
-    def _flatten(X_flat: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
-        if traces is None:
-            return X_flat
+    def _flatten(X_flat: np.ndarray, traces: np.ndarray) -> np.ndarray:
         t = traces.reshape(traces.shape[0], -1)
         return np.concatenate([X_flat, t], axis=1)
 
@@ -127,14 +125,21 @@ class EAModel:
         return self
 
     def predict(self, X_flat: np.ndarray, traces: np.ndarray | None) -> np.ndarray:
-        """Predicted EA, clipped to the physically meaningful range."""
+        """Predicted EA, clipped to the physically meaningful range.
+
+        Every learner but ``cascade`` was fitted on the traces too, so
+        for those ``traces=None`` raises ``ValueError``.
+        """
         if self._model is None:
             raise RuntimeError("EAModel is not fitted")
-        if self.learner in ("deep_forest",):
-            raw = self._model.predict(X_flat, traces)
-        elif self.learner == "cascade":
+        if self.learner == "cascade":
             raw = self._model.predict(X_flat, None)
-        elif self.learner == "cnn":
+        elif traces is None:
+            raise ValueError(
+                f"the {self.learner!r} learner was fitted on traces; "
+                "predict needs traces, got None"
+            )
+        elif self.learner in ("deep_forest", "cnn"):
             raw = self._model.predict(X_flat, traces)
         else:
             raw = self._model.predict(self._flatten(X_flat, traces))

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import telemetry
 from repro._util import as_rng
 from repro.queueing.ggk import (
     StapQueueConfig,
@@ -33,14 +34,19 @@ _REQUIRED_KEYS = frozenset(
     ("utilization", "timeout", "gross_increase", "effective_allocation")
 )
 _OPTIONAL_KEYS = {"service_cv": 0.35, "mean_service_time": 1.0}
+#: The order in which a checked condition's values form its identity.
+_KEY_ORDER = tuple(sorted(_REQUIRED_KEYS | _OPTIONAL_KEYS.keys()))
 
 
 def _check_condition(cond) -> dict:
     """One condition mapping, with defaults filled in and values checked.
 
-    Non-finite values fail loudly here: a NaN that slips past a range
-    check (``nan <= 0`` is False) would otherwise poison the search.
-    ``timeout=inf`` is legal (it disables short-term allocation).
+    Values become Python floats, so a condition is simulated from the
+    same numbers its identity in :meth:`ResponseTimeModel.simulate_many`
+    is keyed by.  Non-finite values fail loudly here: a NaN that slips
+    past a range check (``nan <= 0`` is False) would otherwise poison
+    the search.  ``timeout=inf`` is legal (it disables short-term
+    allocation).
     """
     cond = dict(cond)
     unknown = cond.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS.keys()
@@ -49,7 +55,7 @@ def _check_condition(cond) -> dict:
     missing = _REQUIRED_KEYS - cond.keys()
     if missing:
         raise TypeError(f"missing condition keys {sorted(missing)}")
-    cond = {**_OPTIONAL_KEYS, **cond}
+    cond = {key: float(value) for key, value in {**_OPTIONAL_KEYS, **cond}.items()}
     for key in ("utilization", "effective_allocation", "gross_increase",
                 "mean_service_time", "service_cv"):
         if not np.isfinite(cond[key]):
@@ -162,14 +168,34 @@ class ResponseTimeModel:
         conditions reuse the cached unit-scale draws, rescaled per
         condition, so each result depends only on its own condition.
 
-        The kernel is picked by condition count: the serial kernel once
-        per condition below ``_MIN_BATCH_CONDITIONS``, the batched kernel
-        (one Python loop over queries for all conditions) from there up.
-        The two are bit-identical, so the choice changes wall-clock only.
+        Each distinct condition is therefore simulated once, in order of
+        first appearance, and its :class:`QueueFeedback` is returned at
+        every position it appears in (the objects are frozen, so
+        duplicates share one).  Conditions are identified by the exact
+        bits of their six values (``float.hex``: 0.0 and -0.0 differ);
+        the counter ``rt_model.duplicate_conditions`` records the
+        conditions that were not simulated again.
+
+        The kernel is picked by the distinct count: the serial kernel
+        once per condition below ``_MIN_BATCH_CONDITIONS``, the batched
+        kernel (one Python loop over queries for all conditions) from
+        there up.  The two are bit-identical, so the choice changes
+        wall-clock only.
         """
-        conds = [_check_condition(c) for c in conditions]
+        slots: dict[tuple, int] = {}
+        conds = []
+        index = []
+        for cond in map(_check_condition, conditions):
+            key = tuple(cond[k].hex() for k in _KEY_ORDER)
+            if key not in slots:
+                slots[key] = len(conds)
+                conds.append(cond)
+            index.append(slots[key])
         if not conds:
             return []
+        telemetry.counter_inc(
+            "rt_model.duplicate_conditions", len(index) - len(conds)
+        )
         # Fixed seed: the predictor must be deterministic for a condition.
         # The unit-scale draws are cached (see _base) and rescaled here.
         gaps, normals = self._base()
@@ -230,10 +256,11 @@ class ResponseTimeModel:
         # ``waits`` is not read again, so the percentile may sort it in place.
         p95_wait = np.percentile(waits, 95, axis=1, overwrite_input=True).tolist()
         boost_fraction = boosted.mean(axis=1).tolist()
-        return [
+        feedback = [
             QueueFeedback(summary=s, mean_wait=m, p95_wait=p, boost_fraction=b)
             for s, m, p, b in zip(summaries, mean_wait, p95_wait, boost_fraction)
         ]
+        return [feedback[i] for i in index]
 
     def predict_response_time(
         self,

@@ -1,9 +1,11 @@
-"""EAModel's public boundary: keyword overrides and training data.
+"""EAModel's public boundary: keyword overrides, training data and
+predict inputs.
 
 Every learner accepts exactly the :class:`DeepForestRegressor` fields as
 overrides, so a misspelt key fails at construction instead of being
 dropped.  Non-finite training data fails at ``fit``, naming the field,
-instead of surfacing later as a non-finite prediction.
+instead of surfacing later as a non-finite prediction.  A learner
+fitted on traces refuses to predict without them.
 """
 
 from dataclasses import fields, replace
@@ -98,3 +100,29 @@ class TestNonFiniteTrainingData:
         bad = _corrupt(_corrupt(rows, "ea", np.nan), "x_static", np.nan, row=1)
         with pytest.raises(ValueError, match="X_flat must be finite"):
             StacModel(learner=learner, rng=0).fit(bad)
+
+
+class TestPredictWithoutTraces:
+    """Every learner but ``cascade`` is fitted on the traces, so
+    predicting without them fails at the boundary, naming the learner."""
+
+    FAST = dict(
+        windows=[(5, 5)],
+        mgs_estimators=5,
+        n_levels=1,
+        forests_per_level=2,
+        n_estimators=10,
+    )
+
+    @pytest.mark.parametrize("learner", LEARNERS)
+    def test_traces_none(self, small_dataset, learner):
+        rows = small_dataset.subset(range(12))
+        model = EAModel(learner, rng=0, **self.FAST).fit(rows)
+        if learner == "cascade":
+            assert np.array_equal(
+                model.predict(rows.X_flat, None), model.predict_dataset(rows)
+            )
+        else:
+            with pytest.raises(ValueError, match=f"'{learner}' learner.*traces"):
+                model.predict(rows.X_flat, None)
+            assert model.predict_dataset(rows).shape == (len(rows),)
