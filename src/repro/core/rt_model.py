@@ -14,6 +14,7 @@ import numpy as np
 
 from repro import telemetry
 from repro._util import as_rng
+from repro._util.validation import check_count
 from repro.queueing.ggk import (
     StapQueueConfig,
     simulate_stap_queue,
@@ -21,13 +22,20 @@ from repro.queueing.ggk import (
 )
 from repro.queueing.metrics import ResponseTimeSummary, summarize_response_times
 
-#: Below this many conditions a batched kernel call is slower than one
-#: serial kernel call per condition (the batch inner loop is
+#: Below this many distinct conditions one batched kernel call is slower
+#: than one scalar kernel call per condition (the batch inner loop is
 #: ufunc-dispatch bound, costing roughly the same per query whether it
 #: carries 2 conditions or 50), so :meth:`ResponseTimeModel.simulate_many`
 #: picks the serial kernel.  Both kernels are bit-identical per
-#: condition; the threshold is purely a performance crossover.
-_MIN_BATCH_CONDITIONS = 8
+#: condition; the threshold is purely a performance crossover.  Median
+#: ``simulate_many`` time in ms over C distinct k = 2 conditions at
+#: ``n_queries=16000`` (2-CPU x86-64 container, Python 3.11, NumPy 2.4;
+#: three runs agree on the crossover):
+#:
+#:     C         4    8   12   16   20   24   28   32   40   60
+#:     serial   38   66   93  119  175  213  237  277  336  453
+#:     batched 167  175  182  192  224  229  245  258  262  280
+_MIN_BATCH_CONDITIONS = 28
 
 #: Keys of one :meth:`ResponseTimeModel.simulate_many` condition.
 _REQUIRED_KEYS = frozenset(
@@ -95,8 +103,8 @@ class ResponseTimeModel:
         warmup_fraction: float = 0.1,
         rng=None,
     ):
-        if n_servers < 1 or n_queries < 10:
-            raise ValueError("need n_servers >= 1 and n_queries >= 10")
+        check_count("n_servers", n_servers, 1)
+        check_count("n_queries", n_queries, 10)
         if not 0 <= warmup_fraction < 1:
             raise ValueError(
                 f"warmup_fraction must be in [0, 1), got {warmup_fraction}"

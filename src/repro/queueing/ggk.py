@@ -12,6 +12,15 @@ Because the warning instant is known at dispatch, each query's completion
 time has a closed form, so the simulator advances query-by-query rather
 than by fixed steps — the "jumps multiple steps at a time" optimization
 the paper describes.
+
+Two kernels evaluate that closed form.  :func:`simulate_stap_queue`
+runs one condition as a scalar loop over Python floats (a sorted pair
+of server free times at k = 2, a ``heapq`` of floats otherwise);
+:func:`simulate_stap_queue_batch` runs C conditions at once, with the
+per-condition state in NumPy rows.  The two agree bit for bit, so
+:meth:`repro.core.rt_model.ResponseTimeModel.simulate_many` picks one by
+speed alone: the scalar kernel per condition for few conditions, the
+batched kernel from ``_MIN_BATCH_CONDITIONS`` distinct conditions up.
 """
 
 from __future__ import annotations
@@ -23,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro import telemetry
-from repro._util import as_rng
-from repro._util.validation import check_positive
+from repro._util.validation import check_count
 
 
 @dataclass(frozen=True)
@@ -52,9 +60,12 @@ class StapQueueConfig:
     boost_speedup: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n_servers < 1:
-            raise ValueError(f"n_servers must be >= 1, got {self.n_servers}")
-        check_positive("mean_service_time", self.mean_service_time)
+        check_count("n_servers", self.n_servers, 1)
+        if not 0 < self.mean_service_time < np.inf:
+            raise ValueError(
+                "mean_service_time must be finite and > 0, got "
+                f"{self.mean_service_time!r}"
+            )
         # Written so NaN fails too (every comparison with NaN is False);
         # timeout=inf stays legal.
         if not self.timeout >= 0:
@@ -175,25 +186,6 @@ class BatchQueueResult:
         )
 
 
-def _service_duration(
-    start: float, warn_at: float, work: float, boost_speedup: float
-) -> tuple[float, float]:
-    """Closed-form service duration with a mid-execution rate switch.
-
-    Work is measured in seconds-at-default-rate.  Returns ``(duration,
-    boosted_time)``.
-    """
-    if boost_speedup == 1.0 or warn_at >= start + work:
-        return work, 0.0
-    if warn_at <= start:
-        dur = work / boost_speedup
-        return dur, dur
-    done_before = warn_at - start
-    remaining = work - done_before
-    boosted = remaining / boost_speedup
-    return done_before + boosted, boosted
-
-
 def simulate_stap_queue(
     arrival_times,
     demands,
@@ -235,34 +227,85 @@ def simulate_stap_queue(
         raise ValueError("arrival_times must be sorted")
     n = arrivals.shape[0]
     works = demand * config.mean_service_time
-    warn_delay = config.warning_delay
+    boost = config.boost_speedup
+    # boost == 1 never switches rates, whatever the warning instant, so
+    # an infinite warning delay takes the no-boost branch for it.
+    warn_delay = np.inf if boost == 1.0 else config.warning_delay
 
     starts = np.empty(n)
     completions = np.empty(n)
-    boosted = np.zeros(n, dtype=bool)
-    boosted_time = np.zeros(n)
+    boosted_time = np.empty(n)
+    # Python floats in, memoryview writes out: no NumPy scalar per query,
+    # and no per-query Python lists held until the end.
+    start_out = memoryview(starts)
+    completion_out = memoryview(completions)
+    boosted_out = memoryview(boosted_time)
 
-    # Min-heap of server free times: FCFS dispatch to the earliest-free server.
-    free_at = [0.0] * config.n_servers
-    heapq.heapify(free_at)
-    for i in range(n):
-        a = arrivals[i]
-        earliest = heapq.heappop(free_at)
-        t0 = a if earliest < a else earliest
-        warn_at = a + warn_delay
-        dur, btime = _service_duration(t0, warn_at, works[i], config.boost_speedup)
-        t1 = t0 + dur
-        starts[i] = t0
-        completions[i] = t1
-        boosted[i] = btime > 0.0
-        boosted_time[i] = btime
-        heapq.heappush(free_at, t1)
+    # Each iteration dispatches to the earliest-free server ``f`` and
+    # evaluates the closed-form service time with a rate switch at
+    # ``warn = a + warn_delay`` (work in seconds at the default rate):
+    #
+    #     t0 = a if f < a else f
+    #     t1 = t0 + work                    if warn >= t0 + work
+    #     t1 = t0 + work / boost            if warn <= t0
+    #     t1 = t0 + (d + (work - d) / boost)    with d = warn - t0
+    #
+    # The boosted time is 0.0, the whole duration, or the boosted
+    # remainder.  The step is inlined in both loops below: a helper's
+    # call frame would cost a large share of each iteration.
+    queries = zip(range(n), arrivals.tolist(), works.tolist())
+    if config.n_servers == 2:
+        # Free times kept sorted, f0 <= f1: dispatch reads f0, and
+        # re-insertion keeps f1 at the front on a tie, as a heap would.
+        f0 = f1 = 0.0
+        for i, a, work in queries:
+            t0 = a if f0 < a else f0
+            warn = a + warn_delay
+            t1 = t0 + work
+            if warn >= t1:
+                btime = 0.0
+            elif warn <= t0:
+                btime = work / boost
+                t1 = t0 + btime
+            else:
+                done = warn - t0
+                btime = (work - done) / boost
+                t1 = t0 + (done + btime)
+            start_out[i] = t0
+            completion_out[i] = t1
+            boosted_out[i] = btime
+            if t1 < f1:
+                f0 = t1
+            else:
+                f0, f1 = f1, t1
+    else:
+        # Min-heap of server free times: FCFS dispatch to the earliest-free server.
+        free_at = [0.0] * config.n_servers
+        pop, push = heapq.heappop, heapq.heappush
+        for i, a, work in queries:
+            f = pop(free_at)
+            t0 = a if f < a else f
+            warn = a + warn_delay
+            t1 = t0 + work
+            if warn >= t1:
+                btime = 0.0
+            elif warn <= t0:
+                btime = work / boost
+                t1 = t0 + btime
+            else:
+                done = warn - t0
+                btime = (work - done) / boost
+                t1 = t0 + (done + btime)
+            start_out[i] = t0
+            completion_out[i] = t1
+            boosted_out[i] = btime
+            push(free_at, t1)
 
     result = QueueResult(
         arrival_times=arrivals,
         start_times=starts,
         completion_times=completions,
-        boosted=boosted,
+        boosted=boosted_time > 0.0,
         boosted_time=boosted_time,
     )
     if _tel:
@@ -290,16 +333,15 @@ def simulate_stap_queue(
 #     rem  = (work - done) / boost      # boosted-rate remainder
 #     t1   = t0 + (done + rem)
 #
-# The no-boost *selector* is the serial one verbatim — ``warn_at >=
-# start + work`` on the identical floating-point intermediates — so
-# branch selection, and therefore every output bit, matches a
-# per-condition serial run even where rounding puts ``warn_at`` within
-# one ulp of the branch boundary.  The boosted-from-the-start branch
-# needs no mask: ``warn_at <= start`` implies ``fl(warn_at - start)
-# <= 0`` exactly (IEEE subtraction preserves sign), so clamping ``done``
-# at zero selects it bit-identically.  ``boost == 1`` conditions are
-# handled upstream by forcing ``warn_at = inf``, which lands them in the
-# no-boost branch exactly as the serial kernel's first conditional does.
+# The no-boost *selector* is the serial one verbatim — ``warn >= t0 +
+# work`` on the identical floating-point intermediates — so branch
+# selection, and therefore every output bit, matches a per-condition
+# serial run even where rounding puts ``warn`` within one ulp of the
+# branch boundary.  The boosted-from-the-start branch needs no mask:
+# ``warn <= t0`` implies ``fl(warn - t0) <= 0`` exactly (IEEE
+# subtraction preserves sign), so clamping ``done`` at zero selects it
+# bit-identically.  ``boost == 1`` conditions get ``warn = inf``, as in
+# the serial kernel, which lands them in the no-boost branch.
 
 
 def _batch_loop_k2(arr_t, works_t, warn_t, boost, starts_t, comp_t, btime_t):
@@ -395,8 +437,8 @@ def simulate_stap_queue_batch(
     One Python loop over the ``n`` queries with all per-condition state
     held in ``(C,)`` and ``(C, k)`` arrays: each iteration dispatches one
     query *per condition* to that condition's earliest-free server
-    (``np.argmin`` along the server axis replaces the serial path's
-    per-condition heap).  The arithmetic — ``max(a, min(free))``
+    (``np.argmin`` along the server axis replaces the serial kernel's
+    per-condition free-time heap).  The arithmetic — ``max(a, min(free))``
     dispatch and the closed-form mid-execution rate switch — is the
     serial kernel's, applied elementwise, so every condition row is
     **bit-identical** (``np.array_equal``) to a serial
@@ -448,9 +490,9 @@ def simulate_stap_queue_batch(
     mean_service = np.array([c.mean_service_time for c in configs])
     warn_delay = np.array([c.warning_delay for c in configs])
     boost = np.array([c.boost_speedup for c in configs])
-    # boost == 1 conditions never switch rates: the serial kernel's first
-    # conditional returns (work, 0) whatever the warning instant, so an
-    # infinite warning delay is bit-identical for them.
+    # boost == 1 conditions never switch rates whatever the warning
+    # instant, so an infinite warning delay is bit-identical for them
+    # (the serial kernel does the same).
     warn_delay = np.where(boost == 1.0, np.inf, warn_delay)
 
     # Query-major (n, C) layout: the per-query inner loop then works on

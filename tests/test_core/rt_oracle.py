@@ -3,15 +3,18 @@
 This is the per-condition body :meth:`ResponseTimeModel.simulate` had
 before it delegated to :meth:`ResponseTimeModel.simulate_many`: rescale
 the model's cached unit-scale sample for one condition, run the serial
-heap kernel and summarize.  ``simulate_many`` must reproduce it bit for
-bit, whichever kernel it picks.
+heap kernel (``ggk_oracle.simulate_heap_queue``, the loop the shipped
+scalar kernel replaced) and summarize.  ``simulate_many`` must reproduce
+it bit for bit, whichever kernel it picks.
 """
 
 import numpy as np
 
 from repro.core.rt_model import QueueFeedback
-from repro.queueing.ggk import StapQueueConfig, simulate_stap_queue
+from repro.queueing.ggk import StapQueueConfig
 from repro.queueing.metrics import summarize_response_times
+
+from ..test_queueing.ggk_oracle import simulate_heap_queue
 
 
 def simulate_oracle(
@@ -37,7 +40,7 @@ def simulate_oracle(
         timeout=timeout / mean_service_time,
         boost_speedup=max(effective_allocation * gross_increase, 0.1),
     )
-    res = simulate_stap_queue(arrivals, demands, cfg).drop_warmup(
+    res = simulate_heap_queue(arrivals, demands, cfg).drop_warmup(
         model.warmup_fraction
     )
     waits = res.wait_times

@@ -36,6 +36,10 @@ FAST_DF = dict(
 PAIR = ("redis", "social")
 UTILS = (0.9, 0.85)
 GRID = (0.0, 0.5, 2.0)
+#: The distinct-condition count from which ``simulate_many`` switches to
+#: the batched kernel; tests straddle it at ``THRESHOLD - 1`` and
+#: ``THRESHOLD`` so both kernels stay covered whatever its value.
+THRESHOLD = rt_module._MIN_BATCH_CONDITIONS
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +159,9 @@ class TestSimulateDistinctOnce:
         signs = [np.copysign(1, call[0][0].timeout) for call in seen["serial"]]
         assert signs == [1, -1]
 
-    @pytest.mark.parametrize("n_distinct,kernel", [(4, "serial"), (9, "batch")])
+    @pytest.mark.parametrize(
+        "n_distinct,kernel", [(THRESHOLD - 1, "serial"), (THRESHOLD, "batch")]
+    )
     def test_each_kernel_sees_each_distinct_condition_once(
         self, monkeypatch, n_distinct, kernel
     ):
@@ -199,9 +205,9 @@ class TestSimulateDistinctOnce:
 
 class TestSimulateMany:
     def test_bit_identical_to_serial(self):
-        # C = 7 and 8 straddle the kernel switch.
+        # C = THRESHOLD - 1 and THRESHOLD straddle the kernel switch.
         model = ResponseTimeModel(n_queries=500, rng=7)
-        for n in (1, 7, 8, 11):
+        for n in (1, THRESHOLD - 1, THRESHOLD, THRESHOLD + 3):
             conds = _sample_conditions(n)
             oracle = [simulate_oracle(model, **c) for c in conds]
             assert model.simulate_many(conds) == oracle, n
@@ -226,17 +232,18 @@ class TestSimulateMany:
         # The kernel is picked by the distinct condition count alone.
         model = ResponseTimeModel(n_queries=200, rng=1)
         calls = _count_kernel_calls(monkeypatch)
-        model.simulate_many(_sample_conditions(7))
-        assert calls == {"serial": 7, "batch": 0}
-        model.simulate_many(_sample_conditions(8))
-        assert calls == {"serial": 7, "batch": 1}
+        below = THRESHOLD - 1
+        model.simulate_many(_sample_conditions(below))
+        assert calls == {"serial": below, "batch": 0}
+        model.simulate_many(_sample_conditions(THRESHOLD))
+        assert calls == {"serial": below, "batch": 1}
         model.simulate(**_sample_conditions(1)[0])
-        assert calls == {"serial": 8, "batch": 1}
-        # Eight conditions, seven distinct: still the serial kernel.
-        conds = _sample_conditions(7)
+        assert calls == {"serial": below + 1, "batch": 1}
+        # THRESHOLD conditions, one fewer distinct: still the serial kernel.
+        conds = _sample_conditions(below)
         conds.insert(3, dict(conds[5]))
         got = model.simulate_many(conds)
-        assert calls == {"serial": 15, "batch": 1}
+        assert calls == {"serial": 2 * below + 1, "batch": 1}
         assert got[3] is got[6]
 
     @pytest.mark.parametrize(
@@ -275,7 +282,7 @@ class TestConditionBoundary:
     )
     def test_non_finite_rejected(self, field, bad):
         model = ResponseTimeModel(n_queries=200, rng=3)
-        for n in (1, 8):
+        for n in (1, THRESHOLD - 1, THRESHOLD):
             conds = _sample_conditions(n)
             conds[-1][field] = bad
             with pytest.raises(ValueError, match=field):
@@ -296,11 +303,35 @@ class TestConditionBoundary:
     )
     def test_out_of_range_rejected(self, field, bad):
         model = ResponseTimeModel(n_queries=200, rng=3)
-        for n in (1, 8):
+        for n in (1, THRESHOLD - 1, THRESHOLD):
             conds = _sample_conditions(n)
             conds[-1].update(utilization=0.6, timeout=0.5, **{field: bad})
             with pytest.raises(ValueError, match=field):
                 model.simulate_many(conds)
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            # Once passed the constructor (nan < 1 is False) and then
+            # failed with "arrival_times must be finite".
+            ("n_servers", np.nan),
+            # Once failed in the serial kernel but ran in the batched one.
+            ("n_servers", 2.0),
+            # Once ran in the serial kernel but failed in the batched one.
+            ("n_servers", True),
+            # Once failed inside NumPy.
+            ("n_queries", 100.5),
+            ("n_queries", True),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, bad):
+        with pytest.raises(TypeError, match=field):
+            ResponseTimeModel(**{field: bad}, rng=3)
+
+    @pytest.mark.parametrize("field,bad", [("n_servers", 0), ("n_queries", 9)])
+    def test_small_counts_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            ResponseTimeModel(**{field: bad}, rng=3)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.0, np.nan])
     def test_bad_warmup_fraction_rejected(self, bad):
@@ -309,7 +340,7 @@ class TestConditionBoundary:
 
     def test_unknown_key_rejected(self):
         model = ResponseTimeModel(n_queries=200, rng=4)
-        for n in (1, 8):
+        for n in (1, THRESHOLD - 1, THRESHOLD):
             conds = _sample_conditions(n)
             conds[0]["service_CV"] = conds[0].pop("service_cv")
             with pytest.raises(TypeError, match="service_CV"):
@@ -317,7 +348,7 @@ class TestConditionBoundary:
 
     def test_missing_key_rejected(self):
         model = ResponseTimeModel(n_queries=200, rng=4)
-        for n in (1, 8):
+        for n in (1, THRESHOLD - 1, THRESHOLD):
             conds = _sample_conditions(n)
             del conds[0]["gross_increase"]
             with pytest.raises(TypeError, match="gross_increase"):
@@ -326,11 +357,16 @@ class TestConditionBoundary:
 
 class TestPredictConditions:
     def _conditions(self):
+        # Enough 2-service conditions with distinct timeouts that one
+        # lockstep round simulates at least THRESHOLD distinct queues.
+        timeouts = [(0.0, 1.0), (0.5, 0.5), (np.inf, 0.0), (2.0, np.inf)]
+        timeouts += [
+            (0.25 + 0.1 * i, 1.25 + 0.1 * i)
+            for i in range(-(-THRESHOLD // 2) - len(timeouts))
+        ]
         return [
-            RuntimeCondition(
-                workloads=PAIR, utilizations=UTILS, timeouts=timeouts
-            )
-            for timeouts in ((0.0, 1.0), (0.5, 0.5), (np.inf, 0.0), (2.0, np.inf))
+            RuntimeCondition(workloads=PAIR, utilizations=UTILS, timeouts=t)
+            for t in timeouts
         ]
 
     def _assert_same(self, a, b):
@@ -340,12 +376,16 @@ class TestPredictConditions:
         assert np.array_equal(a.X_flat, b.X_flat)
         assert np.array_equal(a.traces, b.traces)
 
-    def test_lockstep_matches_per_condition(self, fitted_fast):
-        # Four 2-service conditions: the lockstep simulates C = 8 per
+    def test_lockstep_matches_per_condition(self, fitted_fast, monkeypatch):
+        # The lockstep simulates every service of every condition per
         # round (batched kernel), each single condition C = 2 (serial).
         conds = self._conditions()
+        calls = _count_kernel_calls(monkeypatch)
         singles = [fitted_fast.predict_condition(c) for c in conds]
+        assert calls["batch"] == 0
+        serial_calls = calls["serial"]
         batched = fitted_fast.predict_conditions(conds)
+        assert calls == {"serial": serial_calls, "batch": fitted_fast.n_iterations}
         for a, b in zip(singles, batched):
             self._assert_same(a, b)
 

@@ -10,8 +10,9 @@ from repro.queueing import (
     mmk_mean_response,
     simulate_stap_queue,
 )
-from repro.queueing.ggk import _service_duration
 from repro.workloads import PoissonArrivals
+
+from .ggk_oracle import _service_duration
 
 
 def run_mm1(rho, n=40000, timeout=np.inf, boost=1.0, seed=0, servers=1):
@@ -26,6 +27,8 @@ def run_mm1(rho, n=40000, timeout=np.inf, boost=1.0, seed=0, servers=1):
 
 
 class TestServiceDuration:
+    """The heap oracle's closed-form step, inlined by the shipped kernels."""
+
     def test_never_triggers(self):
         dur, b = _service_duration(start=0.0, warn_at=10.0, work=2.0, boost_speedup=3.0)
         assert dur == 2.0 and b == 0.0
@@ -202,6 +205,24 @@ class TestValidation:
     def test_config_rejects_non_finite(self, kwargs):
         with pytest.raises(ValueError):
             StapQueueConfig(**kwargs)
+
+    def test_config_rejects_infinite_mean_service_time(self):
+        # Once accepted: every response time came out inf.
+        with pytest.raises(ValueError, match="mean_service_time"):
+            StapQueueConfig(mean_service_time=np.inf)
+
+    @pytest.mark.parametrize("n_servers", [2.0, np.float64(2.0), np.nan, True])
+    def test_config_rejects_non_integer_servers(self, n_servers):
+        # Once 2.0 failed inside the serial kernel but ran in the batched
+        # one, and True the reverse.
+        with pytest.raises(TypeError, match="n_servers"):
+            StapQueueConfig(n_servers=n_servers)
+
+    def test_config_accepts_numpy_integer_servers(self):
+        arrivals, demands = np.arange(1.0, 6.0), np.ones(5)
+        got = simulate_stap_queue(arrivals, demands, StapQueueConfig(np.int64(2)))
+        want = simulate_stap_queue(arrivals, demands, StapQueueConfig(2))
+        assert np.array_equal(got.completion_times, want.completion_times)
 
     def test_drop_warmup_validation(self):
         res = run_mm1(0.5, n=100)

@@ -1,8 +1,9 @@
 """Property tests for the STAP queueing kernels.
 
 Random arrival/demand samples and configs check the invariants every
-run must satisfy, and that the serial heap kernel and the batched
-kernel agree bit for bit.
+run must satisfy, that the scalar serial kernel reproduces the heap
+oracle it replaced, and that the serial and batched kernels agree bit
+for bit.
 """
 
 import heapq
@@ -15,6 +16,8 @@ from repro.queueing import (
     simulate_stap_queue,
     simulate_stap_queue_batch,
 )
+
+from .ggk_oracle import simulate_heap_queue
 
 FIELDS = ("arrival_times", "start_times", "completion_times", "boosted", "boosted_time")
 
@@ -115,3 +118,36 @@ def test_batched_kernel_matches_serial(cfgs, n, seed):
         serial = simulate_stap_queue(arrivals[c], demands[c], cfg)
         for field in FIELDS:
             assert np.array_equal(getattr(batch, field)[c], getattr(serial, field))
+
+
+@st.composite
+def oracle_cases(draw):
+    """``(arrivals, demands, config)`` reaching every kernel branch:
+    k = 1-4, empty runs, tied arrivals, signed-zero, infinite and finite
+    timeouts, and boost 1.0 next to real speedups and slowdowns."""
+    n = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    gaps = rng.exponential(draw(st.floats(0.05, 2.0)), size=n)
+    if draw(st.booleans()):
+        gaps[rng.random(n) < 0.4] = 0.0
+    demands = rng.lognormal(0.0, draw(st.floats(0.0, 1.0)), size=n)
+    cfg = StapQueueConfig(
+        n_servers=draw(st.integers(1, 4)),
+        mean_service_time=draw(st.floats(0.2, 2.0)),
+        timeout=draw(
+            st.one_of(st.sampled_from([0.0, -0.0, np.inf]), st.floats(0.0, 4.0))
+        ),
+        boost_speedup=draw(st.one_of(st.just(1.0), st.floats(0.2, 5.0))),
+    )
+    return np.cumsum(gaps), demands, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_cases())
+def test_scalar_kernel_matches_heap_oracle(case):
+    got = simulate_stap_queue(*case)
+    want = simulate_heap_queue(*case)
+    for field in FIELDS:
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype, field
+        assert a.tobytes() == b.tobytes(), field
