@@ -28,14 +28,17 @@ from repro.queueing.metrics import ResponseTimeSummary, summarize_response_times
 #: carries 2 conditions or 50), so :meth:`ResponseTimeModel.simulate_many`
 #: picks the serial kernel.  Both kernels are bit-identical per
 #: condition; the threshold is purely a performance crossover.  Median
-#: ``simulate_many`` time in ms over C distinct k = 2 conditions at
-#: ``n_queries=16000`` (2-CPU x86-64 container, Python 3.11, NumPy 2.4;
-#: three runs agree on the crossover):
+#: ``simulate_many`` time of the serial kernel over the batched one, C
+#: distinct k = 2 conditions at ``n_queries=16000`` (2-CPU x86-64
+#: container, Python 3.11, NumPy 2.4; above 1.00 the batched kernel is
+#: faster).  C = 28 and 29 are a tie within noise; from C = 30 the
+#: batched kernel wins in all three runs:
 #:
-#:     C         4    8   12   16   20   24   28   32   40   60
-#:     serial   38   66   93  119  175  213  237  277  336  453
-#:     batched 167  175  182  192  224  229  245  258  262  280
-_MIN_BATCH_CONDITIONS = 28
+#:     C        4    8   16   20   24   26   28   29   30   31   32   36   40   60
+#:     run 1 0.22 0.35 0.66 0.78 0.96 0.93 1.02 1.03 1.10 1.10 1.13 1.31 1.33 1.75
+#:     run 2 0.20 0.36 0.65 0.74 0.89 1.09 1.01 1.05 1.06 1.10 1.10 1.25 1.33 1.77
+#:     run 3 0.20 0.41 0.63 0.72 0.89 0.95 0.97 0.98 1.08 1.12 1.22 1.25 1.31 1.79
+_MIN_BATCH_CONDITIONS = 30
 
 #: Keys of one :meth:`ResponseTimeModel.simulate_many` condition.
 _REQUIRED_KEYS = frozenset(

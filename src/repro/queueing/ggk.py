@@ -257,6 +257,10 @@ def simulate_stap_queue(
     if config.n_servers == 2:
         # Free times kept sorted, f0 <= f1: dispatch reads f0, and
         # re-insertion keeps f1 at the front on a tie, as a heap would.
+        # The paper's per-service core count, so worth its own loop: with
+        # the heapq loop below at k = 2 instead, perfbench ``whatif``
+        # ``ops_per_s`` fell from a median 31.2 to 26.0, slower in 10 of
+        # 10 alternating pairs (seed 0, 15 s runs, 2-CPU x86-64 container).
         f0 = f1 = 0.0
         for i, a, work in queries:
             t0 = a if f0 < a else f0

@@ -160,7 +160,9 @@ class TestSimulateDistinctOnce:
         assert signs == [1, -1]
 
     @pytest.mark.parametrize(
-        "n_distinct,kernel", [(THRESHOLD - 1, "serial"), (THRESHOLD, "batch")]
+        "n_distinct,kernel",
+        [(THRESHOLD - 1, "serial"), (THRESHOLD, "batch")],
+        ids=["serial", "batch"],
     )
     def test_each_kernel_sees_each_distinct_condition_once(
         self, monkeypatch, n_distinct, kernel
