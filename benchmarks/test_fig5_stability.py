@@ -99,56 +99,3 @@ def test_fig5_stability(benchmark):
     # ...and a better worst case (the paper: CNN worst ~2x DF).
     assert df_err.max() < cnn_err.max()
 
-
-def _run_future_work():
-    """Section 4.1's future work: residual and LSTM networks on the same
-    repeated-training protocol."""
-    from repro.baselines import LSTMRegressor, ResidualMLPRegressor
-
-    flat, traces, y = _make_data()
-    n_train = 110
-    perm = np.random.default_rng(100).permutation(len(y))
-    tr, te = perm[:n_train], perm[n_train:]
-    flat_full = np.concatenate(
-        [flat, traces.reshape(len(y), -1)], axis=1
-    )
-    out = {"lstm": [], "residual mlp": []}
-    for seed in range(max(3, N_REPEATS // 2)):
-        lstm = LSTMRegressor(n_hidden=16, epochs=30, lr=5e-3, rng=seed)
-        lstm.fit(flat[tr], traces[tr], y[tr])
-        err = np.median(
-            np.abs(lstm.predict(flat[te], traces[te]) - y[te]) / y[te]
-        )
-        out["lstm"].append(float(err))
-
-        res = ResidualMLPRegressor(
-            width=32, n_blocks=3, epochs=40, lr=3e-3, rng=seed
-        )
-        res.fit(flat_full[tr], y[tr])
-        err = np.median(
-            np.abs(res.predict(flat_full[te]) - y[te]) / y[te]
-        )
-        out["residual mlp"].append(float(err))
-    return out
-
-
-def test_fig5_future_work_architectures(benchmark):
-    """Extension: the reliability/accuracy trade-off the paper defers to
-    future work, measured with the same protocol as Figure 5."""
-    errors = benchmark.pedantic(_run_future_work, rounds=1, iterations=1)
-    rows = []
-    for name, errs in errors.items():
-        e = np.array(errs)
-        rows.append([name, e.min(), e.max(), e.std(), e.mean()])
-    print_block(
-        format_table(
-            ["model", "err min", "err max", "err std", "err mean"],
-            rows,
-            title="Figure 5 extension: future-work architectures (LSTM, residual)",
-            precision=4,
-        )
-    )
-    # Back-prop models remain seed-sensitive; both must at least train.
-    for name, errs in errors.items():
-        assert max(errs) < 1.0, f"{name} failed to train"
-        assert np.std(errs) > 0.0  # run-to-run variation exists

@@ -11,8 +11,6 @@ from repro.baselines.linreg import RidgeRegression
 from repro.baselines.dtree import DecisionTreeBaseline
 from repro.baselines.mlp import MLPRegressor
 from repro.baselines.cnn import CNNRegressor, tune_cnn
-from repro.baselines.lstm import LSTMRegressor
-from repro.baselines.resnet import ResidualMLPRegressor
 from repro.baselines.ucp import marginal_utility_curve, ucp_partition, ucp_private_mb
 from repro.baselines.policies import (
     PolicyDecision,
@@ -29,8 +27,6 @@ __all__ = [
     "MLPRegressor",
     "CNNRegressor",
     "tune_cnn",
-    "LSTMRegressor",
-    "ResidualMLPRegressor",
     "PolicyDecision",
     "RuntimeEvaluator",
     "no_sharing_policy",

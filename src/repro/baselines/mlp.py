@@ -1,7 +1,7 @@
 """NumPy MLP with backpropagation and Adam, and the shared trainer.
 
 Provides the layers, the optimizer and the one minibatch trainer the
-CNN, LSTM and residual baselines reuse.  Back-prop models overwrite
+MLP and CNN baselines share.  Back-prop models overwrite
 weights during training, which is the source of the run-to-run
 variance Figure 5 contrasts against deep forests.
 """

@@ -7,13 +7,12 @@ machines    print the Xeon catalogue
 simulate    run a collocation on the testbed and report response times
 profile     run a Stage 1 profiling campaign and save it as .npz
 policy      profile, train the model and print a recommended timeout vector
-report      render a telemetry run-manifest (and event trace) as tables
+report      render a telemetry run-manifest as tables
 
-Every pipeline command accepts ``--telemetry`` (enable the metrics
+Every pipeline command accepts ``--telemetry``: enable the metrics
 registry + span tracing and write a JSON run-manifest plus a JSONL span
-log to ``--trace-dir``) and ``--trace-queue-events`` (also record
-per-query simulator event traces).  Telemetry never changes results:
-outputs are bit-identical with it on or off.
+log to ``--trace-dir``.  Telemetry never changes results: outputs are
+bit-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -219,8 +218,8 @@ def _cmd_policy(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Render a run manifest (and optional event trace) as ASCII tables."""
-    from repro.telemetry import exporters, read_events_jsonl
+    """Render a run manifest as ASCII tables."""
+    from repro.telemetry import exporters
 
     manifest_path = Path(args.manifest)
     if not manifest_path.exists():
@@ -228,27 +227,7 @@ def _cmd_report(args) -> int:
         return 2
     manifest = exporters.load_manifest(manifest_path)
     print(exporters.manifest_tables(manifest))
-    events_path = Path(args.events) if args.events else None
-    if events_path is None and manifest.get("events_file"):
-        candidate = Path(manifest["events_file"])
-        if not candidate.is_absolute():
-            candidate = manifest_path.parent / candidate
-        if candidate.exists():
-            events_path = candidate
-    if events_path is not None:
-        if not events_path.exists():
-            print(f"error: no such event log: {events_path}", file=sys.stderr)
-            return 2
-        print()
-        print(exporters.events_table(read_events_jsonl(events_path)))
     return 0
-
-
-def _telemetry_requested(args) -> bool:
-    return bool(
-        getattr(args, "telemetry", False)
-        or getattr(args, "trace_queue_events", False)
-    )
 
 
 def _run_with_telemetry(args, command_line) -> int:
@@ -256,17 +235,11 @@ def _run_with_telemetry(args, command_line) -> int:
     from repro.telemetry import exporters
 
     trace_dir = Path(args.trace_dir)
-    telemetry.configure(trace_queue_events=args.trace_queue_events)
+    telemetry.configure()
     try:
         with telemetry.span(f"repro.{args.command}"):
             rc = args.func(args)
         trace_dir.mkdir(parents=True, exist_ok=True)
-        events_file = None
-        n_events = None
-        sink = telemetry.queue_sink()
-        if sink is not None:
-            n_events = sink.write_jsonl(trace_dir / "events.jsonl")
-            events_file = "events.jsonl"  # relative to the manifest
         n_spans = exporters.write_spans_jsonl(
             trace_dir / "spans.jsonl", telemetry.get_span_log()
         )
@@ -276,16 +249,11 @@ def _run_with_telemetry(args, command_line) -> int:
             seeds={"seed": getattr(args, "seed", 0)},
             registry=telemetry.get_registry(),
             span_log=telemetry.get_span_log(),
-            events_file=events_file,
-            n_events=n_events,
         )
         exporters.write_manifest(trace_dir / "manifest.json", manifest)
-        parts = [f"{n_spans} spans"]
-        if n_events is not None:
-            parts.append(f"{n_events} queue events")
         print(
             f"telemetry: wrote {trace_dir / 'manifest.json'} "
-            f"({', '.join(parts)}); render with "
+            f"({n_spans} spans); render with "
             f"'python -m repro report {trace_dir / 'manifest.json'}'"
         )
         return rc
@@ -324,14 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trace-dir",
             default="telemetry",
-            help="directory for manifest.json / spans.jsonl / events.jsonl "
+            help="directory for manifest.json / spans.jsonl "
             "(default: %(default)s)",
-        )
-        p.add_argument(
-            "--trace-queue-events",
-            action="store_true",
-            help="also record per-query simulator event traces "
-            "(implies --telemetry)",
         )
         if timeouts:
             p.add_argument(
@@ -373,12 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="render a telemetry run-manifest as tables"
     )
     p_rep.add_argument("manifest", help="path to a manifest.json")
-    p_rep.add_argument(
-        "--events",
-        default=None,
-        help="events JSONL to summarize (default: the manifest's "
-        "events_file, if present next to it)",
-    )
     p_rep.set_defaults(func=_cmd_report)
     return parser
 
@@ -387,7 +343,7 @@ def main(argv=None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
     try:
-        if _telemetry_requested(args):
+        if getattr(args, "telemetry", False):
             command_line = list(argv) if argv is not None else sys.argv[1:]
             return _run_with_telemetry(args, command_line)
         return args.func(args)

@@ -13,13 +13,6 @@ from repro.queueing.ggk import (
     simulate_stap_queue,
     simulate_stap_queue_batch,
 )
-from repro.queueing.mmk import (
-    erlang_c,
-    ggk_mean_response_approx,
-    ggk_mean_wait_approx,
-    mmk_mean_wait,
-    mmk_mean_response,
-)
 from repro.queueing.metrics import (
     ResponseTimeSummary,
     summarize_response_times,
@@ -33,11 +26,6 @@ __all__ = [
     "QueueResult",
     "simulate_stap_queue",
     "simulate_stap_queue_batch",
-    "erlang_c",
-    "ggk_mean_response_approx",
-    "ggk_mean_wait_approx",
-    "mmk_mean_wait",
-    "mmk_mean_response",
     "ResponseTimeSummary",
     "summarize_response_times",
     "absolute_percentage_error",

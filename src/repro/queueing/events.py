@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 
@@ -28,10 +29,13 @@ class EventLoop:
         self._events_processed = 0
 
     def schedule(self, time: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at absolute simulation ``time``."""
-        if time < self.now:
+        """Schedule ``callback`` at absolute, finite simulation ``time``."""
+        # Written so NaN fails too: it compares False with everything,
+        # so a plain ``time < now`` check would let it into the heap.
+        if not self.now <= time < math.inf:
             raise ValueError(
-                f"cannot schedule in the past: {time} < now={self.now}"
+                f"cannot schedule at {time}: times must be finite and not "
+                f"in the past (now={self.now})"
             )
         heapq.heappush(self._heap, (time, next(self._seq), callback))
 

@@ -190,7 +190,6 @@ def simulate_stap_queue(
     arrival_times,
     demands,
     config: StapQueueConfig,
-    event_sink=None,
 ) -> QueueResult:
     """FCFS G/G/k simulation under a short-term allocation policy.
 
@@ -203,12 +202,6 @@ def simulate_stap_queue(
         ``demand * mean_service_time``.
     config:
         Queue and policy configuration.
-    event_sink:
-        Optional :class:`~repro.telemetry.QueueEventSink` fed the run's
-        arrival / service-start / STAP-boost-trigger / departure events
-        (derived from the finished result arrays — the simulation loop
-        itself is untouched).  When omitted, the telemetry subsystem's
-        active sink (``--trace-queue-events``) is used if one exists.
     """
     # Telemetry: one enabled-flag check; never touches RNG or results.
     _tel = telemetry.enabled()
@@ -223,6 +216,10 @@ def simulate_stap_queue(
         raise ValueError("arrival_times must be finite (no NaN/inf)")
     if not np.all(np.isfinite(demand)):
         raise ValueError("demands must be finite (no NaN/inf)")
+    # A negative demand would finish before it started: a negative
+    # response time.  Zero demand is legal.
+    if np.any(demand < 0):
+        raise ValueError("demands must be >= 0")
     if arrivals.size and np.any(np.diff(arrivals) < 0):
         raise ValueError("arrival_times must be sorted")
     n = arrivals.shape[0]
@@ -318,10 +315,6 @@ def simulate_stap_queue(
         telemetry.histogram_observe(
             "queue.simulate_seconds", time.perf_counter() - _t0
         )
-        if event_sink is None:
-            event_sink = telemetry.queue_sink()
-    if event_sink is not None:
-        event_sink.record_run(result, config)
     return result
 
 
@@ -434,7 +427,6 @@ def simulate_stap_queue_batch(
     arrival_times,
     demands,
     configs,
-    event_sink=None,
 ) -> BatchQueueResult:
     """FCFS G/G/k simulation of ``C`` conditions simultaneously.
 
@@ -460,11 +452,6 @@ def simulate_stap_queue_batch(
         One :class:`StapQueueConfig` per condition.  Server counts may
         differ between conditions; the state matrix is padded to the
         largest ``n_servers`` with never-free (``inf``) slots.
-    event_sink:
-        Optional :class:`~repro.telemetry.QueueEventSink`; every
-        condition row is recorded as its own run (events derived from
-        the finished result arrays, the kernel loop is untouched).
-        Defaults to the telemetry subsystem's active sink, if any.
     """
     # Telemetry: one enabled-flag check; never touches RNG or results.
     _tel = telemetry.enabled()
@@ -487,6 +474,10 @@ def simulate_stap_queue_batch(
         raise ValueError("arrival_times must be finite (no NaN/inf)")
     if not np.all(np.isfinite(demand)):
         raise ValueError("demands must be finite (no NaN/inf)")
+    # A negative demand would finish before it started: a negative
+    # response time.  Zero demand is legal.
+    if np.any(demand < 0):
+        raise ValueError("demands must be >= 0")
     if arrivals.shape[1] and np.any(np.diff(arrivals, axis=1) < 0):
         raise ValueError("arrival_times must be sorted within each condition")
     n = arrivals.shape[1]
@@ -533,8 +524,4 @@ def simulate_stap_queue_batch(
         telemetry.histogram_observe(
             "queue.simulate_batch_seconds", time.perf_counter() - _t0
         )
-        if event_sink is None:
-            event_sink = telemetry.queue_sink()
-    if event_sink is not None:
-        event_sink.record_batch(result, configs)
     return result

@@ -1,18 +1,15 @@
-"""Telemetry subsystem: metrics, spans and simulator event traces.
+"""Telemetry subsystem: metrics and spans.
 
 Observability layer for the STA pipeline (profile -> deep forest ->
-G/G/k STAP simulation -> timeout search).  Three primitives:
+G/G/k STAP simulation -> timeout search).  Two primitives:
 
 - a process-wide **metrics registry** (:mod:`repro.telemetry.registry`)
   of counters, gauges and fixed-bucket histograms/timers;
 - **span tracing** (:mod:`repro.telemetry.spans`): nested wall-time
-  scopes over ``time.perf_counter`` with thread-safe aggregation;
-- a **queue event sink** (:mod:`repro.telemetry.events`) reconstructing
-  per-query simulator timelines (arrival / service-start /
-  STAP-boost-trigger / departure).
+  scopes over ``time.perf_counter`` with thread-safe aggregation.
 
-Exporters (:mod:`repro.telemetry.exporters`) write JSONL span/event
-logs and a JSON run-manifest, and render ASCII summaries through
+Exporters (:mod:`repro.telemetry.exporters`) write a JSONL span log and
+a JSON run-manifest, and render ASCII summaries through
 :func:`repro.analysis.reporting.format_table`.
 
 Design contract
@@ -20,8 +17,9 @@ Design contract
 
 Telemetry is **disabled by default** and a true no-op while disabled:
 
-- no registry, span log or sink object exists (``get_registry()`` et
-  al. return ``None``), so the disabled path allocates nothing;
+- no registry or span log exists (``get_registry()`` and
+  ``get_span_log()`` return ``None``), so the disabled path allocates
+  nothing;
 - every instrumented site pays a single enabled-flag check
   (:func:`enabled` reads one attribute);
 - telemetry never touches any RNG and never feeds back into any
@@ -31,7 +29,6 @@ Telemetry is **disabled by default** and a true no-op while disabled:
 
 from __future__ import annotations
 
-from repro.telemetry.events import QueueEventSink, read_events_jsonl
 from repro.telemetry.registry import (
     DEFAULT_TIME_EDGES,
     Histogram,
@@ -43,7 +40,6 @@ __all__ = [
     "DEFAULT_TIME_EDGES",
     "Histogram",
     "MetricsRegistry",
-    "QueueEventSink",
     "SpanLog",
     "SpanRecord",
     "configure",
@@ -55,23 +51,20 @@ __all__ = [
     "get_registry",
     "get_span_log",
     "histogram_observe",
-    "queue_sink",
-    "read_events_jsonl",
     "span",
     "timer",
 ]
 
 
 class _State:
-    """The process-wide telemetry state.  All three slots are ``None``
-    while telemetry is disabled (the default)."""
+    """The process-wide telemetry state.  Both slots are ``None`` while
+    telemetry is disabled (the default)."""
 
-    __slots__ = ("registry", "spans", "queue_sink")
+    __slots__ = ("registry", "spans")
 
     def __init__(self):
         self.registry = None
         self.spans = None
-        self.queue_sink = None
 
 
 _STATE = _State()
@@ -80,16 +73,14 @@ _STATE = _State()
 # -- lifecycle -----------------------------------------------------------------
 
 
-def configure(trace_queue_events: bool = False) -> MetricsRegistry:
+def configure() -> MetricsRegistry:
     """Enable telemetry for this process.
 
     Creates a fresh registry and span log (discarding any previous
-    state) and, when ``trace_queue_events`` is set, a queue event sink
-    that the simulators feed automatically.  Returns the new registry.
+    state).  Returns the new registry.
     """
     _STATE.registry = MetricsRegistry()
     _STATE.spans = SpanLog()
-    _STATE.queue_sink = QueueEventSink() if trace_queue_events else None
     return _STATE.registry
 
 
@@ -97,7 +88,6 @@ def disable() -> None:
     """Disable telemetry and drop all collected state."""
     _STATE.registry = None
     _STATE.spans = None
-    _STATE.queue_sink = None
 
 
 def enabled() -> bool:
@@ -114,12 +104,6 @@ def get_registry() -> MetricsRegistry | None:
 
 def get_span_log() -> SpanLog | None:
     return _STATE.spans
-
-
-def queue_sink() -> QueueEventSink | None:
-    """The active queue event sink (``None`` unless telemetry is
-    enabled with ``trace_queue_events=True``)."""
-    return _STATE.queue_sink
 
 
 # -- recording shims (each a no-op after one flag check when disabled) ---------

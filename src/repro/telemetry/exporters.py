@@ -1,9 +1,9 @@
-"""Telemetry exporters: JSONL logs, the JSON run-manifest, ASCII tables.
+"""Telemetry exporters: the JSONL span log, the JSON run-manifest, ASCII tables.
 
 A *run manifest* is the one-file summary of an instrumented pipeline
 run: configuration, seeds, library versions, stage timings (the span
-log's root spans), metric snapshots and pointers to the heavier JSONL
-logs.  ``repro report <manifest>`` renders it back as the ASCII tables
+log's root spans), metric snapshots and the full span list.
+``repro report <manifest>`` renders it back as the ASCII tables
 :mod:`repro.analysis.reporting` produces for every other artifact in
 this repo.
 
@@ -70,8 +70,6 @@ def build_manifest(
     seeds: dict,
     registry=None,
     span_log=None,
-    events_file: str | None = None,
-    n_events: int | None = None,
 ) -> dict:
     """Assemble a run manifest from the active telemetry state.
 
@@ -131,10 +129,6 @@ def build_manifest(
         else {"counters": {}, "gauges": {}, "histograms": {}},
         "spans": spans,
     }
-    if events_file is not None:
-        manifest["events_file"] = str(events_file)
-    if n_events is not None:
-        manifest["n_events"] = int(n_events)
     return manifest
 
 
@@ -325,35 +319,3 @@ def manifest_tables(manifest: dict) -> str:
             )
         )
     return "\n\n".join(blocks)
-
-
-def events_table(events: list[dict], max_runs: int = 20) -> str:
-    """Summarize a queue-event trace (as loaded from events JSONL)."""
-    runs: dict[int, dict] = {}
-    for e in events:
-        r = runs.setdefault(
-            e["run"], {"queries": 0, "boosts": 0, "t_last": 0.0}
-        )
-        if e["type"] == "arrival":
-            r["queries"] += 1
-        elif e["type"] == "stap_boost_trigger":
-            r["boosts"] += 1
-        if e["type"] == "departure":
-            r["t_last"] = max(r["t_last"], e["t"])
-    rows = [
-        [
-            run,
-            r["queries"],
-            r["boosts"],
-            r["boosts"] / r["queries"] if r["queries"] else float("nan"),
-            r["t_last"],
-        ]
-        for run, r in sorted(runs.items())[:max_runs]
-    ]
-    title = f"Queue event trace ({len(events)} events, {len(runs)} runs"
-    title += f"; first {max_runs})" if len(runs) > max_runs else ")"
-    return format_table(
-        ["run", "queries", "boost triggers", "boost frac", "last departure"],
-        rows,
-        title=title,
-    )

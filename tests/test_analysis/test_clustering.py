@@ -35,6 +35,12 @@ class TestKMeans:
         km = KMeans(k=2, rng=0).fit(x)
         assert len(set(km.labels_.tolist())) == 2
 
+    def test_predict_accepts_1d_input(self):
+        x = np.concatenate([np.zeros(10), np.ones(10) * 9])
+        km = KMeans(k=2, rng=0).fit(x)
+        assert np.array_equal(km.predict(x), km.labels_)
+        assert np.array_equal(km.predict(x), km.predict(x[:, None]))
+
     def test_k_equals_n(self):
         X = np.arange(4, dtype=float)[:, None]
         km = KMeans(k=4, rng=0).fit(X)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    CNNRegressor,
-    LSTMRegressor,
-    MLPRegressor,
-    ResidualMLPRegressor,
-)
+from repro.baselines import CNNRegressor, MLPRegressor
 from repro.baselines.cnn import CNNHyperParams
 from repro.baselines.mlp import Adam
 
@@ -23,24 +18,14 @@ def _mlp(**kw):
     return MLPRegressor(hidden=(8, 4), rng=0, **kw)
 
 
-def _resnet(**kw):
-    return ResidualMLPRegressor(width=6, n_blocks=2, rng=0, **kw)
-
-
 def _cnn(**kw):
     return CNNRegressor(CNNHyperParams(n_filters=2, hidden=4, **kw), rng=0)
-
-
-def _lstm(**kw):
-    return LSTMRegressor(n_hidden=4, rng=0, **kw)
 
 
 # name -> (factory, the data its fit takes, in order)
 NETWORKS = {
     "mlp": (_mlp, ("X", "y")),
-    "resnet": (_resnet, ("X", "y")),
     "cnn": (_cnn, ("X_flat", "traces", "y")),
-    "lstm": (_lstm, ("X_flat", "traces", "y")),
 }
 DATA = {"X": X, "X_flat": X, "traces": TRACES, "y": Y}
 
@@ -94,6 +79,29 @@ def test_fit_rejects_non_finite_values(name, field, bad):
     data[field].flat[5] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         make(epochs=1).fit(*(data[f] for f in fields))
+
+
+@pytest.mark.parametrize(
+    "name, field, bad",
+    [
+        ("mlp", "X", X[:, 0]),  # 1-D features
+        ("mlp", "X", X[:-1]),  # one row short of y
+        ("cnn", "traces", TRACES[:, 0]),  # 2-D traces
+        ("cnn", "X_flat", X[:-1]),
+    ],
+)
+def test_fit_rejects_bad_shapes(name, field, bad):
+    make, fields = NETWORKS[name]
+    data = dict(DATA, **{field: bad})
+    with pytest.raises(ValueError, match=f"bad shapes: {field}"):
+        make(epochs=1).fit(*(data[f] for f in fields))
+
+
+@pytest.mark.parametrize("fit_flat", [True, False])
+def test_predict_takes_the_optional_input_iff_fit_did(fit_flat):
+    model = _cnn(epochs=1).fit(X if fit_flat else None, TRACES, Y)
+    with pytest.raises(ValueError, match="X_flat must be given iff"):
+        model.predict(None if fit_flat else X, TRACES)
 
 
 @pytest.mark.parametrize("field", ["epochs", "batch_size", "hidden", "n_filters"])

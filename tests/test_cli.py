@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 class TestInfoCommands:
@@ -178,6 +178,12 @@ class TestPolicy:
         assert "argument --train-jobs" in capsys.readouterr().err
         assert calls == []  # rejected before any profiling
 
+    def test_train_jobs_parses_a_positive_int(self):
+        args = build_parser().parse_args(
+            ["policy", "--pair", "redis", "knn", "--train-jobs", "3"]
+        )
+        assert args.train_jobs == 3
+
     def test_help_lists_train_jobs_only(self, capsys):
         # Forest training keeps its pool; the timeout search has none.
         with pytest.raises(SystemExit) as exc:
@@ -290,14 +296,6 @@ class TestTelemetry:
         assert (tmp_path / "t" / "spans.jsonl").exists()
         assert "events_file" not in manifest
 
-    def test_trace_queue_events_implies_telemetry(self, tmp_path, capsys):
-        from repro.telemetry.exporters import load_manifest
-
-        assert self._simulate(tmp_path, "--trace-queue-events") == 0
-        manifest = load_manifest(tmp_path / "t" / "manifest.json")
-        assert manifest["events_file"] == "events.jsonl"
-        assert (tmp_path / "t" / "events.jsonl").exists()
-
     def test_global_state_restored_after_run(self, tmp_path, capsys):
         from repro import telemetry
 
@@ -314,24 +312,45 @@ class TestTelemetry:
 
 
 class TestReport:
-    def test_renders_manifest_and_events(self, tmp_path, capsys):
-        rc = main(
+    def _write_manifest(self, tmp_path):
+        return main(
             [
                 "simulate",
                 "--pair", "jacobi", "bfs",
                 "--queries", "120",
-                "--trace-queue-events",
+                "--telemetry",
                 "--trace-dir", str(tmp_path / "t"),
             ]
         )
-        assert rc == 0
+
+    def test_renders_manifest_and_spans(self, tmp_path, capsys):
+        assert self._write_manifest(tmp_path) == 0
         capsys.readouterr()
         rc = main(["report", str(tmp_path / "t" / "manifest.json")])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Run manifest" in out
         assert "repro.simulate" in out
-        assert "Queue event trace" in out
+        assert "Spans (" in out
+
+    def test_renders_manifest_with_old_event_fields(self, tmp_path, capsys):
+        """Manifests written while queue event traces existed carry two
+        optional fields; they still load and render."""
+        import json
+
+        from repro.telemetry.exporters import MANIFEST_SCHEMA_VERSION
+
+        assert self._write_manifest(tmp_path) == 0
+        path = tmp_path / "t" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["schema_version"] == MANIFEST_SCHEMA_VERSION == 1
+        manifest.update(events_file="events.jsonl", n_events=12)
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "Run manifest" in out
+        assert "repro.simulate" in out
 
     def test_missing_manifest(self, tmp_path, capsys):
         rc = main(["report", str(tmp_path / "nope.json")])
@@ -344,6 +363,23 @@ class TestReport:
         rc = main(["report", str(bad)])
         assert rc == 2
         assert "invalid run manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "profile", "policy"])
+def test_no_queue_event_trace_flag(command, capsys):
+    """Telemetry records spans and counters only; there is no per-query
+    queue event trace to switch on."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--pair", "redis", "knn", "--trace-queue-events"])
+    assert exc.value.code == 2
+    assert "--trace-queue-events" in capsys.readouterr().err
+
+
+def test_report_has_no_events_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["report", str(tmp_path / "manifest.json"), "--events", "e.jsonl"])
+    assert exc.value.code == 2
+    assert "--events" in capsys.readouterr().err
 
 
 def test_policy_has_no_forest_strategy_flag(capsys):

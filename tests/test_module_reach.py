@@ -9,7 +9,10 @@ module only its own tests import is an orphan.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -20,12 +23,6 @@ ENTRY_SCRIPTS = [
     *sorted((ROOT / "examples").rglob("*.py")),
     *sorted((ROOT / "perfbench").rglob("*.py")),
 ]
-
-# The analytic M/M/k and G/G/k results that the Stage 3 simulator is
-# checked against (tests/test_queueing/test_ggk.py).  No stage calls
-# them: they are an oracle, kept on purpose.
-ORACLE_ONLY = {"repro.queueing.mmk"}
-
 
 def _module_file(module: str) -> Path | None:
     """The source file of a ``repro`` module or package, else ``None``."""
@@ -140,5 +137,18 @@ def all_modules() -> set[str]:
 
 def test_every_module_is_reached_from_an_entry_point():
     unreached = all_modules() - reachable_modules()
-    assert unreached == ORACLE_ONLY, sorted(unreached)
+    assert not unreached, sorted(unreached)
 
+
+PACKAGES = sorted(
+    _module_name(p) for p in (SRC / "repro").rglob("__init__.py")
+)
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_exported_name_resolves(package):
+    """A deleted module leaves no name behind in a package's
+    ``__all__``: ``from package import *`` would fail on it."""
+    module = importlib.import_module(package)
+    missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+    assert not missing, missing

@@ -1,5 +1,7 @@
 """Tests for the discrete-event kernel."""
 
+import math
+
 import pytest
 
 from repro.queueing import EventLoop
@@ -63,6 +65,32 @@ class TestEventLoop:
         loop.schedule(5.0, lambda: loop.schedule(1.0, lambda: None))
         with pytest.raises(ValueError, match="past"):
             loop.run()
+
+    def test_schedule_at_now_and_zero_delay_accepted(self):
+        loop = EventLoop()
+        seen = []
+        loop.schedule(2.0, lambda: loop.schedule(2.0, lambda: seen.append("at")))
+        loop.schedule(2.0, lambda: loop.schedule_in(0.0, lambda: seen.append("in")))
+        loop.run()
+        assert seen == ["at", "in"]
+        assert loop.now == 2.0
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, time):
+        """NaN compares False with everything, so it used to pass the
+        in-the-past check and corrupt the heap order."""
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="finite"):
+            loop.schedule(time, lambda: None)
+        assert loop.pending == 0
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_non_finite_delay_rejected(self, delay):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda: loop.schedule_in(delay, lambda: None))
+        with pytest.raises(ValueError, match="finite"):
+            loop.run()
+        assert loop.pending == 0
 
     def test_negative_delay_rejected(self):
         loop = EventLoop()

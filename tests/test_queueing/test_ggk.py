@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.queueing import (
     QueueResult,
     StapQueueConfig,
-    mmk_mean_response,
     simulate_stap_queue,
+    simulate_stap_queue_batch,
 )
 from repro.workloads import PoissonArrivals
 
 from .ggk_oracle import _service_duration
+from .mmk_oracle import mmk_mean_response
 
 
 def run_mm1(rho, n=40000, timeout=np.inf, boost=1.0, seed=0, servers=1):
@@ -268,3 +269,21 @@ class TestInputValidation:
     def test_finite_sorted_accepted(self):
         res = simulate_stap_queue(np.arange(1.0, 4.0), np.ones(3), self.CFG)
         assert np.all(np.isfinite(res.completion_times))
+
+    KERNELS = {
+        "serial": simulate_stap_queue,
+        "batch": lambda a, d, cfg: simulate_stap_queue_batch(a, d, [cfg]),
+    }
+    BOOSTING = StapQueueConfig(1, timeout=0.5, boost_speedup=2.0)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_negative_demand_rejected(self, kernel):
+        """A negative demand used to finish before it started: a
+        response time of -1.0, with no error."""
+        with pytest.raises(ValueError, match="demands must be >= 0"):
+            self.KERNELS[kernel]([0, 1, 2], [-1, 0.5, 1], self.BOOSTING)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_zero_demand_accepted(self, kernel):
+        res = self.KERNELS[kernel]([0, 1, 2], [0.0, -0.0, 1.0], self.BOOSTING)
+        assert np.array_equal(res.response_times.ravel(), [0.0, 0.0, 0.75])

@@ -163,6 +163,19 @@ class TestEdgeCases:
                 np.arange(3.0)[None, :], demands, [StapQueueConfig()]
             )
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_demands_match_serial(self, k):
+        """Zero work, of either sign, stays legal and bit-identical."""
+        arrivals, demands = _sample(3, 40, seed=k)
+        demands[:, ::3] = 0.0
+        demands[:, 1::5] = -0.0
+        configs = [
+            StapQueueConfig(n_servers=k, timeout=t, boost_speedup=1.5)
+            for t in (0.0, 0.5, np.inf)
+        ]
+        batch = simulate_stap_queue_batch(arrivals, demands, configs)
+        _assert_rows_match(batch, arrivals, demands, configs)
+
     def test_unsorted_row_raises(self):
         arrivals = np.array([[0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
         with pytest.raises(ValueError, match="sorted"):

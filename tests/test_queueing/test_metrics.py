@@ -9,10 +9,15 @@ from hypothesis import given, settings, strategies as st
 from repro.queueing import (
     ResponseTimeSummary,
     absolute_percentage_error,
+    summarize_response_times,
+)
+
+from .mmk_oracle import (
     erlang_c,
+    ggk_mean_response_approx,
+    ggk_mean_wait_approx,
     mmk_mean_response,
     mmk_mean_wait,
-    summarize_response_times,
 )
 
 
@@ -174,21 +179,17 @@ class TestErlangC:
 
 class TestAllenCunneen:
     def test_reduces_to_mmk(self):
-        from repro.queueing import ggk_mean_wait_approx
-
         assert ggk_mean_wait_approx(0.7, 1.0, 1, ca2=1.0, cs2=1.0) == pytest.approx(
             mmk_mean_wait(0.7, 1.0, 1)
         )
 
     def test_deterministic_service_halves_wait(self):
-        from repro.queueing import ggk_mean_wait_approx
-
         md1 = ggk_mean_wait_approx(0.7, 1.0, 1, ca2=1.0, cs2=0.0)
         mm1 = ggk_mean_wait_approx(0.7, 1.0, 1, ca2=1.0, cs2=1.0)
         assert md1 == pytest.approx(mm1 / 2)  # the classic M/D/1 result
 
     def test_matches_simulation_for_lognormal_service(self):
-        from repro.queueing import StapQueueConfig, ggk_mean_response_approx
+        from repro.queueing import StapQueueConfig
         from repro.queueing.ggk import simulate_stap_queue
         from repro.workloads import PoissonArrivals
 
@@ -205,7 +206,5 @@ class TestAllenCunneen:
         assert res.response_times.mean() == pytest.approx(approx, rel=0.1)
 
     def test_validation(self):
-        from repro.queueing import ggk_mean_wait_approx
-
         with pytest.raises(ValueError):
             ggk_mean_wait_approx(0.5, 1.0, 1, ca2=-1.0)

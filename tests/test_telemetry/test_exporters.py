@@ -10,7 +10,6 @@ from repro.telemetry import exporters
 from repro.telemetry.exporters import (
     MANIFEST_SCHEMA_VERSION,
     build_manifest,
-    events_table,
     load_manifest,
     manifest_tables,
     validate_manifest,
@@ -19,7 +18,7 @@ from repro.telemetry.exporters import (
 )
 
 
-def _instrumented_manifest(**kwargs):
+def _instrumented_manifest():
     telemetry.configure()
     with telemetry.span("stage.alpha", n=3):
         with telemetry.span("stage.alpha.inner"):
@@ -33,7 +32,6 @@ def _instrumented_manifest(**kwargs):
         seeds={"seed": 0},
         registry=telemetry.get_registry(),
         span_log=telemetry.get_span_log(),
-        **kwargs,
     )
 
 
@@ -84,10 +82,11 @@ class TestBuildManifest:
         assert [s["parent"] for s in m["stages"]] == [None, None]
         assert len(m["spans"]) == 3
 
-    def test_events_pointer_fields(self):
-        m = _instrumented_manifest(events_file="events.jsonl", n_events=12)
-        assert m["events_file"] == "events.jsonl"
-        assert m["n_events"] == 12
+    def test_no_event_pointer_fields(self):
+        m = _instrumented_manifest()
+        assert "events_file" not in m and "n_events" not in m
+        with pytest.raises(TypeError):
+            build_manifest(command=[], config={}, seeds={}, n_events=1)
 
 
 class TestValidateManifest:
@@ -169,17 +168,17 @@ class TestRendering:
         assert "Counters and gauges" not in text
         assert "Stage timings" not in text
 
-    def test_events_table(self):
-        events = [
-            {"run": 0, "query": 0, "type": "arrival", "t": 0.0},
-            {"run": 0, "query": 0, "type": "stap_boost_trigger", "t": 0.5},
-            {"run": 0, "query": 0, "type": "departure", "t": 1.0},
-            {"run": 1, "query": 0, "type": "arrival", "t": 0.0},
-            {"run": 1, "query": 0, "type": "departure", "t": 2.0},
-        ]
-        text = events_table(events)
-        assert "5 events, 2 runs" in text
-        assert "boost frac" in text
+    def test_zero_length_stages_render(self):
+        """Stages too short to time sum to zero; their share is NaN, not
+        a ZeroDivisionError."""
+        m = _instrumented_manifest()
+        for stage in m["stages"]:
+            stage["duration_s"] = 0.0
+        validate_manifest(m)
+        text = manifest_tables(m)
+        stage_table = text.split("Stage timings")[1].split("\n\n")[0]
+        assert "stage.alpha" in stage_table
+        assert "| na" in stage_table
 
     def test_import_does_not_require_enabled_telemetry(self):
         # exporters is importable and usable with telemetry disabled.

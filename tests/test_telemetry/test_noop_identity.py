@@ -4,9 +4,8 @@ Telemetry never touches an RNG and never feeds back into any
 computation, so every instrumented path — the queueing kernels, the
 Stage 2 fit / Stage 3 predict pipeline, the timeout search —
 must produce *bit-identical* results (``np.array_equal``, no tolerance)
-whether telemetry is disabled (the default) or fully enabled with queue
-event tracing.  And while disabled, the subsystem must allocate no
-state at all.
+whether telemetry is disabled (the default) or enabled.  And while
+disabled, the subsystem must allocate no state at all.
 """
 
 import numpy as np
@@ -47,6 +46,12 @@ def _queue_inputs(C=4, n=300, seed=0):
     return arrivals, demands, configs
 
 
+def _assert_no_state():
+    """Every slot of the process-wide telemetry state is empty."""
+    state = telemetry._STATE
+    assert all(getattr(state, slot) is None for slot in state.__slots__)
+
+
 def _assert_same_result(a, b):
     for fld in _RESULT_FIELDS:
         assert np.array_equal(getattr(a, fld), getattr(b, fld)), fld
@@ -63,7 +68,7 @@ class TestDisabledAllocatesNothing:
         assert not telemetry.enabled()
         assert telemetry.get_registry() is None
         assert telemetry.get_span_log() is None
-        assert telemetry.queue_sink() is None
+        _assert_no_state()
 
     def test_instrumented_run_allocates_nothing_while_disabled(self):
         arrivals, demands, configs = _queue_inputs()
@@ -71,32 +76,62 @@ class TestDisabledAllocatesNothing:
         simulate_stap_queue_batch(arrivals, demands, configs)
         assert telemetry.get_registry() is None
         assert telemetry.get_span_log() is None
-        assert telemetry.queue_sink() is None
+        _assert_no_state()
 
     def test_disable_drops_collected_state(self):
-        telemetry.configure(trace_queue_events=True)
+        telemetry.configure()
         telemetry.counter_inc("x")
         telemetry.disable()
         assert telemetry.get_registry() is None
         assert telemetry.get_span_log() is None
-        assert telemetry.queue_sink() is None
+        _assert_no_state()
+
+
+class TestTwoPrimitives:
+    """Telemetry is the metrics registry and spans; there is no queue
+    event trace to switch on or to feed."""
+
+    def test_configure_has_no_event_option(self):
+        with pytest.raises(TypeError):
+            telemetry.configure(trace_queue_events=True)
+        _assert_no_state()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_kernels_take_no_event_sink(self, batched):
+        arrivals, demands, configs = _queue_inputs()
+        with pytest.raises(TypeError):
+            if batched:
+                simulate_stap_queue_batch(arrivals, demands, configs, None)
+            else:
+                simulate_stap_queue(arrivals[0], demands[0], configs[0], None)
 
 
 class TestQueueKernelIdentity:
     def test_serial_kernel(self):
         arrivals, demands, configs = _queue_inputs()
         off = simulate_stap_queue(arrivals[1], demands[1], configs[1])
-        telemetry.configure(trace_queue_events=True)
+        telemetry.configure()
         on = simulate_stap_queue(arrivals[1], demands[1], configs[1])
         _assert_same_result(off, on)
+        # The run is observed through its counters and its timer.
+        reg = telemetry.get_registry()
+        assert reg.counter("queue.runs") == 1
+        assert reg.counter("queue.queries_simulated") == arrivals.shape[1]
+        assert reg.counter("queue.batch_runs") == 0
+        assert reg.histogram("queue.simulate_seconds").count == 1
 
     def test_batch_kernel(self):
         arrivals, demands, configs = _queue_inputs()
         off = simulate_stap_queue_batch(arrivals, demands, configs)
-        telemetry.configure(trace_queue_events=True)
+        telemetry.configure()
         on = simulate_stap_queue_batch(arrivals, demands, configs)
         _assert_same_result(off, on)
-        assert telemetry.queue_sink().n_runs == len(configs)
+        reg = telemetry.get_registry()
+        assert reg.counter("queue.batch_conditions") == len(configs)
+        assert reg.counter("queue.batch_runs") == 1
+        assert reg.counter("queue.queries_simulated") == arrivals.size
+        assert reg.counter("queue.runs") == 0
+        assert reg.histogram("queue.simulate_batch_seconds").count == 1
 
 
 class TestPipelineIdentity:
@@ -108,7 +143,7 @@ class TestPipelineIdentity:
         assert not telemetry.enabled()
         m_off = StacModel(rng=0, **FAST).fit(small_dataset)
         p_off = m_off.predict_conditions(conditions)
-        telemetry.configure(trace_queue_events=True)
+        telemetry.configure()
         m_on = StacModel(rng=0, **FAST).fit(small_dataset)
         p_on = m_on.predict_conditions(conditions)
         for off, on in zip(p_off, p_on):
@@ -205,12 +240,12 @@ class TestExploreTimeoutsIdentity:
     def test_serial_search_identical(self, fitted):
         assert not telemetry.enabled()
         combos_off, rt_off = explore_timeouts(fitted, PAIR, UTILS, GRID)
-        telemetry.configure(trace_queue_events=True)
+        telemetry.configure()
         combos_on, rt_on = explore_timeouts(fitted, PAIR, UTILS, GRID)
         assert combos_off == combos_on
         assert np.array_equal(rt_off, rt_on)
         reg = telemetry.get_registry()
         assert reg.counter("policy.combos_evaluated") == len(combos_on)
-        assert telemetry.queue_sink().n_runs > 0
+        assert reg.counter("queue.runs") + reg.counter("queue.batch_runs") > 0
         spans = telemetry.get_span_log().by_name("policy.explore_timeouts")
         assert len(spans) == 1

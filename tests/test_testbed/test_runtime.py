@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.cache import SharedWayContention
-from repro.queueing import mmk_mean_response
 from repro.testbed import (
     CollocatedService,
     CollocationConfig,
@@ -14,6 +13,8 @@ from repro.testbed import (
     default_machine,
 )
 from repro.workloads import get_workload
+
+from ..test_queueing.mmk_oracle import mmk_mean_response
 
 
 def run_pair(
