@@ -92,7 +92,7 @@ class ShortTermPolicy:
     timeout: float
 
     def __post_init__(self) -> None:
-        if self.timeout < 0:
+        if not self.timeout >= 0:
             raise ValueError(f"timeout must be >= 0, got {self.timeout}")
         if not self.boost.covers(self.default):
             raise ValueError(
@@ -119,10 +119,9 @@ def private_region(
     policy.  Under contiguous masks the result is itself contiguous (or
     empty).
     """
-    base = policy.default.intersection(policy.boost)
-    if base is None:
-        return None
-    lo, hi = base.offset, base.end
+    # The boost mask covers the default mask, so the ways enabled in both
+    # settings are the default mask's.
+    lo, hi = policy.default.offset, policy.default.end
     for other in others:
         for mask in (other.default, other.boost):
             inter = WayMask(lo, hi - lo).intersection(mask) if hi > lo else None

@@ -29,6 +29,7 @@ from repro.forest.ensemble import (
     CompletelyRandomForestRegressor,
     RandomForestRegressor,
 )
+from repro.forest.fast_inference import PackedForest
 from repro.forest.parallel import fit_plans
 
 
@@ -85,10 +86,32 @@ def cross_fit_predict(
     return _collect_out_of_fold(models, folds, X)
 
 
+def _pack_group(forests) -> PackedForest:
+    """One pack over every tree of a group of forests, forest by forest."""
+    sizes = {len(f.trees_) for f in forests}
+    assert len(sizes) == 1, f"forests of one group differ in tree count: {sizes}"
+    return PackedForest.from_trees([t for f in forests for t in f.trees_])
+
+
+def _forest_means(pack: PackedForest, n_forests: int, X) -> np.ndarray:
+    """(n_forests, n) per-forest means from one traversal of a group pack.
+
+    Bit-identical to each forest's own ``predict``: the mean over a
+    forest's block of trees reduces the same rows in the same order.
+    """
+    per_tree = pack.predict_per_tree(X)
+    return per_tree.reshape(
+        n_forests, pack.n_trees // n_forests, per_tree.shape[1]
+    ).mean(axis=1)
+
+
 @dataclass
 class _Level:
+    """A fitted cascade level; ``pack`` holds all its forests' trees."""
+
     forests: list
     n_input_features: int
+    pack: PackedForest
 
 
 @dataclass
@@ -122,6 +145,7 @@ class CascadeForest:
     rng: object = None
     _levels: list[_Level] = field(default_factory=list, init=False)
     _output_forests: list = field(default_factory=list, init=False)
+    _output_pack: PackedForest | None = field(default=None, init=False)
     _n_raw_features: int = field(default=0, init=False)
     #: Out-of-fold MSE per grown level (diagnostic; filled by fit).
     level_scores_: list[float] = field(default_factory=list, init=False)
@@ -190,7 +214,11 @@ class CascadeForest:
                 for j, (models, folds) in enumerate(fold_infos):
                     concepts[:, j] = _collect_out_of_fold(models, folds, current)
                 self._levels.append(
-                    _Level(forests=forests, n_input_features=current.shape[1])
+                    _Level(
+                        forests=forests,
+                        n_input_features=current.shape[1],
+                        pack=_pack_group(forests),
+                    )
                 )
                 current = np.concatenate([current, concepts], axis=1)
                 # Level quality: out-of-fold error of the concept average.
@@ -212,9 +240,11 @@ class CascadeForest:
                 out_plans.append(forest.plan_fit(current, y))
                 self._output_forests.append(forest)
             fit_plans(out_plans, n_jobs=self.n_jobs)
+        self._output_pack = _pack_group(self._output_forests)
         return self
 
     def _propagate(self, X) -> np.ndarray:
+        """Append every level's concept columns, one traversal per level."""
         current = np.ascontiguousarray(X, dtype=float)
         for level in self._levels:
             if current.shape[1] != level.n_input_features:
@@ -222,19 +252,18 @@ class CascadeForest:
                     f"expected {level.n_input_features} features, got "
                     f"{current.shape[1]}"
                 )
-            concepts = np.stack(
-                [f.predict(current) for f in level.forests], axis=1
-            )
-            current = np.concatenate([current, concepts], axis=1)
+            concepts = _forest_means(level.pack, len(level.forests), current)
+            current = np.concatenate([current, concepts.T], axis=1)
         return current
 
     def predict(self, X) -> np.ndarray:
         if not self._output_forests:
             raise RuntimeError("cascade is not fitted")
         current = self._propagate(X)
+        means = _forest_means(self._output_pack, len(self._output_forests), current)
         out = np.zeros(current.shape[0])
-        for f in self._output_forests:
-            out += f.predict(current)
+        for p in means:
+            out += p
         return out / len(self._output_forests)
 
     def concept_features(self, X) -> np.ndarray:

@@ -72,8 +72,13 @@ class PackedForest:
 
     @classmethod
     def from_trees(cls, trees) -> "PackedForest":
-        """Pack a plain list of fitted trees (exact or hist — histogram
-        trees record raw-space thresholds, so both pack identically)."""
+        """Pack a plain list of fitted trees, in list order.
+
+        The trees need not come from one forest: a cascade level packs
+        the trees of all its forests, forest after forest, so one
+        traversal serves the whole level and each forest's mean is the
+        mean over its block of rows in :meth:`predict_per_tree`.
+        """
         trees = list(trees)
         if not trees:
             raise ValueError("no fitted trees to pack")

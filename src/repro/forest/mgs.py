@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from repro import telemetry
 from repro._util import as_rng, spawn_rngs
 from repro.forest.ensemble import RandomForestRegressor
 from repro.forest.parallel import fit_plans
@@ -43,7 +44,29 @@ def sliding_windows(traces: np.ndarray, window: tuple[int, int]) -> np.ndarray:
         raise ValueError(f"window {window} does not fit traces of {(H, W)}")
     views = sliding_window_view(traces, (h, w), axis=(1, 2))
     # views: (n, H-h+1, W-w+1, h, w) -> (n, positions, h*w)
-    return views.reshape(n, -1, h * w)
+    return views.reshape(n, (H - h + 1) * (W - w + 1), h * w)
+
+
+# Elements of one block's (samples, m, m, d) comparison in
+# :func:`_first_equal`: samples are compared a block at a time, so the
+# temporary stays bounded over a whole training set.
+_BLOCK_ELEMENTS = 1 << 18
+
+
+def _first_equal(items: np.ndarray) -> np.ndarray:
+    """(n, m) index of the first item equal to each of a sample's items.
+
+    ``items`` is (n, m, d): ``m`` items of ``d`` values per sample.  An
+    item with no earlier equal is its own index.
+    """
+    n, m, d = items.shape
+    first = np.empty((n, m), dtype=np.intp)
+    step = max(1, _BLOCK_ELEMENTS // max(1, m * m * d))
+    for s in range(0, n, step):
+        block = items[s : s + step]
+        same = (block[:, :, None] == block[:, None]).all(axis=3)
+        first[s : s + step] = same.argmax(axis=2)
+    return first
 
 
 @dataclass
@@ -128,20 +151,53 @@ class MultiGrainScanner:
 
         Returns (n_samples, total_positions) — the concatenated per-
         position predictions of every window forest.
+
+        Windows that repeat are predicted once.  Two columns of a trace
+        are the same when their bits are, and a
+        window's content is fixed by its row offset and the labels of
+        the columns it covers; so per sample and window size only the
+        first position of each distinct label pattern is predicted, for
+        every row offset, and its predictions fill every position that
+        repeats it.  Noise-free nominal traces have a few distinct
+        columns (a tick is boosted or not), noisy traces none repeated;
+        the result is bit-identical to predicting every position.  The
+        counters ``mgs.window_rows`` and ``mgs.window_rows_predicted``
+        record both row counts.
         """
         if self._fitted_shape is None:
             raise RuntimeError("scanner is not fitted")
-        traces = np.asarray(traces, dtype=float)
+        traces = np.ascontiguousarray(traces, dtype=float)
         if traces.shape[1:] != self._fitted_shape:
             raise ValueError(
                 f"trace shape {traces.shape[1:]} != fitted {self._fitted_shape}"
             )
+        n, H, W = traces.shape
+        # Columns compared as int64 bits: a NaN column matches only the
+        # same NaN bits, and 0.0 and -0.0 differ, so equal labels mean
+        # equal forest inputs.
+        labels = _first_equal(traces.view(np.int64).transpose(0, 2, 1))
         feats = []
-        for window, forest in zip(self.windows, self._forests):
-            inst = sliding_windows(traces, window)
-            n, p, d = inst.shape
-            pred = forest.predict(inst.reshape(n * p, d))
-            feats.append(pred.reshape(n, p))
+        for (h, w), forest in zip(self.windows, self._forests):
+            n_rows, n_cols = H - h + 1, W - w + 1
+            rep = _first_equal(sliding_window_view(labels, w, axis=1))
+            # Representatives in (sample, column) order; slot[s, j] is
+            # the representative's row in ``pred``, read by every
+            # position whose pattern it carries.
+            rep_s, rep_j = np.nonzero(rep == np.arange(n_cols))
+            slot = np.zeros((n, n_cols), dtype=np.intp)
+            slot[rep_s, rep_j] = np.arange(rep_s.shape[0])
+            views = sliding_window_view(traces, (h, w), axis=(1, 2))
+            rows = views[rep_s, :, rep_j].reshape(-1, h * w)
+            if rows.shape[0] == 1 and n * n_rows * n_cols > 1:
+                # NumPy sums a one-row forest mean pairwise and a batch
+                # tree by tree; predict a batch to round as the batch does.
+                pred = forest.predict(np.repeat(rows, 2, axis=0))[:1]
+            else:
+                pred = forest.predict(rows)
+            pred = pred.reshape(-1, n_rows)[np.take_along_axis(slot, rep, axis=1)]
+            feats.append(pred.transpose(0, 2, 1).reshape(n, n_rows * n_cols))
+            telemetry.counter_inc("mgs.window_rows", n * n_rows * n_cols)
+            telemetry.counter_inc("mgs.window_rows_predicted", rows.shape[0])
         return np.concatenate(feats, axis=1)
 
     def fit_transform(self, traces: np.ndarray, y: np.ndarray) -> np.ndarray:

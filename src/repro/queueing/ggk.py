@@ -508,12 +508,20 @@ def simulate_stap_queue_batch(
             _batch_loop_k2(*loop_args)
         else:
             _batch_loop_general(*loop_args, configs)
-
+        del loop_args
+    # Free the loop's inputs and transpose one output at a time, so the
+    # kernel's peak memory is the loop's working set.
+    del arr_t, works_t, warn_t
+    start_times = np.ascontiguousarray(starts_t.T)
+    del starts_t
+    completion_times = np.ascontiguousarray(comp_t.T)
+    del comp_t
     boosted_time = np.ascontiguousarray(btime_t.T)
+    del btime_t
     result = BatchQueueResult(
         arrival_times=arrivals,
-        start_times=np.ascontiguousarray(starts_t.T),
-        completion_times=np.ascontiguousarray(comp_t.T),
+        start_times=start_times,
+        completion_times=completion_times,
         boosted=boosted_time > 0.0,
         boosted_time=boosted_time,
     )

@@ -84,6 +84,10 @@ class TestShortTermPolicy:
         with pytest.raises(ValueError, match="timeout"):
             ShortTermPolicy(WayMask(0, 2), WayMask(0, 3), timeout=-1)
 
+    def test_nan_timeout_rejected(self):
+        with pytest.raises(ValueError, match="timeout"):
+            ShortTermPolicy(WayMask(0, 2), WayMask(0, 4), timeout=float("nan"))
+
     def test_active_mask(self):
         p = ShortTermPolicy(WayMask(0, 2), WayMask(0, 4), timeout=1.0)
         assert p.active_mask(False) == WayMask(0, 2)
@@ -104,6 +108,27 @@ class TestPrivateRegion:
         a = ShortTermPolicy(WayMask(0, 4), WayMask(0, 4), timeout=1.0)
         b = ShortTermPolicy(WayMask(0, 4), WayMask(0, 4), timeout=1.0)
         assert private_region(a, [b]) is None
+
+    @given(st.data())
+    def test_region_inside_default_and_clear_of_others(self, data):
+        def policy():
+            off = data.draw(st.integers(0, 6))
+            length = data.draw(st.integers(1, 4))
+            grow = data.draw(st.integers(0, 3))
+            lead = data.draw(st.integers(0, min(off, grow)))
+            return ShortTermPolicy(
+                WayMask(off, length), WayMask(off - lead, length + grow), 1.0
+            )
+
+        p = policy()
+        others = [policy() for _ in range(data.draw(st.integers(0, 3)))]
+        region = private_region(p, others)
+        if region is None:
+            return
+        assert p.default.covers(region)
+        for o in others:
+            assert not region.overlaps(o.default)
+            assert not region.overlaps(o.boost)
 
 
 class TestCatController:

@@ -17,11 +17,14 @@ from repro import telemetry
 from repro.core import ResponseTimeModel, RuntimeCondition, StacModel
 from repro.core import rt_model as rt_module
 from repro.core.policy_search import (
+    DEFAULT_TIMEOUT_GRID,
     explore_timeouts,
     model_driven_policy,
     slo_matching,
 )
+from repro.forest import CascadeForest, MultiGrainScanner
 
+from ..test_forest.forest_oracle import cascade_predict_oracle, mgs_transform_oracle
 from .rt_oracle import simulate_oracle
 
 FAST_DF = dict(
@@ -434,3 +437,30 @@ class TestExploreBatched:
         # The search runs in-process only; there is no worker count.
         with pytest.raises(TypeError, match="n_jobs"):
             search(fitted_fast, PAIR, UTILS, GRID, n_jobs=2)
+
+
+class TestEaPredictOracle:
+    """The deep forest's EA predict (distinct MGS windows once, one pack
+    per cascade level) against its all-positions, forest-by-forest
+    oracle, on the 5x5 timeout grid a pair plan scores."""
+
+    def test_plan_grid_matches_oracle_path(self, fitted_fast, monkeypatch):
+        conds = [
+            RuntimeCondition(workloads=PAIR, utilizations=UTILS, timeouts=t)
+            for t in itertools.product(DEFAULT_TIMEOUT_GRID, repeat=2)
+        ]
+        reg = telemetry.configure()
+        try:
+            got = fitted_fast.predict_conditions(conds)
+        finally:
+            telemetry.disable()
+        assert 0 < reg.counter("mgs.window_rows_predicted") < reg.counter(
+            "mgs.window_rows"
+        )
+        monkeypatch.setattr(MultiGrainScanner, "transform", mgs_transform_oracle)
+        monkeypatch.setattr(CascadeForest, "predict", cascade_predict_oracle)
+        want = fitted_fast.predict_conditions(conds)
+        for a, b in zip(got, want, strict=True):
+            assert a.summaries == b.summaries
+            for field in ("effective_allocations", "boost_fractions", "X_flat", "traces"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.forest import (
@@ -13,6 +14,9 @@ from repro.forest import (
     RegressionTree,
     cross_fit_predict,
 )
+from repro.forest.cascade import _pack_group
+
+from .forest_oracle import cascade_predict_oracle, concept_features_oracle
 
 
 def hidden_interaction(n=240, rng=0):
@@ -240,3 +244,64 @@ def test_deep_forest_without_windows_reads_flattened_traces():
         on_traces.predict(None, traces),
         on_flat.predict(traces.reshape(50, -1), None),
     )
+
+
+# -- one packed traversal per level ------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def packed_cascade():
+    X, y = hidden_interaction(120, rng=30)
+    # Twelve trees per forest: a one-row mean is summed pairwise, so a
+    # per-forest mean taken over the wrong block or order would show.
+    return CascadeForest(
+        n_levels=2, forests_per_level=3, n_estimators=12, rng=1
+    ).fit(X, y)
+
+
+class TestLevelPacks:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 9))
+    def test_matches_per_forest_oracle(self, packed_cascade, seed, n):
+        X = np.random.default_rng(seed).uniform(-0.2, 1.2, size=(n, 6))
+        assert (
+            packed_cascade.predict(X).tobytes()
+            == cascade_predict_oracle(packed_cascade, X).tobytes()
+        )
+        assert (
+            packed_cascade.concept_features(X).tobytes()
+            == concept_features_oracle(packed_cascade, X).tobytes()
+        )
+
+    def test_one_pack_per_level_and_output(self, packed_cascade):
+        groups = [lv.forests for lv in packed_cascade._levels]
+        packs = [lv.pack for lv in packed_cascade._levels]
+        groups.append(packed_cascade._output_forests)
+        packs.append(packed_cascade._output_pack)
+        for forests, pack in zip(groups, packs):
+            trees = [t for f in forests for t in f.trees_]
+            assert pack.n_trees == len(trees) == 3 * 12
+            assert pack.n_nodes == sum(t.n_nodes for t in trees)
+
+    def test_packs_rebuilt_by_a_second_fit(self):
+        X1, y1 = hidden_interaction(90, rng=31)
+        X2, y2 = hidden_interaction(90, rng=32)
+        c = CascadeForest(n_levels=2, forests_per_level=2, n_estimators=10, rng=2)
+        c.fit(X1, y1)
+        first = [lv.pack for lv in c._levels] + [c._output_pack]
+        c.fit(X2, 1.0 - y2)
+        second = [lv.pack for lv in c._levels] + [c._output_pack]
+        assert not any(a is b for a, b in zip(first, second))
+        assert c.predict(X2).tobytes() == cascade_predict_oracle(c, X2).tobytes()
+        assert (
+            c.concept_features(X2).tobytes()
+            == concept_features_oracle(c, X2).tobytes()
+        )
+
+    def test_group_needs_equal_tree_counts(self):
+        X, y = hidden_interaction(40, rng=33)
+        forests = [
+            RandomForestRegressor(n_estimators=k, rng=0).fit(X, y) for k in (3, 4)
+        ]
+        with pytest.raises(AssertionError, match="tree count"):
+            _pack_group(forests)
