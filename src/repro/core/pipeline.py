@@ -58,9 +58,12 @@ def _shared_split(contention, shared_bytes: float, spec, other) -> float:
 class ConditionPrediction:
     """Per-service outcome of one hypothetical-condition prediction.
 
-    ``X_flat``/``traces`` are the final-iteration *nominal* model inputs
-    (simulator-derived, no measurements) — exposed so competing models
-    can be evaluated on identical information.
+    ``summaries`` and ``boost_fractions`` come from the fixed point's
+    last simulate, and ``effective_allocations`` are the EAs that
+    simulate ran at.  ``X_flat``/``traces`` are the *nominal* model
+    inputs (simulator-derived, no measurements) built from that
+    simulate's queue feedback — exposed so competing models can be
+    evaluated on identical information.
     """
 
     summaries: list[ResponseTimeSummary]
@@ -334,11 +337,16 @@ class StacModel:
         """Predict many hypothetical conditions in lockstep.
 
         Runs every condition's EA fixed point simultaneously, for
-        ``n_iterations`` rounds, so that each round simulates all
-        collocated services of all conditions in one
-        :meth:`ResponseTimeModel.simulate_many` call and synthesizes
-        their nominal traces in one :meth:`_nominal_trace` call.
-        After each round the gauge ``stage3.fixed_point.ea_residual``
+        ``n_iterations`` rounds: round 1 simulates the first-principles
+        EAs, and each later round first predicts EAs from the previous
+        round's nominal inputs, then simulates them.  Every round
+        simulates all collocated services of all conditions in one
+        :meth:`ResponseTimeModel.simulate_many` call, then builds their
+        nominal inputs (one :meth:`_nominal_trace` call, then the
+        feature rows) from its feedback.  The loop ends on those inputs,
+        so ``n_iterations`` rounds run ``n_iterations - 1`` EA predicts,
+        and every returned field belongs to the last simulate.  After
+        each EA update the gauge ``stage3.fixed_point.ea_residual``
         holds the largest EA change over all conditions.  Conditions are
         mutually independent, so each result is bit-identical to a
         standalone :meth:`predict_condition` call.  Service counts may
@@ -374,6 +382,27 @@ class StacModel:
         ):
             for it in range(self.n_iterations):
                 with telemetry.span("stage3.fixed_point.round", round=it):
+                    if it:
+                        # One EA-model call per condition — identical
+                        # input stacking to a standalone call, so
+                        # identical predictions for every learner.
+                        with telemetry.span("stage3.fixed_point.ea_predict"):
+                            new_eas = [
+                                self.ea_model.predict(X, traces)
+                                for X, traces in zip(X_per, traces_per)
+                            ]
+                        if telemetry.enabled():
+                            telemetry.gauge_set(
+                                "stage3.fixed_point.ea_residual",
+                                max(
+                                    (
+                                        float(np.max(np.abs(new - old)))
+                                        for new, old in zip(new_eas, eas_per)
+                                    ),
+                                    default=0.0,
+                                ),
+                            )
+                        eas_per = new_eas
                     eas = [float(ea) for group in eas_per for ea in group]
                     with telemetry.span(
                         "stage3.fixed_point.simulate", n_conditions=len(eas)
@@ -400,26 +429,6 @@ class StacModel:
                             boost_per,
                         )
                     ]
-                    # One EA-model call per condition — identical input
-                    # stacking to a standalone call, so identical
-                    # predictions for every learner.
-                    with telemetry.span("stage3.fixed_point.ea_predict"):
-                        new_eas = [
-                            self.ea_model.predict(X, traces)
-                            for X, traces in zip(X_per, traces_per)
-                        ]
-                    if telemetry.enabled():
-                        telemetry.gauge_set(
-                            "stage3.fixed_point.ea_residual",
-                            max(
-                                (
-                                    float(np.max(np.abs(new - old)))
-                                    for new, old in zip(new_eas, eas_per)
-                                ),
-                                default=0.0,
-                            ),
-                        )
-                    eas_per = new_eas
         telemetry.counter_inc("stage3.conditions_predicted", len(conditions))
         return [
             ConditionPrediction(

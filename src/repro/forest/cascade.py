@@ -29,7 +29,7 @@ from repro.forest.ensemble import (
     CompletelyRandomForestRegressor,
     RandomForestRegressor,
 )
-from repro.forest.fast_inference import PackedForest
+from repro.forest.fast_inference import PackedForest, tree_mean
 from repro.forest.parallel import fit_plans
 
 
@@ -97,12 +97,11 @@ def _forest_means(pack: PackedForest, n_forests: int, X) -> np.ndarray:
     """(n_forests, n) per-forest means from one traversal of a group pack.
 
     Bit-identical to each forest's own ``predict``: the mean over a
-    forest's block of trees reduces the same rows in the same order.
+    forest's block of trees sums the same rows in the same order.
     """
     per_tree = pack.predict_per_tree(X)
-    return per_tree.reshape(
-        n_forests, pack.n_trees // n_forests, per_tree.shape[1]
-    ).mean(axis=1)
+    blocks = per_tree.reshape(n_forests, pack.n_trees // n_forests, per_tree.shape[1])
+    return tree_mean(blocks.transpose(1, 0, 2))
 
 
 @dataclass

@@ -152,4 +152,17 @@ class PackedForest:
 
     def predict(self, X) -> np.ndarray:
         """Forest prediction: mean over trees, one pass over the pack."""
-        return self.predict_per_tree(X).mean(axis=0)
+        return tree_mean(self.predict_per_tree(X))
+
+
+def tree_mean(per_tree: np.ndarray) -> np.ndarray:
+    """Mean over axis 0, summed one tree after another at every batch size.
+
+    ``per_tree.mean(axis=0)`` sums a single column pairwise but wider
+    arrays tree by tree, so a row predicted alone would round
+    differently from the same row inside a batch.
+    """
+    total = per_tree[0].copy()
+    for p in per_tree[1:]:
+        total += p
+    return total / per_tree.shape[0]

@@ -188,12 +188,7 @@ class MultiGrainScanner:
             slot[rep_s, rep_j] = np.arange(rep_s.shape[0])
             views = sliding_window_view(traces, (h, w), axis=(1, 2))
             rows = views[rep_s, :, rep_j].reshape(-1, h * w)
-            if rows.shape[0] == 1 and n * n_rows * n_cols > 1:
-                # NumPy sums a one-row forest mean pairwise and a batch
-                # tree by tree; predict a batch to round as the batch does.
-                pred = forest.predict(np.repeat(rows, 2, axis=0))[:1]
-            else:
-                pred = forest.predict(rows)
+            pred = forest.predict(rows)
             pred = pred.reshape(-1, n_rows)[np.take_along_axis(slot, rep, axis=1)]
             feats.append(pred.transpose(0, 2, 1).reshape(n, n_rows * n_cols))
             telemetry.counter_inc("mgs.window_rows", n * n_rows * n_cols)

@@ -1,16 +1,23 @@
-"""Reference per-service nominal-trace synthesis for equivalence tests.
+"""Reference Stage 3 code for equivalence tests.
 
-This is the body :meth:`StacModel._nominal_trace` had before it became
-one batch over every (condition, service) pair of a fixed-point round:
-for one target service, compute each block's boosted capacity (with its
-own shared-way split), spread the boosted ticks through the window and
-synthesize the (own, chain-neighbour) counter blocks one
-``synthesize_ticks`` call each.  The batched path must reproduce it bit
-for bit.
+``nominal_trace_oracle`` is the body :meth:`StacModel._nominal_trace`
+had before it became one batch over every (condition, service) pair of
+a fixed-point round: for one target service, compute each block's
+boosted capacity (with its own shared-way split), spread the boosted
+ticks through the window and synthesize the (own, chain-neighbour)
+counter blocks one ``synthesize_ticks`` call each.  The batched path
+must reproduce it bit for bit.
+
+``predict_conditions_oracle`` is the fixed-point loop
+:meth:`StacModel.predict_conditions` ran before it ended on a simulate:
+every round simulates, builds the nominal inputs and predicts EAs, so
+the last round's EA predict feeds no simulate.  Its summaries, boost
+fractions and nominal inputs must equal the shipped loop's bit for bit.
 """
 
 import numpy as np
 
+from repro.core.pipeline import ConditionPrediction
 from repro.counters.events import synthesize_ticks
 
 
@@ -66,3 +73,61 @@ def nominal_trace_oracle(model, specs, target, utils, boost_fractions) -> np.nda
         )
         blocks.append(ticks.T)
     return np.vstack(blocks)
+
+
+def predict_conditions_oracle(model, conditions) -> list[ConditionPrediction]:
+    """``model.predict_conditions`` with an EA predict closing every round.
+
+    Returns the last round's predicted EAs, which no summary was
+    simulated with.
+    """
+    conditions = list(conditions)
+    layouts = [model._layout(cond) for cond in conditions]
+    specs_per = [[svc.workload for svc in cfg.services] for cfg in layouts]
+    grosses_per = [
+        [cfg.gross_increase(i) for i in range(cfg.n_services)] for cfg in layouts
+    ]
+    eas_per = [
+        model._init_eas(cfg, grosses) for cfg, grosses in zip(layouts, grosses_per)
+    ]
+    sim_base = [
+        dict(
+            utilization=cond.utilizations[i],
+            timeout=cond.timeouts[i],
+            gross_increase=grosses[i],
+            service_cv=spec.service_cv,
+            mean_service_time=model._default_service_time(cfg, i),
+        )
+        for cond, cfg, specs, grosses in zip(
+            conditions, layouts, specs_per, grosses_per
+        )
+        for i, spec in enumerate(specs)
+    ]
+    offsets = np.cumsum([0] + [len(specs) for specs in specs_per])
+    for _ in range(model.n_iterations):
+        eas = [float(ea) for group in eas_per for ea in group]
+        all_feedback = model.rt_model.simulate_many(
+            [dict(base, effective_allocation=ea) for base, ea in zip(sim_base, eas)]
+        )
+        feedback_per = [all_feedback[a:b] for a, b in zip(offsets, offsets[1:])]
+        boost_per = [
+            np.array([f.boost_fraction for f in feedback]) for feedback in feedback_per
+        ]
+        traces_per = model._nominal_trace(layouts, boost_per)
+        X_per = [
+            model._feature_rows(*args)
+            for args in zip(conditions, specs_per, grosses_per, feedback_per, boost_per)
+        ]
+        eas_per = [
+            model.ea_model.predict(X, traces) for X, traces in zip(X_per, traces_per)
+        ]
+    return [
+        ConditionPrediction(
+            summaries=[f.summary for f in feedback_per[ci]],
+            effective_allocations=eas_per[ci],
+            boost_fractions=boost_per[ci],
+            X_flat=X_per[ci],
+            traces=traces_per[ci],
+        )
+        for ci in range(len(conditions))
+    ]

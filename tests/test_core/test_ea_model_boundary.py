@@ -5,13 +5,15 @@ Every learner accepts exactly the :class:`DeepForestRegressor` fields as
 overrides, so a misspelt key fails at construction instead of being
 dropped.  Non-finite training data fails at ``fit``, naming the field,
 instead of surfacing later as a non-finite prediction.  A learner
-fitted on traces refuses to predict without them.
+fitted on traces refuses to predict without them.  A row's prediction
+does not depend on the batch it is predicted in.
 """
 
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import EAModel, StacModel
 from repro.core.ea_model import LEARNERS
@@ -126,3 +128,40 @@ class TestPredictWithoutTraces:
             with pytest.raises(ValueError, match=f"'{learner}' learner.*traces"):
                 model.predict(rows.X_flat, None)
             assert model.predict_dataset(rows).shape == (len(rows),)
+
+
+class TestBatchIndependence:
+    """A row predicted alone equals the same row inside a batch, for
+    noisy profiled traces and for traces of equal columns, where the
+    MGS predicts one window for many positions."""
+
+    FOREST_LEARNERS = ("deep_forest", "cascade", "random_forest")
+
+    @pytest.fixture(scope="class")
+    def models(self, small_dataset):
+        return {
+            learner: EAModel(learner, rng=0, **TestPredictWithoutTraces.FAST).fit(
+                small_dataset
+            )
+            for learner in self.FOREST_LEARNERS
+        }
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        learner=st.sampled_from(FOREST_LEARNERS),
+        equal_columns=st.booleans(),
+        data=st.data(),
+    )
+    def test_row_alone_equals_row_in_batch(
+        self, models, small_dataset, learner, equal_columns, data
+    ):
+        row = st.integers(0, len(small_dataset) - 1)
+        rows = data.draw(st.lists(row, min_size=1, max_size=6))
+        X = small_dataset.X_flat[rows]
+        traces = small_dataset.traces[rows]
+        if equal_columns:
+            traces = np.repeat(traces[:, :, :1], traces.shape[2], axis=2)
+        i = data.draw(st.integers(0, len(rows) - 1))
+        model = models[learner]
+        alone = model.predict(X[i : i + 1], traces[i : i + 1])
+        assert alone.tobytes() == model.predict(X, traces)[i : i + 1].tobytes()

@@ -252,8 +252,8 @@ def test_deep_forest_without_windows_reads_flattened_traces():
 @pytest.fixture(scope="module")
 def packed_cascade():
     X, y = hidden_interaction(120, rng=30)
-    # Twelve trees per forest: a one-row mean is summed pairwise, so a
-    # per-forest mean taken over the wrong block or order would show.
+    # Twelve trees per forest: a per-forest mean taken over the wrong
+    # block of trees, or summed in another order, would show.
     return CascadeForest(
         n_levels=2, forests_per_level=3, n_estimators=12, rng=1
     ).fit(X, y)
@@ -272,6 +272,14 @@ class TestLevelPacks:
             packed_cascade.concept_features(X).tobytes()
             == concept_features_oracle(packed_cascade, X).tobytes()
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), data=st.data())
+    def test_row_alone_equals_row_in_batch(self, packed_cascade, seed, n, data):
+        X = np.random.default_rng(seed).uniform(-0.2, 1.2, size=(n, 6))
+        i = data.draw(st.integers(0, n - 1))
+        for method in (packed_cascade.predict, packed_cascade.concept_features):
+            assert method(X[i : i + 1]).tobytes() == method(X)[i : i + 1].tobytes()
 
     def test_one_pack_per_level_and_output(self, packed_cascade):
         groups = [lv.forests for lv in packed_cascade._levels]

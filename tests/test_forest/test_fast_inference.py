@@ -65,6 +65,27 @@ class TestEquivalence:
         assert np.array_equal(packed.predict(Xt), predict_oracle(forest, Xt))
 
 
+class TestBatchIndependence:
+    """A row predicted alone equals the same row inside a batch: the
+    trees are summed in one order at every batch size (a one-column
+    ``mean`` would sum them pairwise)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_trees=st.integers(1, 40),
+        n_rows=st.integers(1, 12),
+        seed=st.integers(0, 10**6),
+        data=st.data(),
+    )
+    def test_row_alone_equals_row_in_batch(self, n_trees, n_rows, seed, data):
+        forest, _ = fitted_forest(n_estimators=n_trees, n=60, rng=seed)
+        packed = PackedForest.from_forest(forest)
+        Xt = np.random.default_rng(seed + 1).uniform(-0.2, 1.2, size=(n_rows, 5))
+        i = data.draw(st.integers(0, n_rows - 1))
+        alone = packed.predict(Xt[i : i + 1])
+        assert alone.tobytes() == packed.predict(Xt)[i : i + 1].tobytes()
+
+
 class TestForestIntegration:
     """Every forest predict runs through the chunked packed traversal and
     equals the per-tree oracle bit for bit, at any batch size."""

@@ -159,8 +159,10 @@ class TestPipelineIdentity:
 
 
 class TestFixedPointObservability:
-    """Each fixed-point round records its three phases as child spans
-    and leaves the largest EA change of the round in a gauge."""
+    """Each fixed-point round records its phases as child spans: every
+    round simulates and builds nominal traces, and every round after the
+    first starts with an EA predict, so the loop ends on a simulate.
+    Each EA update leaves the largest EA change in a gauge."""
 
     CONDITIONS = [
         RuntimeCondition(workloads=PAIR, utilizations=UTILS, timeouts=(0.0, 1.0)),
@@ -171,7 +173,7 @@ class TestFixedPointObservability:
         ),
     ]
 
-    @pytest.mark.parametrize("n_iterations", [1, 3])
+    @pytest.mark.parametrize("n_iterations", [1, 2, 3])
     def test_round_spans_and_residual_gauge(self, fitted, n_iterations):
         fitted.n_iterations = n_iterations
         try:
@@ -183,16 +185,8 @@ class TestFixedPointObservability:
             )
             log = telemetry.get_span_log()
             telemetry.disable()
-            # The EAs the last round started from.
-            if n_iterations == 1:
-                layouts = [fitted._layout(c) for c in self.CONDITIONS]
-                before = [
-                    fitted._init_eas(
-                        cfg, [cfg.gross_increase(i) for i in range(cfg.n_services)]
-                    )
-                    for cfg in layouts
-                ]
-            else:
+            # The EAs the last simulate's predecessor ran at.
+            if n_iterations > 1:
                 fitted.n_iterations = n_iterations - 1
                 before = [
                     p.effective_allocations
@@ -206,14 +200,28 @@ class TestFixedPointObservability:
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         rounds = log.by_name("stage3.fixed_point.round")
         assert len(rounds) == n_iterations
-        for phase in ("simulate", "nominal_trace", "ea_predict"):
+        for phase in ("simulate", "nominal_trace"):
             spans = log.by_name(f"stage3.fixed_point.{phase}")
             assert len(spans) == n_iterations, phase
             assert {s.parent_id for s in spans} == {r.id for r in rounds}, phase
-        assert residual == max(
-            float(np.max(np.abs(p.effective_allocations - eas)))
-            for p, eas in zip(on, before)
-        )
+        predicts = log.by_name("stage3.fixed_point.ea_predict")
+        assert len(predicts) == n_iterations - 1
+        assert {s.parent_id for s in predicts} == {
+            r.id for r in rounds if r.attrs["round"] > 0
+        }
+        if n_iterations == 1:
+            # No EA update: the first-principles EAs were simulated.
+            assert residual is None
+            for p, cfg in zip(on, map(fitted._layout, self.CONDITIONS)):
+                grosses = [cfg.gross_increase(i) for i in range(cfg.n_services)]
+                assert np.array_equal(
+                    p.effective_allocations, fitted._init_eas(cfg, grosses)
+                )
+        else:
+            assert residual == max(
+                float(np.max(np.abs(p.effective_allocations - eas)))
+                for p, eas in zip(on, before)
+            )
 
 
 class TestProfilerIdentity:
