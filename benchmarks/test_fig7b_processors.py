@@ -68,13 +68,7 @@ def _run():
         )
         ds = profiler.profile(conditions)
         train, test = ds.split_conditions(0.6, rng=0)
-        model = StacModel(
-            machine=machine,
-            private_mb=private_mb,
-            shared_mb=private_mb,
-            rng=0,
-            **DF_CONFIG,
-        ).fit(train)
+        model = StacModel(rng=0, **DF_CONFIG).fit(train)
         pred = model.predict_rows(test)
         groups = test.condition_groups()
         p, a = [], []

@@ -79,9 +79,7 @@ def _run():
         conditions = uniform_conditions(pair, n=10, rng=23) + grid_anchor_conditions(
             pair, UTIL
         )
-        model = StacModel(
-            rng=0, private_mb=PRIVATE_MB, shared_mb=SHARED_MB, **DF_CONFIG
-        ).fit(profiler.profile(conditions))
+        model = StacModel(rng=0, **DF_CONFIG).fit(profiler.profile(conditions))
         plan = model_driven_policy(model, pair, (UTIL, UTIL))
         sta = _p95(specs, PRIVATE_MB, SHARED_MB, plan.timeouts)
         for i, name in enumerate(pair):

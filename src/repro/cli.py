@@ -181,12 +181,7 @@ def _cmd_policy(args) -> int:
     ds = profiler.profile(conditions)
     print(f"training {args.learner} model on {len(ds)} rows...")
     model = StacModel(
-        machine=machine,
-        learner=args.learner,
-        private_mb=args.private_mb,
-        shared_mb=args.shared_mb,
-        n_jobs=args.train_jobs,
-        rng=args.seed,
+        learner=args.learner, n_jobs=args.train_jobs, rng=args.seed
     ).fit(ds)
     utils = tuple([args.utilization] * len(pair))
     decision = model_driven_policy(model, pair, utils)

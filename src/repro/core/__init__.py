@@ -26,12 +26,7 @@ from repro.core.policy_search import (
     model_driven_policy,
     slo_matching,
 )
-from repro.core.io import (
-    load_dataset,
-    load_packed_forest,
-    save_dataset,
-    save_packed_forest,
-)
+from repro.core.io import load_dataset, save_dataset
 
 __all__ = [
     "ideal_effective_allocation",
@@ -50,7 +45,5 @@ __all__ = [
     "model_driven_policy",
     "slo_matching",
     "load_dataset",
-    "load_packed_forest",
     "save_dataset",
-    "save_packed_forest",
 ]

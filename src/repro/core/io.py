@@ -1,19 +1,27 @@
-"""Persistence for profile datasets and packed forests.
+"""Persistence for profile datasets.
 
 Profiling campaigns are the expensive stage (Section 5.1 budgets 30
 minutes), so datasets must outlive a process.  Everything serializes to
 a single ``.npz`` (plus a JSON header embedded in it) with no pickling,
-so files are portable and safe to load.
+so files are portable and safe to load.  The header (version 2) records
+the testbed layout — machine and profiler settings — the rows were
+profiled on.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 
-from repro.core.profile_vec import ProfileDataset, ProfileRow, RuntimeCondition
-from repro.forest.fast_inference import PackedForest
+from repro.core.profile_vec import (
+    ProfileDataset,
+    ProfileRow,
+    ProfilerSettings,
+    RuntimeCondition,
+)
+from repro.testbed.machine import XeonSpec
 
 
 def save_dataset(path, dataset: ProfileDataset) -> None:
@@ -23,7 +31,9 @@ def save_dataset(path, dataset: ProfileDataset) -> None:
     conditions = dataset.conditions()
     cond_index = {id(c): i for i, c in enumerate(conditions)}
     header = {
-        "version": 1,
+        "version": 2,
+        "machine": asdict(dataset.machine),
+        "settings": asdict(dataset.settings),
         "conditions": [
             {
                 "workloads": list(c.workloads),
@@ -38,7 +48,10 @@ def save_dataset(path, dataset: ProfileDataset) -> None:
     }
     np.savez_compressed(
         path,
-        header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8),
+        # NumPy scalars and arrays in the layout serialize as plain values.
+        header=np.frombuffer(
+            json.dumps(header, default=lambda o: o.tolist()).encode(), dtype=np.uint8
+        ),
         x_static=np.stack([r.x_static for r in dataset.rows]),
         x_dynamic=np.stack([r.x_dynamic for r in dataset.rows]),
         traces=dataset.traces,
@@ -56,11 +69,17 @@ def load_dataset(path) -> ProfileDataset:
 
     Rows of the same original condition share one
     :class:`RuntimeCondition` instance, preserving
-    ``split_conditions``/``condition_groups`` semantics.
+    ``split_conditions``/``condition_groups`` semantics.  A version-1
+    file, which does not record its layout, raises ``ValueError``.
     """
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(bytes(data["header"].tobytes()).decode())
-        if header.get("version") != 1:
+        if header.get("version") == 1:
+            raise ValueError(
+                f"{path}: a version-1 dataset does not record its layout "
+                "(machine and profiler settings); profile it again"
+            )
+        if header.get("version") != 2:
             raise ValueError(f"unsupported dataset version {header.get('version')}")
         conditions = [
             RuntimeCondition(
@@ -88,34 +107,8 @@ def load_dataset(path) -> ProfileDataset:
                     rt_p95=float(data["y_rt_p95"][i]),
                 )
             )
-    return ProfileDataset(rows=rows)
-
-
-def save_packed_forest(path, packed: PackedForest) -> None:
-    """Write a packed forest to ``path`` (.npz)."""
-    np.savez_compressed(
-        path,
-        feature=packed.feature,
-        threshold=packed.threshold,
-        left=packed.left,
-        right=packed.right,
-        value=packed.value,
-        roots=packed.roots,
-        meta=np.array([packed.n_features, packed.max_depth], dtype=np.int64),
+    return ProfileDataset(
+        rows=rows,
+        machine=XeonSpec(**header["machine"]),
+        settings=ProfilerSettings(**header["settings"]),
     )
-
-
-def load_packed_forest(path) -> PackedForest:
-    """Read a packed forest written by :func:`save_packed_forest`."""
-    with np.load(path, allow_pickle=False) as data:
-        n_features, max_depth = (int(x) for x in data["meta"])
-        return PackedForest(
-            feature=data["feature"],
-            threshold=data["threshold"],
-            left=data["left"],
-            right=data["right"],
-            value=data["value"],
-            roots=data["roots"],
-            n_features=n_features,
-            max_depth=max_depth,
-        )

@@ -20,13 +20,12 @@ Two prediction paths are offered:
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
-from repro._util import as_rng, check_positive
+from repro._util import as_rng
 from repro.cache.contention import SharedWayContention
 from repro.core.ea import ideal_effective_allocation
 from repro.core.ea_model import EAModel
@@ -42,7 +41,6 @@ from repro.core.rt_model import ResponseTimeModel
 from repro.counters.events import N_COUNTERS, synthesize_ticks
 from repro.queueing.metrics import ResponseTimeSummary
 from repro.testbed.collocation import CollocationConfig
-from repro.testbed.machine import XeonSpec, default_machine
 
 
 @functools.cache
@@ -78,13 +76,7 @@ class StacModel:
 
     def __init__(
         self,
-        machine: XeonSpec | None = None,
         learner: str = "deep_forest",
-        private_mb: float = 2.0,
-        shared_mb: float = 2.0,
-        trace_ticks: int = 20,
-        sampling_hz: float = 1.0,
-        n_servers: int = 2,
         n_iterations: int = 2,
         sim_queries: int = 4000,
         n_jobs: int = 1,
@@ -93,35 +85,21 @@ class StacModel:
     ):
         """``n_jobs`` plumbs Stage 2 training parallelism into the
         forest learners (deep_forest, cascade, random_forest; the rest
-        ignore it); trees are bit-identical for every ``n_jobs``."""
+        ignore it); trees are bit-identical for every ``n_jobs``.  The
+        testbed layout is not an option: :meth:`fit` adopts it from the
+        profile."""
         if n_iterations < 2:
             # Round 1 simulates the first-principles EA; the Stage 2
             # prediction it feeds back only takes effect in round 2.
             raise ValueError(f"n_iterations must be >= 2, got {n_iterations}")
-        for name, value, strict in (
-            ("private_mb", private_mb, True),
-            ("shared_mb", shared_mb, False),
-            ("sampling_hz", sampling_hz, True),
-        ):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            check_positive(name, value, strict=strict)
-        if trace_ticks < 1:
-            raise ValueError(f"trace_ticks must be >= 1, got {trace_ticks}")
         if n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         ea_params.setdefault("n_jobs", n_jobs)
-        self.machine = machine or default_machine()
-        self.private_mb = private_mb
-        self.shared_mb = shared_mb
-        self.trace_ticks = trace_ticks
-        self.sampling_hz = sampling_hz
         self.n_iterations = n_iterations
+        self._fitted_layout = None  # set by fit: see _profiled_layout
         self._rng = as_rng(rng)
         self.ea_model = EAModel(learner=learner, rng=self._rng, **ea_params)
-        self.rt_model = ResponseTimeModel(
-            n_servers=n_servers, n_queries=sim_queries, rng=self._rng
-        )
+        self.rt_model = ResponseTimeModel(n_queries=sim_queries, rng=self._rng)
         self._contention = SharedWayContention()
 
     # -- training --------------------------------------------------------------
@@ -129,35 +107,61 @@ class StacModel:
     def fit(self, dataset: ProfileDataset) -> "StacModel":
         """Stage 2 training on a Stage 1 profile dataset.
 
-        The nominal-trace synthesizer adopts the training traces' tick
-        count and counter sampling rate so hypothetical-condition inputs
-        match the fitted MGS.  A dataset sampled at several rates raises
+        Stage 3 then replays the layout the dataset was profiled on: the
+        model adopts its ``machine`` (whose ``cores_per_service`` is the
+        simulated server count), its private and shared reservations,
+        and the training traces' counter sampling rate and tick count,
+        so hypothetical-condition inputs match the fitted MGS.  A dataset
+        sampled at several rates, or profiled with per-service
+        ``private_mb`` (Stage 3 models uniform layouts only), raises
         ``ValueError``.
         """
-        if len(dataset) > 0:
-            rates = {row.condition.sampling_hz for row in dataset.rows}
-            if len(rates) > 1:
-                raise ValueError(
-                    f"dataset mixes sampling_hz values {sorted(rates)}; "
-                    "profile every condition at one rate"
-                )
-            self.sampling_hz = rates.pop()
-            self.trace_ticks = int(dataset.traces.shape[2])
+        layout = self._profiled_layout(dataset)
+        if np.ndim(dataset.settings.private_mb):
+            raise ValueError(
+                f"dataset has per-service private_mb {dataset.settings.private_mb}; "
+                "Stage 3 models uniform reservations only"
+            )
         with telemetry.span(
             "stage2.fit", n_rows=len(dataset), learner=self.ea_model.learner
         ):
             self.ea_model.fit(dataset)
+        self._fitted_layout = layout
+        self.machine, self.private_mb, self.shared_mb = layout[:3]
+        self.sampling_hz, self.trace_ticks = layout[3:]
+        self.rt_model.n_servers = self.machine.cores_per_service
         return self
+
+    @staticmethod
+    def _profiled_layout(dataset: ProfileDataset) -> tuple:
+        """(machine, private_mb, shared_mb, sampling_hz, trace_ticks) of
+        ``dataset``'s rows."""
+        if len(dataset) == 0:
+            raise ValueError("dataset is empty")
+        rates = {row.condition.sampling_hz for row in dataset.rows}
+        if len(rates) > 1:
+            raise ValueError(
+                f"dataset mixes sampling_hz values {sorted(rates)}; "
+                "profile every condition at one rate"
+            )
+        settings, ticks = dataset.settings, dataset.rows[0].trace.shape[-1]
+        return (dataset.machine, settings.private_mb, settings.shared_mb, *rates, ticks)
 
     # -- evaluation on profiled rows ---------------------------------------------
 
     def predict_rows(self, dataset: ProfileDataset) -> dict[str, np.ndarray]:
         """Predict response time for profiled (held-out) rows.
 
-        Returns dict with ``ea``, ``rt_mean`` and ``rt_p95`` arrays.
+        Returns dict with ``ea``, ``rt_mean`` and ``rt_p95`` arrays.  Rows
+        profiled on another machine, reservation, sampling rate or tick
+        count than the model was fitted on raise ``ValueError``.
         """
-        if len(dataset) == 0:
-            raise ValueError("dataset is empty")
+        given = self._profiled_layout(dataset)
+        self._check_fitted()
+        if given != self._fitted_layout:
+            raise ValueError(
+                f"dataset layout {given} differs from the fitted {self._fitted_layout}"
+            )
         with telemetry.span("stage2.predict_rows", n_rows=len(dataset)):
             ea = self.ea_model.predict_dataset(dataset)
         # Every row is an independent queue condition: simulate them all
@@ -182,6 +186,10 @@ class StacModel:
         rt_mean = np.array([f.summary.mean for f in feedback])
         rt_p95 = np.array([f.summary.p95 for f in feedback])
         return {"ea": ea, "rt_mean": rt_mean, "rt_p95": rt_p95}
+
+    def _check_fitted(self) -> None:
+        if self._fitted_layout is None:
+            raise RuntimeError("StacModel is not fitted")
 
     def _layout(self, condition: RuntimeCondition) -> CollocationConfig:
         """The testbed chain layout ``condition`` is profiled on (raises
@@ -352,6 +360,9 @@ class StacModel:
         standalone :meth:`predict_condition` call.  Service counts may
         differ between conditions.
         """
+        self._check_fitted()
+        if self.n_iterations < 1:
+            raise ValueError(f"n_iterations must be >= 1, got {self.n_iterations}")
         conditions = list(conditions)
         layouts = [self._layout(cond) for cond in conditions]
         specs_per = [[svc.workload for svc in cfg.services] for cfg in layouts]

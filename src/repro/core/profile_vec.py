@@ -3,16 +3,19 @@
 Each profile row describes one (runtime condition, window, target
 service): static condition features, dynamic (measured or simulated)
 features, the collocated counter trace, and the measured effective
-cache allocation plus ground-truth response-time statistics.
+cache allocation plus ground-truth response-time statistics.  A
+dataset also records the testbed layout it was profiled on (the machine
+and the :class:`ProfilerSettings`), which Stage 3 replays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.testbed.machine import XeonSpec, default_machine
 from repro.workloads.base import MB, WorkloadSpec
 
 #: Static runtime-condition features, per service (own block then
@@ -151,6 +154,41 @@ class RuntimeCondition:
             )
 
 
+@dataclass(frozen=True)
+class ProfilerSettings:
+    """Knobs of one profiling campaign."""
+
+    n_queries: int = 800
+    n_windows: int = 4
+    trace_ticks: int = 20
+    counter_noise: float = 0.05
+    private_mb: float = 2.0
+    shared_mb: float = 2.0
+    warmup_fraction: float = 0.1
+
+    def __post_init__(self) -> None:
+        for name in ("n_queries", "n_windows", "trace_ticks"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.counter_noise) and self.counter_noise >= 0):
+            raise ValueError(
+                f"counter_noise must be finite and >= 0, got {self.counter_noise}"
+            )
+        private = np.asarray(self.private_mb, dtype=float)
+        if not np.all(np.isfinite(private) & (private > 0)):
+            raise ValueError(
+                f"private_mb must be finite and > 0, got {self.private_mb}"
+            )
+        if not (math.isfinite(self.shared_mb) and self.shared_mb >= 0):
+            raise ValueError(
+                f"shared_mb must be finite and >= 0, got {self.shared_mb}"
+            )
+        if not 0 <= self.warmup_fraction < 1:
+            raise ValueError(
+                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
+            )
+
+
 @dataclass
 class ProfileRow:
     """One training/testing sample for the EA model."""
@@ -172,9 +210,17 @@ class ProfileRow:
 
 @dataclass
 class ProfileDataset:
-    """Column-oriented view over profile rows, ready for model training."""
+    """Column-oriented view over profile rows, ready for model training.
+
+    ``machine`` and ``settings`` are the testbed layout the rows were
+    profiled on; :meth:`subset` and every split carry them along.  A
+    dataset built by hand from rows gets the values ``Profiler()`` runs
+    with.
+    """
 
     rows: list[ProfileRow] = field(default_factory=list)
+    machine: XeonSpec = field(default_factory=default_machine)
+    settings: ProfilerSettings = field(default_factory=ProfilerSettings)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -207,7 +253,7 @@ class ProfileDataset:
         return np.asarray([r.rt_p95 for r in self.rows], dtype=float)
 
     def subset(self, indices) -> "ProfileDataset":
-        return ProfileDataset(rows=[self.rows[i] for i in np.asarray(indices)])
+        return replace(self, rows=[self.rows[i] for i in np.asarray(indices)])
 
     def split(self, train_fraction: float, rng=None) -> tuple:
         """Random (train, test) split by rows."""

@@ -3,15 +3,14 @@
 Each condition is executed on the testbed runtime; the run is split
 into windows, and every (service, window) yields one profile row with
 static/dynamic features, the collocated counter trace and measured
-effective cache allocation.  Conditions are independent, so profiling
-parallelizes across a process pool.
+effective cache allocation.  The returned dataset records the machine
+and the :class:`ProfilerSettings` the campaign ran with: that layout is
+decided here, once, and Stage 3 adopts it from the dataset.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,6 +21,7 @@ from repro.counters.trace import CacheUsageTrace
 from repro.core.profile_vec import (
     ProfileDataset,
     ProfileRow,
+    ProfilerSettings,
     RuntimeCondition,
     chain_partner,
     chain_static_features,
@@ -31,41 +31,6 @@ from repro.testbed.collocation import CollocatedService, CollocationConfig
 from repro.testbed.machine import XeonSpec, default_machine
 from repro.testbed.runtime import CollocationRuntime, SegmentTable
 from repro.workloads.suite import get_workload
-
-
-@dataclass(frozen=True)
-class ProfilerSettings:
-    """Knobs of one profiling campaign."""
-
-    n_queries: int = 800
-    n_windows: int = 4
-    trace_ticks: int = 20
-    counter_noise: float = 0.05
-    private_mb: float = 2.0
-    shared_mb: float = 2.0
-    warmup_fraction: float = 0.1
-
-    def __post_init__(self) -> None:
-        for name in ("n_queries", "n_windows", "trace_ticks"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not (math.isfinite(self.counter_noise) and self.counter_noise >= 0):
-            raise ValueError(
-                f"counter_noise must be finite and >= 0, got {self.counter_noise}"
-            )
-        private = np.asarray(self.private_mb, dtype=float)
-        if not np.all(np.isfinite(private) & (private > 0)):
-            raise ValueError(
-                f"private_mb must be finite and > 0, got {self.private_mb}"
-            )
-        if not (math.isfinite(self.shared_mb) and self.shared_mb >= 0):
-            raise ValueError(
-                f"shared_mb must be finite and >= 0, got {self.shared_mb}"
-            )
-        if not 0 <= self.warmup_fraction < 1:
-            raise ValueError(
-                f"warmup_fraction must be in [0, 1), got {self.warmup_fraction}"
-            )
 
 
 def _boosted_at(segments: SegmentTable, t: np.ndarray) -> np.ndarray:
@@ -129,9 +94,8 @@ def collocation(
     )
 
 
-def _profile_one_condition(args):
-    """Worker: run one condition and emit its profile rows."""
-    condition, settings, machine, seed = args
+def _profile_one_condition(condition, settings, machine, seed):
+    """Run one condition and emit its profile rows."""
     cfg = collocation(condition, machine, settings.private_mb, settings.shared_mb)
     specs = [svc.workload for svc in cfg.services]
     runtime = CollocationRuntime(cfg, rng=seed)
@@ -210,38 +174,29 @@ class Profiler:
         self,
         machine: XeonSpec | None = None,
         settings: ProfilerSettings | None = None,
-        n_jobs: int = 1,
         rng=None,
     ):
-        if n_jobs < 1:
-            raise ValueError("n_jobs must be >= 1")
         self.machine = machine or default_machine()
         self.settings = settings or ProfilerSettings()
-        self.n_jobs = n_jobs
         self._rng = as_rng(rng)
 
     def profile(self, conditions: list[RuntimeCondition]) -> ProfileDataset:
-        """Run every condition and collect the profile dataset."""
+        """Run every condition and collect the profile dataset, which
+        records this profiler's machine and settings."""
         if not conditions:
             raise ValueError("need at least one condition")
         seeds = [
             int(r.integers(0, 2**31)) for r in spawn_rngs(self._rng, len(conditions))
         ]
-        jobs = [
-            (c, self.settings, self.machine, s) for c, s in zip(conditions, seeds)
-        ]
-        dataset = ProfileDataset()
-        with telemetry.span(
-            "stage1.profile", n_conditions=len(jobs), n_jobs=self.n_jobs
-        ):
-            if self.n_jobs > 1 and len(jobs) > 1:
-                with ProcessPoolExecutor(max_workers=self.n_jobs) as pool:
-                    for rows in pool.map(_profile_one_condition, jobs):
-                        dataset.extend(rows)
-            else:
-                for job in jobs:
-                    with telemetry.span("stage1.profile.condition"):
-                        dataset.extend(_profile_one_condition(job))
+        dataset = ProfileDataset(machine=self.machine, settings=self.settings)
+        with telemetry.span("stage1.profile", n_conditions=len(conditions)):
+            for condition, seed in zip(conditions, seeds):
+                with telemetry.span("stage1.profile.condition"):
+                    dataset.extend(
+                        _profile_one_condition(
+                            condition, self.settings, self.machine, seed
+                        )
+                    )
         telemetry.counter_inc("stage1.profile_rows", len(dataset))
         return dataset
 
@@ -251,7 +206,7 @@ class Profiler:
             self.settings, n_queries=n_queries, n_windows=1, trace_ticks=4
         )
         seed = int(self._rng.integers(0, 2**31))
-        rows = _profile_one_condition((condition, settings, self.machine, seed))
+        rows = _profile_one_condition(condition, settings, self.machine, seed)
         n_svc = len(condition.workloads)
         eas = np.full(n_svc, np.nan)
         for r in rows:

@@ -27,7 +27,12 @@ class XeonSpec:
     cores_per_service: int = 2
 
     def __post_init__(self) -> None:
-        if self.n_cores < 2 or self.llc_ways < 2 or self.llc_bytes <= 0:
+        if (
+            self.n_cores < 2
+            or self.llc_ways < 2
+            or self.llc_bytes <= 0
+            or self.cores_per_service < 1
+        ):
             raise ValueError(f"degenerate machine spec: {self}")
 
     @property

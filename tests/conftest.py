@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.profiler import Profiler, ProfilerSettings
 from repro.core.sampling import uniform_conditions
+from repro.testbed import get_machine
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,14 @@ def mixed_pair_dataset():
         ("redis", "knn"), n=4, rng=2
     )
     return profiler.profile(conds)
+
+
+@pytest.fixture(scope="session")
+def e5_2650_dataset():
+    """A redis+knn profile on a non-default layout: the e5-2650 with
+    3 MB private and 1.5 MB shared reservations."""
+    settings = ProfilerSettings(
+        n_queries=200, n_windows=2, trace_ticks=8, private_mb=3.0, shared_mb=1.5
+    )
+    profiler = Profiler(machine=get_machine("e5-2650"), settings=settings, rng=4)
+    return profiler.profile(uniform_conditions(("redis", "knn"), n=4, rng=4))

@@ -1,17 +1,22 @@
 """Stage 3 replays the chain layout Stage 1 profiled on.
 
-The model reads cache capacities, gross increases and static features
+``fit`` adopts the machine and the reservations from the profile, and
+the model reads cache capacities, gross increases and static features
 from the same :class:`CollocationConfig` the testbed runs, so they hold
 whole LLC ways even where a megabyte reservation is not one.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import RuntimeCondition, StacModel
+from repro.core import rt_model as rt_model_module
 from repro.core.profile_vec import STATIC_FEATURE_NAMES
 from repro.core.profiler import Profiler, ProfilerSettings, collocation
-from repro.testbed import CollocationRuntime, default_machine, get_machine
+from repro.testbed import CollocationRuntime, XeonSpec, default_machine, get_machine
+from repro.workloads.base import MB
 
 CONDITIONS = [
     RuntimeCondition(("redis", "knn"), (0.8, 0.7), (0.5, 1.0)),
@@ -21,26 +26,20 @@ CONDITIONS = [
 ]
 
 
-def _profile(machine, private_mb, shared_mb):
+def _profile(machine, private_mb, shared_mb, conditions=CONDITIONS, trace_ticks=8):
     settings = ProfilerSettings(
         n_queries=150,
         n_windows=2,
-        trace_ticks=8,
+        trace_ticks=trace_ticks,
         private_mb=private_mb,
         shared_mb=shared_mb,
     )
-    return Profiler(machine=machine, settings=settings, rng=0).profile(CONDITIONS)
+    return Profiler(machine=machine, settings=settings, rng=0).profile(conditions)
 
 
-def _model(machine, private_mb, shared_mb, dataset):
-    return StacModel(
-        machine=machine,
-        learner="linear",
-        private_mb=private_mb,
-        shared_mb=shared_mb,
-        sim_queries=300,
-        rng=0,
-    ).fit(dataset)
+def _model(dataset):
+    """A model that adopts ``dataset``'s layout."""
+    return StacModel(learner="linear", sim_queries=300, rng=0).fit(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +69,7 @@ def _base_service_times(machine, condition):
 
 
 def test_static_block_matches_profiler_without_sharing(unshared):
-    model = _model(default_machine(), 2.0, 0.0, unshared)
+    model = _model(unshared)
     n_static = len(STATIC_FEATURE_NAMES)
     predictions = model.predict_conditions(CONDITIONS)
     for row in unshared.rows:
@@ -87,7 +86,7 @@ class TestDefaultServiceTime:
     @pytest.fixture(scope="class")
     def model_and_rows(self):
         rows = _profile(self.MACHINE, 2.0, 2.0)
-        return _model(self.MACHINE, 2.0, 2.0, rows), rows
+        return _model(rows), rows
 
     def test_predict_conditions(self, model_and_rows, monkeypatch):
         model, _ = model_and_rows
@@ -117,9 +116,80 @@ class TestDefaultServiceTime:
         (2.0, ("redis",) * 9, "cores"),  # 16 cores host 8 services
     ],
 )
-def test_unlayable_chain_raises(unshared, private_mb, workloads, match):
-    model = _model(default_machine(), private_mb, 0.0, unshared)
+def test_unlayable_chain_raises(private_mb, workloads, match):
+    # The pair alone fits the ways at either reservation.
+    pair = _profile(default_machine(), private_mb, 0.0, CONDITIONS[:1])
+    model = _model(pair)
     n = len(workloads)
     condition = RuntimeCondition(workloads, (0.5,) * n, (1.0,) * n)
     with pytest.raises(ValueError, match=match):
         model.predict_condition(condition)
+
+
+class TestLayoutAdoption:
+    """``fit`` adopts the layout from the profile; no second copy exists."""
+
+    def test_fit_adopts_machine_and_reservations(self, e5_2650_dataset):
+        model = _model(e5_2650_dataset)
+        machine = get_machine("e5-2650")
+        assert model.machine == machine
+        assert (model.private_mb, model.shared_mb) == (3.0, 1.5)
+        assert model.rt_model.n_servers == machine.cores_per_service
+        assert model.trace_ticks == 8
+
+    def test_executors_per_service_reach_stage3(self, monkeypatch):
+        machine = XeonSpec(
+            name="three-core-services",
+            n_cores=12,
+            llc_bytes=30 * MB,
+            llc_ways=20,
+            cores_per_service=3,
+        )
+        model = _model(_profile(machine, 2.0, 2.0, CONDITIONS[:1]))
+        assert model.rt_model.n_servers == 3
+        servers = []
+        real = rt_model_module.simulate_stap_queue
+
+        def spy(arrivals, demands, config):
+            servers.append(config.n_servers)
+            return real(arrivals, demands, config)
+
+        monkeypatch.setattr(rt_model_module, "simulate_stap_queue", spy)
+        model.predict_condition(CONDITIONS[0])
+        assert servers and set(servers) == {3}
+
+    def test_predict_rows_rejects_other_layout(self, e5_2650_dataset, unshared):
+        model = _model(e5_2650_dataset)
+        with pytest.raises(ValueError, match="layout"):
+            model.predict_rows(unshared)
+
+    @pytest.mark.parametrize("hz,ticks", [(1.0, 12), (0.5, 8)], ids=["ticks", "rate"])
+    def test_predict_rows_rejects_other_sampling(self, unshared, hz, ticks):
+        """Rows traced at another tick count or rate would feed the EA
+        model inputs unlike those it was fitted on."""
+        model = _model(unshared)
+        model.predict_rows(_profile(default_machine(), 2.0, 0.0, CONDITIONS[:1]))
+        conditions = [replace(CONDITIONS[0], sampling_hz=hz)]
+        rows = _profile(default_machine(), 2.0, 0.0, conditions, trace_ticks=ticks)
+        with pytest.raises(ValueError, match="layout"):
+            model.predict_rows(rows)
+
+    def test_fit_rejects_per_service_private_mb(self):
+        rows = _profile(default_machine(), [2.0, 4.0], 2.0, CONDITIONS[:1])
+        with pytest.raises(ValueError, match="per-service private_mb"):
+            _model(rows)
+
+    @pytest.mark.parametrize(
+        "option,value",
+        [
+            ("machine", default_machine()),
+            ("private_mb", 2.0),
+            ("shared_mb", 2.0),
+            ("trace_ticks", 20),
+            ("sampling_hz", 1.0),
+            ("n_servers", 2),
+        ],
+    )
+    def test_layout_options_removed(self, option, value):
+        with pytest.raises(TypeError, match=option):
+            StacModel(**{option: value})

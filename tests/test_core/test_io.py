@@ -1,18 +1,14 @@
-"""Tests for dataset/forest persistence."""
+"""Tests for dataset persistence."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from repro.core import ProfileDataset
-from repro.core.io import (
-    load_dataset,
-    load_packed_forest,
-    save_dataset,
-    save_packed_forest,
-)
-from repro.forest import PackedForest, RandomForestRegressor
+from repro.core.io import load_dataset, save_dataset
+from repro.core.profiler import ProfilerSettings
 
 
 class TestDatasetRoundtrip:
@@ -67,30 +63,53 @@ class TestDatasetRoundtrip:
             save_dataset(tmp_path / "x.npz", ProfileDataset())
 
 
-class TestPackedForestRoundtrip:
-    def test_predictions_identical(self, tmp_path):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(size=(150, 4))
-        y = X[:, 0] * 2 + np.sin(4 * X[:, 1])
-        forest = RandomForestRegressor(n_estimators=8, rng=0).fit(X, y)
-        packed = PackedForest.from_forest(forest)
-        path = tmp_path / "forest.npz"
-        save_packed_forest(path, packed)
-        loaded = load_packed_forest(path)
-        Xt = rng.uniform(size=(40, 4))
-        assert np.allclose(loaded.predict(Xt), packed.predict(Xt))
-        assert loaded.n_trees == packed.n_trees
-        assert loaded.max_depth == packed.max_depth
+class TestLayoutHeader:
+    """Version 2 headers record the layout the rows were profiled on."""
+
+    def test_layout_roundtrip(self, e5_2650_dataset, tmp_path):
+        path = tmp_path / "layout.npz"
+        save_dataset(path, e5_2650_dataset)
+        loaded = load_dataset(path)
+        assert loaded.machine == e5_2650_dataset.machine
+        assert loaded.settings == e5_2650_dataset.settings
+        assert _header(path)["version"] == 2
+
+    def test_numpy_valued_layout_saves(self, small_dataset, tmp_path):
+        settings = ProfilerSettings(
+            n_queries=np.int64(500), trace_ticks=np.int64(16), private_mb=np.float32(3)
+        )
+        path = tmp_path / "numpy.npz"
+        save_dataset(path, dataclasses.replace(small_dataset, settings=settings))
+        assert load_dataset(path).settings == settings
+
+    def test_version_1_rejected(self, small_dataset, tmp_path):
+        path = tmp_path / "v1.npz"
+        save_dataset(path, small_dataset)
+        # A version-1 header has no machine or settings entry.
+        _rewrite_header(path, version=1, drop=("machine", "settings"))
+        with pytest.raises(ValueError, match="does not record its layout"):
+            load_dataset(path)
+
+
+def _header(path) -> dict:
+    with np.load(path) as data:
+        return json.loads(data["header"].tobytes().decode())
+
+
+def _rewrite_header(path, drop=(), **changes) -> None:
+    with np.load(path) as data:
+        arrays = dict(data)
+    header = json.loads(arrays["header"].tobytes().decode())
+    for key in drop:
+        del header[key]
+    header.update(changes)
+    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+    np.savez_compressed(path, **arrays)
 
 
 def test_unknown_dataset_version_rejected(small_dataset, tmp_path):
     path = tmp_path / "d.npz"
     save_dataset(path, small_dataset)
-    with np.load(path) as data:
-        arrays = dict(data)
-    header = json.loads(arrays["header"].tobytes().decode())
-    header["version"] = 2
-    arrays["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez_compressed(path, **arrays)
-    with pytest.raises(ValueError, match="unsupported dataset version 2"):
+    _rewrite_header(path, version=3)
+    with pytest.raises(ValueError, match="unsupported dataset version 3"):
         load_dataset(path)

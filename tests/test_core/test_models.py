@@ -183,9 +183,27 @@ class TestStacModel:
         with pytest.raises(ValueError):
             model.predict_rows(ProfileDataset())
 
+    def test_unfitted_model_rejected(self, small_dataset):
+        model = StacModel(rng=0)
+        condition = RuntimeCondition(("redis", "social"), (0.5, 0.5), (1.0, 1.0))
+        with pytest.raises(RuntimeError, match="not fitted"):
+            model.predict_rows(small_dataset)
+        with pytest.raises(RuntimeError, match="not fitted"):
+            model.predict_condition(condition)
+
     def test_bad_iterations(self):
         with pytest.raises(ValueError):
             StacModel(n_iterations=0)
+
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rounds_below_one_rejected_at_predict(self, fitted, monkeypatch, rounds):
+        """``n_iterations`` may be set on a built model; fewer than one
+        round fails loudly instead of running no round."""
+        model, _, _ = fitted
+        monkeypatch.setattr(model, "n_iterations", rounds)
+        condition = RuntimeCondition(("redis", "social"), (0.5, 0.5), (1.0, 1.0))
+        with pytest.raises(ValueError, match="n_iterations"):
+            model.predict_condition(condition)
 
     def test_single_iteration_rejected(self):
         """One round returns summaries simulated at the first-principles

@@ -1,6 +1,8 @@
 """Unit tests for StacModel internals: gross increase, nominal traces,
 chain-neighbour conventions."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +17,21 @@ from repro.workloads import get_workload
 from .pipeline_oracle import boosted_capacity_oracle, nominal_trace_oracle
 
 
+@functools.cache
+def _fitted(trace_ticks=10, private_mb=2.0):
+    """A linear model fitted on a one-condition redis/knn profile of the
+    default machine at 1 Hz; Stage 3 adopts that profile's layout."""
+    settings = ProfilerSettings(
+        n_queries=100, n_windows=1, trace_ticks=trace_ticks, private_mb=private_mb
+    )
+    condition = RuntimeCondition(("redis", "knn"), (0.5, 0.5), (1.0, 1.0))
+    dataset = Profiler(settings=settings, rng=0).profile([condition])
+    return StacModel(rng=0, learner="linear", sim_queries=300).fit(dataset)
+
+
 @pytest.fixture
 def model():
-    return StacModel(rng=0, trace_ticks=10, sampling_hz=1.0)
+    return _fitted()
 
 
 def _layout(model, specs, utils=None):
@@ -107,8 +121,8 @@ class TestNominalTrace:
 
     def test_default_service_time_scaling(self):
         """Larger private reservations shorten the default service time."""
-        m2 = StacModel(rng=0, private_mb=2.0)
-        m6 = StacModel(rng=0, private_mb=6.0)
+        m2 = _fitted(private_mb=2.0)
+        m6 = _fitted(private_mb=6.0)
         spec = get_workload("redis")
         assert m2._default_service_time(_layout(m2, [spec]), 0) == pytest.approx(1.0)
         assert m6._default_service_time(_layout(m6, [spec]), 0) < 1.0
@@ -150,7 +164,7 @@ class TestNominalTraceBatch:
         st.sampled_from([1, 7, 10, 20]),
     )
     def test_matches_oracle(self, conditions, trace_ticks):
-        model = StacModel(rng=0, trace_ticks=trace_ticks)
+        model = _fitted(trace_ticks=trace_ticks)
         specs_per = [[get_workload(w) for w, _, _ in c] for c in conditions]
         utils_per = [tuple(u for _, u, _ in c) for c in conditions]
         boost_per = [np.array([b for _, _, b in c]) for c in conditions]
@@ -207,34 +221,10 @@ class TestNominalTraceBatch:
 class TestInputBoundary:
     """Non-finite or out-of-range constructor arguments fail loudly."""
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
-    def test_private_mb(self, value):
-        with pytest.raises(ValueError, match="private_mb"):
-            StacModel(private_mb=value)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
-    def test_shared_mb(self, value):
-        with pytest.raises(ValueError, match="shared_mb"):
-            StacModel(shared_mb=value)
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
-    def test_sampling_hz(self, value):
-        with pytest.raises(ValueError, match="sampling_hz"):
-            StacModel(sampling_hz=value)
-
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_trace_ticks(self, value):
-        with pytest.raises(ValueError, match="trace_ticks"):
-            StacModel(trace_ticks=value)
-
     @pytest.mark.parametrize("value", [0, -2])
     def test_n_jobs(self, value):
         with pytest.raises(ValueError, match="n_jobs"):
             StacModel(n_jobs=value)
-
-    def test_boundary_values_accepted(self):
-        m = StacModel(private_mb=0.5, shared_mb=0.0, sampling_hz=0.2, trace_ticks=1)
-        assert (m.shared_mb, m.trace_ticks) == (0.0, 1)
 
 
 def _profile_at(rates):

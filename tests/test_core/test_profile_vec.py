@@ -10,6 +10,8 @@ from repro.core import (
     STATIC_FEATURE_NAMES,
 )
 from repro.core.profile_vec import dynamic_features, static_features
+from repro.core.profiler import Profiler, ProfilerSettings
+from repro.testbed import default_machine, get_machine
 from repro.workloads import get_workload
 
 
@@ -111,3 +113,32 @@ def test_split_conditions_rejects_fraction_outside_open_interval(
 ):
     with pytest.raises(ValueError, match="train_fraction"):
         small_dataset.split_conditions(fraction, rng=0)
+
+
+class TestLayout:
+    """A dataset records the layout it was profiled on and keeps it
+    through every subset and split."""
+
+    def test_profile_records_layout(self, e5_2650_dataset):
+        assert e5_2650_dataset.machine == get_machine("e5-2650")
+        assert e5_2650_dataset.settings == ProfilerSettings(
+            n_queries=200, n_windows=2, trace_ticks=8, private_mb=3.0, shared_mb=1.5
+        )
+
+    def test_subset_and_splits_carry_layout(self, e5_2650_dataset):
+        ds = e5_2650_dataset
+        parts = [
+            ds.subset([0, 1]),
+            *ds.split(0.5, rng=0),
+            *ds.split_conditions(0.5, rng=0),
+            *ds.split_by_condition(lambda c: c.utilizations[0] > 0.5),
+        ]
+        for part in parts:
+            assert part.machine is ds.machine
+            assert part.settings is ds.settings
+
+    def test_hand_built_dataset_gets_profiler_defaults(self, small_dataset):
+        ds = ProfileDataset(rows=list(small_dataset.rows))
+        profiler = Profiler()
+        assert ds.machine == profiler.machine == default_machine()
+        assert ds.settings == profiler.settings == ProfilerSettings()

@@ -37,8 +37,8 @@ def _conditions(workloads, hz):
     ]
 
 
-def _profile(conditions, n_jobs=1):
-    return Profiler(settings=SETTINGS, n_jobs=n_jobs, rng=3).profile(conditions)
+def _profile(conditions):
+    return Profiler(settings=SETTINGS, rng=3).profile(conditions)
 
 
 def _assert_same(a, b):
@@ -54,12 +54,10 @@ def _assert_same(a, b):
 def test_profile_matches_oracle(monkeypatch, workloads, hz):
     conditions = _conditions(workloads, hz)
     fast = _profile(conditions)
-    fast_pool = _profile(conditions, n_jobs=2)
     with monkeypatch.context() as m:
         patch_profiler(m)
         slow = _profile(conditions)
     _assert_same(fast, slow)
-    _assert_same(fast_pool, slow)
 
 
 def test_quick_ea_matches_oracle(monkeypatch):

@@ -52,3 +52,11 @@ class TestSpecMath:
             XeonSpec(name="x", n_cores=1, llc_bytes=MB, llc_ways=4)
         with pytest.raises(ValueError):
             XeonSpec(name="x", n_cores=4, llc_bytes=MB, llc_ways=1)
+
+    def test_service_without_cores_rejected(self):
+        """A loaded dataset header rebuilds its machine through here, so
+        an executor count below one must not reach Stage 3."""
+        with pytest.raises(ValueError):
+            XeonSpec(
+                name="x", n_cores=4, llc_bytes=MB, llc_ways=4, cores_per_service=0
+            )
