@@ -8,7 +8,11 @@ The contract, verified end to end:
 - the splitter's vectorised sorted scan must grow the same tree
   as the per-feature loop it replaced (``tests/test_forest/
   tree_oracle.py``) on a single-tree baseline over every feature —
-  also asserted in every mode.
+  also asserted in every mode;
+- the production tree build must grow the same trees as the preorder
+  oracle build (``tree_oracle.build_oracle``) on the two tree shapes of
+  the perfbench ``build`` workload — asserted in every mode, with the
+  speedup printed.
 
 The workload mirrors a multi-grained-scanner window forest fit — the
 training bottleneck of the Figure 6 campaign: thousands of sliding
@@ -29,7 +33,7 @@ from benchmarks.conftest import print_block
 from repro.analysis import format_table
 from repro.baselines.dtree import DecisionTreeBaseline
 from repro.forest import RandomForestRegressor, RegressionTree
-from tests.test_forest.tree_oracle import best_split_oracle
+from tests.test_forest.tree_oracle import best_split_oracle, build_oracle
 
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 N_SAMPLES = 1500 if SMOKE else 6000
@@ -38,6 +42,18 @@ N_TREES = 8 if SMOKE else 24
 #: The "tree" learner's shape: profiled rows x (condition features +
 #: flattened cache-usage traces), every feature a split candidate.
 SCAN_ROWS, SCAN_FEATURES = 160, 1184
+#: The perfbench ``build`` workload's two tree shapes: a cascade level's
+#: random-forest trees (few rows, over a thousand columns) and an MGS window
+#: forest's depth-capped trees.
+BUILD_SHAPES = (
+    ("cascade-like", 64, 1431, dict(max_features="sqrt", min_samples_leaf=2)),
+    (
+        "MGS-like",
+        600,
+        25,
+        dict(max_features="sqrt", max_depth=12, min_samples_leaf=3),
+    ),
+)
 RESULTS_JSON = Path(__file__).resolve().parents[1] / "BENCH_forest_training.json"
 
 
@@ -158,6 +174,63 @@ def test_split_search_matches_loop(monkeypatch):
                 "scan_s": round(t_scan, 6),
                 "loop_s": round(t_loop, 6),
                 "speedup_scan": round(t_loop / t_scan, 3),
+            }
+        )
+
+
+def _grow_bootstrapped(X, y, params, n_trees):
+    """``n_trees`` trees, each on its own bootstrap sample, timed."""
+    t0 = time.perf_counter()
+    trees = []
+    for seed in range(n_trees):
+        rows = np.random.default_rng(seed).integers(0, X.shape[0], X.shape[0])
+        trees.append(RegressionTree(rng=seed, **params).fit(X[rows], y[rows]))
+    return trees, time.perf_counter() - t0
+
+
+def test_tree_build_matches_oracle(monkeypatch):
+    """``build``'s tree shapes: the production build vs the preorder
+    oracle build patched in.  Same trees, timed both ways."""
+    reps = 1 if SMOKE else 5
+    n_trees = 2 if SMOKE else 8
+    rows, record = [], {}
+    for name, n, d, params in BUILD_SHAPES:
+        r = np.random.default_rng(n)
+        X = r.uniform(size=(n, d))
+        y = np.sin(6 * X[:, 0]) + X[:, 1] * X[:, 2] + r.normal(0, 0.1, n)
+        t_lean = t_oracle = np.inf
+        for _ in range(reps):
+            lean, t = _grow_bootstrapped(X, y, params, n_trees)
+            t_lean = min(t_lean, t)
+            with monkeypatch.context() as m:
+                m.setattr(RegressionTree, "_build", build_oracle)
+                oracle, t = _grow_bootstrapped(X, y, params, n_trees)
+            t_oracle = min(t_oracle, t)
+            assert all(_tree_identical(a, b) for a, b in zip(lean, oracle))
+        rows.append(
+            [f"{name} n={n} d={d}", t_lean * 1e3, t_oracle * 1e3, t_oracle / t_lean]
+        )
+        key = name.split("-")[0].lower()
+        record[f"{key}_lean_s"] = round(t_lean, 6)
+        record[f"{key}_oracle_s"] = round(t_oracle, 6)
+        record[f"{key}_speedup"] = round(t_oracle / t_lean, 3)
+    print_block(
+        format_table(
+            ["tree shape", "lean ms", "oracle ms", "speedup"],
+            rows,
+            title=(
+                f"Tree build, {n_trees} bootstrapped trees per shape, "
+                f"best of {reps}" + (" [smoke]" if SMOKE else "")
+            ),
+        )
+    )
+    if not SMOKE:
+        _record(
+            {
+                "bench": "tree_build",
+                "timestamp": int(time.time()),
+                "n_trees": n_trees,
+                **record,
             }
         )
 

@@ -61,14 +61,6 @@ class MissRatioCurve:
         """Miss ratio when allocated ``n_ways`` ways of the given size."""
         return self.miss_ratio(np.asarray(n_ways, dtype=float) * way_size_bytes)
 
-    def marginal_utility(self, capacity_bytes: float) -> float:
-        """-d(miss ratio)/d(capacity): how much an extra byte helps."""
-        return (
-            (self.m0 - self.m_inf)
-            / self.footprint_bytes
-            * float(np.exp(-capacity_bytes / self.footprint_bytes))
-        )
-
 
 def fit_exponential_mrc(capacities, miss_ratios) -> MissRatioCurve:
     """Least-squares fit of the exponential form to measured points."""

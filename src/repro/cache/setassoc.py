@@ -77,15 +77,6 @@ class SetAssociativeCache:
         ids, counts = np.unique(owners, return_counts=True)
         return {int(i): int(c) for i, c in zip(ids, counts)}
 
-    def flush_ways(self, mask: WayMask) -> int:
-        """Invalidate all lines in the given ways; returns lines flushed."""
-        cols = mask.ways()
-        cols = cols[cols < self.geometry.n_ways]
-        flushed = int(self.valid[:, cols].sum())
-        self.valid[:, cols] = False
-        self.owner[:, cols] = self.INVALID_OWNER
-        return flushed
-
     def access(
         self,
         addresses,

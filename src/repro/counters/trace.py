@@ -89,18 +89,6 @@ class CacheUsageTrace:
             blocks.append(m)
         return cls(data=np.vstack(blocks), service_names=tuple(service_names))
 
-    def reorder(self, ordering: str, rng=None) -> "CacheUsageTrace":
-        """Apply a counter ordering per service block."""
-        blocks = [
-            order_counters(
-                self.data[i * N_COUNTERS : (i + 1) * N_COUNTERS], ordering, rng=rng
-            )
-            for i in range(self.n_services)
-        ]
-        return CacheUsageTrace(
-            data=np.vstack(blocks), service_names=self.service_names
-        )
-
     def flatten(self) -> np.ndarray:
         """Row-major flattening for models without spatial structure."""
         return self.data.ravel()

@@ -31,30 +31,40 @@ def _scan_sorted(cols, yn, min_samples_leaf):
     skipped.  Returns ``(column, left value, right value)`` — the sorted
     values either side of the winning cut — or ``None``.
     """
-    n = cols.shape[0]
-    pos = np.arange(min_samples_leaf, n - min_samples_leaf + 1)
-    if pos.size == 0:
+    n, k = cols.shape
+    msl = min_samples_leaf
+    if n < 2 * msl:
         return None
-    order = np.argsort(cols, axis=0, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=0)
+    order = cols.argsort(axis=0, kind="stable")
+    xs = cols[order, np.arange(k)]
     ys = yn[order]
-    s1 = np.cumsum(ys, axis=0)
-    s2 = np.cumsum(ys * ys, axis=0)
-    # Cut p sits between sorted rows p-1 and p; x must strictly change.
-    valid = xs[pos - 1] < xs[pos]  # (P, k)
-    nl = pos.astype(float)[:, None]
-    nr = n - nl
-    sl1, sl2 = s1[pos - 1], s2[pos - 1]
+    s1 = ys.cumsum(axis=0)
+    s2 = np.multiply(ys, ys, out=ys).cumsum(axis=0)
+    # Cut p (msl <= p <= hi) sits between sorted rows p-1 and p, and x
+    # must strictly change there; a NaN neighbour makes the cut invalid.
+    hi = n - msl
+    invalid = ~(xs[msl - 1 : hi] < xs[msl : hi + 1])  # (P, k)
+    nl = np.arange(msl, hi + 1, dtype=float)[:, None]
+    sl1, sl2 = s1[msl - 1 : hi], s2[msl - 1 : hi]
     sr1, sr2 = s1[-1] - sl1, s2[-1] - sl2
-    loss = (sl2 - sl1 * sl1 / nl) + (sr2 - sr1 * sr1 / nr)
-    # (k, P): a flat argmin takes the earliest column, then earliest cut.
-    loss = np.where(valid, loss, np.inf).T
-    loss[np.isnan(loss).any(axis=1)] = np.inf
-    c, j = np.unravel_index(int(np.argmin(loss)), loss.shape)
-    if not loss[c, j] < np.inf:
+    # loss = (sl2 - sl1 * sl1 / nl) + (sr2 - sr1 * sr1 / nr), in place.
+    loss = sl1 * sl1
+    loss /= nl
+    np.subtract(sl2, loss, out=loss)
+    sr1 *= sr1
+    sr1 /= n - nl
+    sr2 -= sr1
+    loss += sr2
+    np.copyto(loss, np.inf, where=invalid)
+    # The earliest column with the lowest loss, then its earliest cut.
+    # A column's min is NaN if any of its valid cuts has a NaN loss.
+    best = loss.min(axis=0)
+    best[np.isnan(best)] = np.inf
+    c = int(best.argmin())
+    if not best[c] < np.inf:
         return None
-    p = pos[j]
-    return int(c), xs[p - 1, c], xs[p, c]
+    p = msl + int(loss[:, c].argmin())
+    return c, xs[p - 1, c], xs[p, c]
 
 
 class RegressionTree:
@@ -117,10 +127,16 @@ class RegressionTree:
             raise ValueError(f"bad shapes: X {X.shape}, y {y.shape}")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on empty data")
+        if not np.isfinite(y).all():
+            raise ValueError("y must be finite")
         self._feature, self._threshold = [], []
         self._left, self._right, self._value = [], [], []
         self.n_features_ = X.shape[1]
-        self._importance = np.zeros(X.shape[1])
+        self._n_split_features = (
+            self._n_candidate_features(X.shape[1])
+            if self.splitter == "best"
+            else None
+        )
         self._depth = 0
         self._build(X, y)
         # Freeze the node lists to arrays for fast prediction.
@@ -131,43 +147,43 @@ class RegressionTree:
         self._value_a = np.asarray(self._value)
         return self
 
-    def _new_node(self) -> int:
-        self._feature.append(_LEAF)
-        self._threshold.append(0.0)
-        self._left.append(0)
-        self._right.append(0)
-        self._value.append(0.0)
-        return len(self._feature) - 1
-
     def _build(self, X, y) -> None:
         """Grow the tree over all rows of ``X`` with an explicit stack.
 
         Iterative preorder (node, then left subtree, then right) with a
-        LIFO stack, pushing the right child first: nodes are numbered —
-        and the splitter's rng consumed — in exactly the order the
-        previous recursive implementation used, so fitted trees are
-        bit-identical while unbounded-depth fits (``max_depth=None``)
-        no longer risk ``RecursionError``.
+        LIFO stack, pushing the right child first, so nodes are numbered
+        and the splitter's rng is consumed in preorder.  A leaf's value
+        is ``add.reduce(y) / n``, which is what ``ndarray.mean`` computes
+        on float64.
         """
+        feature, threshold = self._feature, self._threshold
+        left, right, value = self._left, self._right, self._value
+        msl, max_depth = self.min_samples_leaf, self.max_depth
+        best = self.splitter == "best"
+        deepest = 0
         # Frame: (sample indices, depth, parent node, is-left-child).
         stack = [(np.arange(X.shape[0]), 0, -1, False)]
         while stack:
             idx, depth, parent, is_left = stack.pop()
-            node = self._new_node()
+            node = len(feature)
+            feature.append(_LEAF)
+            threshold.append(0.0)
+            left.append(0)
+            right.append(0)
             if parent >= 0:
-                (self._left if is_left else self._right)[parent] = node
+                (left if is_left else right)[parent] = node
             yn = y[idx]
-            self._value[node] = float(yn.mean())
             n = idx.shape[0]
+            value.append(float(np.add.reduce(yn) / n))
             if (
-                n < 2 * self.min_samples_leaf
-                or (self.max_depth is not None and depth >= self.max_depth)
-                or np.all(yn == yn[0])
+                n < 2 * msl
+                or (max_depth is not None and depth >= max_depth)
+                or (yn == yn[0]).all()
             ):
                 continue
             split = (
                 self._best_split(X, yn, idx)
-                if self.splitter == "best"
+                if best
                 else self._random_split(X, idx)
             )
             if split is None:
@@ -175,36 +191,24 @@ class RegressionTree:
             f, thr = split
             mask = X[idx, f] <= thr
             left_idx, right_idx = idx[mask], idx[~mask]
-            if (
-                left_idx.shape[0] < self.min_samples_leaf
-                or right_idx.shape[0] < self.min_samples_leaf
-            ):
+            if left_idx.shape[0] < msl or right_idx.shape[0] < msl:
                 continue
-            self._feature[node] = f
-            self._threshold[node] = thr
-            # Impurity decrease: parent SSE minus the children's SSE.
-            yl, yr = y[left_idx], y[right_idx]
-            decrease = (
-                float(((yn - yn.mean()) ** 2).sum())
-                - float(((yl - yl.mean()) ** 2).sum())
-                - float(((yr - yr.mean()) ** 2).sum())
-            )
-            self._importance[f] += max(decrease, 0.0)
-            self._depth = max(self._depth, depth + 1)
+            feature[node] = f
+            threshold[node] = thr
+            deepest = max(deepest, depth + 1)
             stack.append((right_idx, depth + 1, node, False))
             stack.append((left_idx, depth + 1, node, True))
+        self._depth = deepest
 
     # -- split search ------------------------------------------------------------
 
     def _best_split(self, X, yn, idx) -> tuple[int, float] | None:
         d = X.shape[1]
-        k = self._n_candidate_features(d)
+        k = self._n_split_features
         feats = (
             self._rng.choice(d, size=k, replace=False) if k < d else np.arange(d)
         )
-        cut = _scan_sorted(
-            X[idx[:, None], feats[None, :]], yn, self.min_samples_leaf
-        )
+        cut = _scan_sorted(X[idx[:, None], feats], yn, self.min_samples_leaf)
         if cut is None:
             return None
         c, left, right = cut
@@ -247,17 +251,6 @@ class RegressionTree:
                 go_left, self._left_a[an], self._right_a[an]
             )
         return self._value_a[node]
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Impurity-decrease importance per feature (sums to 1, or all
-        zeros for a single-leaf tree)."""
-        if not hasattr(self, "_importance"):
-            raise RuntimeError("tree is not fitted")
-        total = self._importance.sum()
-        if total == 0:
-            return np.zeros_like(self._importance)
-        return self._importance / total
 
     @property
     def n_nodes(self) -> int:

@@ -104,11 +104,6 @@ class QueueResult:
         """Fraction of queries that triggered short-term allocation."""
         return float(self.boosted.mean()) if self.boosted.size else 0.0
 
-    @property
-    def boost_busy_time(self) -> float:
-        """Total time spent executing under short-term allocation."""
-        return float(self.boosted_time.sum())
-
     def drop_warmup(self, fraction: float) -> "QueueResult":
         """Discard the first ``fraction`` of queries (transient warmup)."""
         if not 0 <= fraction < 1:

@@ -17,28 +17,6 @@ class ResponseTimeSummary:
     p99: float
     n: int
 
-    def speedup_over(self, other: "ResponseTimeSummary") -> dict[str, float]:
-        """Per-statistic speedup of *this* summary relative to ``other``
-        (values > 1 mean this one is faster).
-
-        Response times are only required non-negative, so a zero-valued
-        quantile is legal (e.g. p50 of a mostly-instant service); a
-        statistic of 0 here means "this side is infinitely faster" and
-        yields ``float("inf")`` instead of a ``ZeroDivisionError``.
-        """
-        return {
-            "mean": self._ratio(other.mean, self.mean),
-            "p50": self._ratio(other.p50, self.p50),
-            "p95": self._ratio(other.p95, self.p95),
-            "p99": self._ratio(other.p99, self.p99),
-        }
-
-    @staticmethod
-    def _ratio(num: float, den: float) -> float:
-        if den == 0.0:
-            return float("inf")
-        return num / den
-
 
 def summarize_response_times(
     response_times,

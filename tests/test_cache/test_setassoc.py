@@ -96,13 +96,6 @@ class TestWriteEnableMasks:
         occ = c.occupancy_by_owner()
         assert occ.get(1, 0) >= 1 and occ.get(2, 0) >= 1
 
-    def test_flush_ways(self):
-        c = small_cache(n_sets=2, n_ways=4)
-        c.access(np.arange(8) * 64)
-        flushed = c.flush_ways(WayMask(0, 2))
-        assert flushed > 0
-        assert not c.valid[:, :2].any()
-
 
 class TestProperties:
     @settings(max_examples=30, deadline=None)

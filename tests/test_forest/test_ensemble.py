@@ -49,6 +49,14 @@ class TestBothForests:
         with pytest.raises(ValueError):
             cls(n_estimators=2).fit(np.zeros((3, 2)), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, cls, bad):
+        # A NaN target used to fit silently and predict NaN everywhere.
+        X, y = friedman_like(40)
+        y[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cls(n_estimators=2, rng=0).fit(X, y)
+
 
 class TestForestContrast:
     def test_ensembling_beats_single_tree(self):

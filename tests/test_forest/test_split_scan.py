@@ -69,6 +69,12 @@ def _same_float(a, b) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def _split(tree, X, yn, idx):
+    """``tree._best_split`` on one node, set up as ``fit`` sets it up."""
+    tree._n_split_features = tree._n_candidate_features(X.shape[1])
+    return tree._best_split(X, yn, idx)
+
+
 def _assert_same_split(X, yn, idx, max_features, msl, seed):
     shared = RegressionTree(
         max_features=max_features, min_samples_leaf=msl, rng=seed
@@ -77,7 +83,7 @@ def _assert_same_split(X, yn, idx, max_features, msl, seed):
         max_features=max_features, min_samples_leaf=msl, rng=seed
     )
     with np.errstate(all="ignore"):
-        got = shared._best_split(X, yn, idx)
+        got = _split(shared, X, yn, idx)
         want = best_split_oracle(oracle, X, yn, idx)
     if want is None:
         assert got is None
@@ -107,22 +113,22 @@ class TestScanMatchesOracle:
         X = np.stack([np.zeros(40), col, col, col], axis=1)
         y = r.normal(size=40)
         idx = np.arange(40)
-        split = RegressionTree(rng=0)._best_split(X, y, idx)
+        split = _split(RegressionTree(rng=0), X, y, idx)
         assert split[0] == 1
         _assert_same_split(X, y, idx, None, 1, 0)
 
     def test_constant_and_single_row_nodes(self):
         X = np.full((6, 3), 2.0)
         y = np.arange(6.0)
-        assert RegressionTree(rng=0)._best_split(X, y, np.arange(6)) is None
-        assert RegressionTree(rng=0)._best_split(X, y[:1], np.arange(1)) is None
+        assert _split(RegressionTree(rng=0), X, y, np.arange(6)) is None
+        assert _split(RegressionTree(rng=0), X, y[:1], np.arange(1)) is None
         _assert_same_split(X, y, np.arange(6), None, 1, 0)
 
     def test_infinite_neighbours_give_nan_threshold(self):
         X = np.array([[-np.inf], [np.inf], [-np.inf], [np.inf]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
         with np.errstate(invalid="ignore"):
-            f, thr = RegressionTree(rng=0)._best_split(X, y, np.arange(4))
+            f, thr = _split(RegressionTree(rng=0), X, y, np.arange(4))
         assert f == 0 and np.isnan(thr)
         _assert_same_split(X, y, np.arange(4), None, 1, 0)
 
@@ -135,7 +141,7 @@ class TestScanMatchesOracle:
         y = np.array([big, small, small, small, small, small])
         X = np.stack([[4.0, 0, 1, 2, 3, 5], np.arange(6.0)], axis=1)
         with np.errstate(all="ignore"):
-            split = RegressionTree(rng=0)._best_split(X, y, np.arange(6))
+            split = _split(RegressionTree(rng=0), X, y, np.arange(6))
         assert split == (1, 1.5)
         _assert_same_split(X, y, np.arange(6), None, 1, 0)
 

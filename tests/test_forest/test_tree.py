@@ -152,6 +152,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             t.predict([[1.0]])
 
+    @pytest.mark.parametrize("splitter", ["best", "random"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, splitter, bad):
+        # A NaN target used to fit silently and predict NaN everywhere.
+        X, y = toy_step(20)
+        y[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            RegressionTree(splitter=splitter, rng=0).fit(X, y)
+
+    def test_non_finite_features_still_fit(self):
+        # NaN and inf features stay legal: a NaN never goes left, and
+        # the cut between 2 and inf sits at inf, so those two share a leaf.
+        X = np.array([[0.0], [np.nan], [np.inf], [1.0], [-np.inf], [2.0]])
+        y = np.array([0.0, 5.0, 3.0, 1.0, -1.0, 2.0])
+        pred = RegressionTree(rng=0).fit(X, y).predict(X)
+        assert np.array_equal(pred, [0.0, 5.0, 2.5, 1.0, -1.0, 2.5])
+
 
 class TestProperties:
     @settings(max_examples=25, deadline=None)

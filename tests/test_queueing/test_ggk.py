@@ -87,9 +87,9 @@ class TestStapBehaviour:
         res = run_mm1(0.8, timeout=np.inf, boost=2.0, seed=6)
         assert res.boost_fraction == 0.0
 
-    def test_boost_busy_time_positive_only_when_triggered(self):
+    def test_boosted_time_positive_only_when_triggered(self):
         res = run_mm1(0.8, timeout=1.0, boost=2.0, seed=7)
-        assert res.boost_busy_time > 0
+        assert res.boosted.any()
         assert np.all((res.boosted_time > 0) == res.boosted)
 
     def test_zero_timeout_full_boost_scales_service(self):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.queueing import (
-    ResponseTimeSummary,
     absolute_percentage_error,
     summarize_response_times,
 )
@@ -29,13 +28,6 @@ class TestSummary:
         assert s.p95 == pytest.approx(95.05)
         assert s.n == 100
 
-    def test_speedup_over(self):
-        fast = summarize_response_times([1.0, 1.0, 1.0, 1.0])
-        slow = summarize_response_times([2.0, 2.0, 2.0, 2.0])
-        sp = fast.speedup_over(slow)
-        assert sp["mean"] == pytest.approx(2.0)
-        assert sp["p95"] == pytest.approx(2.0)
-
     def test_fused_percentiles_exactly_match_separate_calls(self):
         # The summary computes all three quantiles from one
         # np.percentile call (one sort); this must be exact-equal to
@@ -50,29 +42,6 @@ class TestSummary:
             assert s.p50 == float(np.percentile(rt, 50))
             assert s.p95 == float(np.percentile(rt, 95))
             assert s.p99 == float(np.percentile(rt, 99))
-
-    def test_speedup_over_zero_quantile_is_inf(self):
-        # Regression: response times are only required non-negative, so
-        # zero-valued quantiles are legal; the old code divided by
-        # self.p50/self.p99 unguarded and raised ZeroDivisionError.
-        fast = ResponseTimeSummary(mean=0.5, p50=0.0, p95=1.0, p99=0.0, n=10)
-        slow = summarize_response_times([2.0, 2.0, 2.0, 2.0])
-        sp = fast.speedup_over(slow)
-        assert sp["p50"] == float("inf")
-        assert sp["p99"] == float("inf")
-        assert sp["mean"] == pytest.approx(4.0)
-        assert sp["p95"] == pytest.approx(2.0)
-
-    def test_speedup_over_all_zero_summary(self):
-        # Fully-instant service: every statistic reports inf, nothing
-        # raises and nothing returns nan.
-        zero = summarize_response_times([0.0, 0.0, 0.0])
-        slow = summarize_response_times([1.0, 2.0, 3.0])
-        sp = zero.speedup_over(slow)
-        assert all(v == float("inf") for v in sp.values())
-        # The reverse direction divides by the *non-zero* side: finite
-        # numerator 0 over positive denominators -> all zeros.
-        assert all(v == 0.0 for v in slow.speedup_over(zero).values())
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
