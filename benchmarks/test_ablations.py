@@ -8,8 +8,6 @@
 4. Timeout search: SLO matching vs greedy per-service descent.
 """
 
-import itertools
-
 import numpy as np
 
 from benchmarks.conftest import print_block, profile_pairs
@@ -22,7 +20,6 @@ from repro.core.policy_search import (
     explore_timeouts,
     slo_matching,
 )
-from repro.forest.ensemble import RandomForestRegressor
 from repro.testbed import (
     CollocatedService,
     CollocationConfig,
@@ -119,11 +116,7 @@ def _ablate_policy_search(dataset):
         greedy.append(min(grid, key=lambda t: float(np.mean(per_t[t]))))
 
     evaluator = RuntimeEvaluator(
-        machine=default_machine(),
-        specs=[get_workload(n) for n in pair],
-        utilization=0.9,
-        n_queries=2000,
-        rng=31,
+        dataset, pair, utilization=0.9, n_queries=2000, rng=31
     )
     return {
         "slo-matching": evaluator.p95(combos[slo_idx]),

@@ -16,8 +16,6 @@ from repro.baselines import RuntimeEvaluator
 from repro.core import StacModel, model_driven_policy
 from repro.core.profiler import Profiler, ProfilerSettings
 from repro.core.sampling import grid_anchor_conditions, uniform_conditions
-from repro.testbed import default_machine
-from repro.workloads import get_workload
 
 CHAIN = ("redis", "social", "knn")
 UTIL = 0.9
@@ -47,11 +45,7 @@ def _run():
     )
 
     evaluator = RuntimeEvaluator(
-        machine=default_machine(),
-        specs=[get_workload(n) for n in CHAIN],
-        utilization=UTIL,
-        n_queries=2000,
-        rng=88,
+        dataset, CHAIN, utilization=UTIL, n_queries=2000, rng=88
     )
     results = {
         "no sharing": evaluator.p95((np.inf,) * 3),

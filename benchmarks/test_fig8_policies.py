@@ -29,8 +29,6 @@ from repro.core import StacModel
 from repro.core.policy_search import model_driven_policy
 from repro.core.profiler import Profiler, ProfilerSettings
 from repro.core.sampling import grid_anchor_conditions, uniform_conditions
-from repro.testbed import default_machine
-from repro.workloads import get_workload
 
 COLLOCATIONS = (
     ("redis", "social"),
@@ -66,11 +64,7 @@ def _policies_for_pair(pair):
     simple = StacModel(rng=0, learner="random_forest").fit(dataset)
 
     evaluator = RuntimeEvaluator(
-        machine=default_machine(),
-        specs=[get_workload(n) for n in pair],
-        utilization=UTIL,
-        n_queries=2500,
-        rng=77,
+        dataset, pair, utilization=UTIL, n_queries=2500, rng=77
     )
     policies = [
         static_best_policy(evaluator),

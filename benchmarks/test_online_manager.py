@@ -14,17 +14,11 @@ import numpy as np
 
 from benchmarks.conftest import print_block
 from repro.analysis import format_table
+from repro.baselines import RuntimeEvaluator
 from repro.core import StacModel
 from repro.core.profiler import Profiler, ProfilerSettings
 from repro.core.sampling import grid_anchor_conditions, uniform_conditions
 from repro.manager import AdaptiveTimeoutController, LoadScenario, OnlineManager
-from repro.testbed import (
-    CollocatedService,
-    CollocationConfig,
-    CollocationRuntime,
-    default_machine,
-)
-from repro.workloads import get_workload
 
 #: Redis gains a lot from extra ways; Spstream gains little but churns
 #: the shared region — the pair whose best plan shifts with load.
@@ -41,25 +35,13 @@ DF_CONFIG = dict(
 )
 
 
-def _unmanaged(scenario, rng=40):
+def _unmanaged(evaluator, scenario, rng=40):
     """No cache sharing at all, epoch by epoch."""
-    out = []
     seeds = np.random.default_rng(rng).integers(0, 2**31, size=scenario.n_epochs)
-    for utils, seed in zip(scenario.epochs, seeds):
-        cfg = CollocationConfig(
-            machine=default_machine(),
-            services=[
-                CollocatedService(get_workload(n), timeout=np.inf, utilization=u)
-                for n, u in zip(PAIR, utils)
-            ],
-        )
-        run = CollocationRuntime(cfg, rng=int(seed)).run(n_queries=1200)
-        out.append(
-            np.array(
-                [np.percentile(s.response_times_norm, 95) for s in run.services]
-            )
-        )
-    return out
+    return [
+        evaluator.p95((np.inf, np.inf), utils, seed=int(seed))
+        for utils, seed in zip(scenario.epochs, seeds)
+    ]
 
 
 def _run():
@@ -70,16 +52,15 @@ def _run():
     conditions = uniform_conditions(PAIR, n=10, rng=19) + grid_anchor_conditions(
         PAIR, 0.9
     )
-    model = StacModel(rng=0, **DF_CONFIG).fit(profiler.profile(conditions))
+    dataset = profiler.profile(conditions)
+    model = StacModel(rng=0, **DF_CONFIG).fit(dataset)
     controller = AdaptiveTimeoutController(model=model, workloads=PAIR)
     scenario = LoadScenario.ramp(2, 0.40, 0.92, N_EPOCHS)
 
-    manager = OnlineManager(controller, n_queries=1200, rng=41)
-    adaptive = manager.run(scenario, adapt=True)
-    static = OnlineManager(controller, n_queries=1200, rng=41).run(
-        scenario, adapt=False
-    )
-    unmanaged = _unmanaged(scenario)
+    evaluator = RuntimeEvaluator(dataset, PAIR, n_queries=1200, rng=41)
+    adaptive = OnlineManager(controller, evaluator).run(scenario, adapt=True)
+    static = OnlineManager(controller, evaluator).run(scenario, adapt=False)
+    unmanaged = _unmanaged(evaluator, scenario)
     return scenario, adaptive, static, unmanaged
 
 

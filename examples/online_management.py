@@ -11,10 +11,9 @@ calibration would freeze.
 Run:  python examples/online_management.py
 """
 
-import numpy as np
-
 from repro import Profiler, StacModel, uniform_conditions
 from repro.analysis import format_table
+from repro.baselines import RuntimeEvaluator
 from repro.core.profiler import ProfilerSettings
 from repro.core.sampling import grid_anchor_conditions
 from repro.manager import AdaptiveTimeoutController, LoadScenario, OnlineManager
@@ -30,18 +29,17 @@ def main() -> None:
     conditions = uniform_conditions(PAIR, n=10, rng=7) + grid_anchor_conditions(
         PAIR, utilization=0.9
     )
-    model = StacModel(rng=0).fit(profiler.profile(conditions))
+    dataset = profiler.profile(conditions)
+    model = StacModel(rng=0).fit(dataset)
 
     controller = AdaptiveTimeoutController(model=model, workloads=PAIR)
     scenario = LoadScenario.diurnal(2, low=0.4, high=0.92, n_epochs=6)
 
     print("managing a diurnal load pattern (6 epochs)...")
-    adaptive = OnlineManager(controller, n_queries=1200, rng=1).run(
-        scenario, adapt=True
-    )
-    one_shot = OnlineManager(controller, n_queries=1200, rng=1).run(
-        scenario, adapt=False
-    )
+    # The testbed truth runs on the layout the campaign profiled.
+    evaluator = RuntimeEvaluator(dataset, PAIR, n_queries=1200, rng=1)
+    adaptive = OnlineManager(controller, evaluator).run(scenario, adapt=True)
+    one_shot = OnlineManager(controller, evaluator).run(scenario, adapt=False)
 
     rows = []
     for a, s in zip(adaptive, one_shot):

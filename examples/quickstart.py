@@ -15,8 +15,6 @@ from repro import Profiler, StacModel, model_driven_policy, uniform_conditions
 from repro.analysis import ape_summary, format_table
 from repro.baselines import RuntimeEvaluator, no_sharing_policy
 from repro.core.profiler import ProfilerSettings
-from repro.testbed import default_machine
-from repro.workloads import get_workload
 
 PAIR = ("redis", "social")
 
@@ -45,13 +43,9 @@ def main() -> None:
     policy = model_driven_policy(model, PAIR, (0.9, 0.9))
     print(f"Policy search: chose timeouts {policy.timeouts} (x service time)")
 
-    # ---- Verify on the ground-truth testbed ----------------------------
+    # ---- Verify on the ground-truth testbed, laid out as profiled -------
     evaluator = RuntimeEvaluator(
-        machine=default_machine(),
-        specs=[get_workload(n) for n in PAIR],
-        utilization=0.9,
-        n_queries=2000,
-        rng=42,
+        dataset, PAIR, utilization=0.9, n_queries=2000, rng=42
     )
     base = evaluator.p95(no_sharing_policy(2).timeouts)
     ours = evaluator.p95(policy.timeouts)

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.baselines import RuntimeEvaluator
-from repro.testbed import default_machine
+from repro.core import ProfileDataset
 from repro.workloads import SocialGraph, get_workload
 
 
@@ -35,12 +35,9 @@ def main() -> None:
     )
 
     # --- sweep Social's timeout with Redis boosting aggressively --------
+    # No profile here: ProfileDataset() carries the default testbed layout.
     evaluator = RuntimeEvaluator(
-        machine=default_machine(),
-        specs=[social, redis],
-        utilization=0.9,
-        n_queries=2500,
-        rng=7,
+        ProfileDataset(), ("social", "redis"), n_queries=2500, rng=7
     )
     redis_timeout = 0.5  # Redis is latency-critical: boost early
     rows = []

@@ -12,11 +12,6 @@ def median_ape(predicted, actual) -> float:
     return float(np.median(absolute_percentage_error(predicted, actual)))
 
 
-def percentile_ape(predicted, actual, q: float = 95.0) -> float:
-    """q-th percentile of absolute percentage error."""
-    return float(np.percentile(absolute_percentage_error(predicted, actual), q))
-
-
 def ape_summary(predicted, actual) -> dict[str, float]:
     """Median / p95 / mean APE in one dict (what Figure 6 reports)."""
     ape = absolute_percentage_error(predicted, actual)

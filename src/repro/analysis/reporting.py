@@ -51,16 +51,3 @@ def format_table(
     for r in cells:
         out.append(" | ".join(c.ljust(w) for c, w in zip(r, widths)))
     return "\n".join(out)
-
-
-def format_series(
-    name: str, xs: Sequence, ys: Sequence, x_label: str = "x", y_label: str = "y",
-    precision: int = 3, na: str = NA_PLACEHOLDER,
-) -> str:
-    """Render an (x, y) series the way the paper's figures plot them."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    rows = [(x, y) for x, y in zip(xs, ys)]
-    return format_table(
-        [x_label, y_label], rows, title=name, precision=precision, na=na
-    )

@@ -10,7 +10,7 @@ allocation.
 from repro.baselines.linreg import RidgeRegression
 from repro.baselines.dtree import DecisionTreeBaseline
 from repro.baselines.mlp import MLPRegressor
-from repro.baselines.cnn import CNNRegressor, tune_cnn
+from repro.baselines.cnn import CNNRegressor
 from repro.baselines.ucp import marginal_utility_curve, ucp_partition, ucp_private_mb
 from repro.baselines.policies import (
     PolicyDecision,
@@ -26,7 +26,6 @@ __all__ = [
     "DecisionTreeBaseline",
     "MLPRegressor",
     "CNNRegressor",
-    "tune_cnn",
     "PolicyDecision",
     "RuntimeEvaluator",
     "no_sharing_policy",

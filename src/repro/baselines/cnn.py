@@ -1,6 +1,7 @@
-"""NumPy CNN regressor over counter traces, plus a random-search tuner.
+"""NumPy CNN regressor over counter traces.
 
-Substitutes for the paper's PyTorch CNN (trained with TUNE/PipeTune):
+Substitutes for the paper's PyTorch CNN (trained with TUNE/PipeTune; the
+hyper-parameters here are fixed, with no tuner):
 an im2col 2-D convolution, ReLU, global pooling-free flatten and dense
 head, trained with Adam on MSE.  Exhibits the back-prop run-to-run
 variance Figure 5 measures.
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro._util import as_rng, spawn_rngs
 from repro.baselines.mlp import _check_lr, _check_sizes, _Dense, _Network, _ReLU
 
 
@@ -130,55 +130,3 @@ class CNNRegressor(_Network):
 
     def predict(self, X_flat, traces) -> np.ndarray:
         return self._predict(traces, X_flat)
-
-
-def tune_cnn(
-    X_flat,
-    traces,
-    y,
-    n_trials: int = 8,
-    val_fraction: float = 0.25,
-    rng=None,
-) -> tuple[CNNRegressor, CNNHyperParams]:
-    """Random-search hyper-parameter tuning (the paper uses TUNE [17]).
-
-    Returns the best model (refit on everything) and its parameters.
-    """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    rng = as_rng(rng)
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    n_val = max(1, int(n * val_fraction))
-    perm = rng.permutation(n)
-    val, train = perm[:n_val], perm[n_val:]
-    t = np.asarray(traces, dtype=float)
-    xf = None if X_flat is None else np.asarray(X_flat, dtype=float)
-
-    def subset(idx):
-        return (None if xf is None else xf[idx]), t[idx], y[idx]
-
-    best_err = np.inf
-    best_params = None
-    trial_rngs = spawn_rngs(rng, n_trials)
-    max_k = min(t.shape[1], t.shape[2], 5)
-    for t_rng in trial_rngs:
-        k = int(t_rng.integers(2, max_k + 1))
-        params = CNNHyperParams(
-            n_filters=int(t_rng.choice([4, 8, 16])),
-            kernel=(k, k),
-            hidden=int(t_rng.choice([16, 32, 64])),
-            epochs=int(t_rng.choice([30, 60])),
-            batch_size=int(t_rng.choice([16, 32])),
-            lr=float(t_rng.choice([3e-4, 1e-3, 3e-3])),
-        )
-        model = CNNRegressor(params, rng=t_rng)
-        xtr, ttr, ytr = subset(train)
-        model.fit(xtr, ttr, ytr)
-        xv, tv, yv = subset(val)
-        err = float(np.mean((model.predict(xv, tv) - yv) ** 2))
-        if err < best_err:
-            best_err, best_params = err, params
-    final = CNNRegressor(best_params, rng=rng)
-    final.fit(xf, t, y)
-    return final, best_params

@@ -7,15 +7,17 @@ only) and ``0.0`` means "always use the shared cache".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.core.profile_vec import ProfileDataset, RuntimeCondition
+from repro.core.profiler import run_condition
 from repro.queueing.metrics import ResponseTimeSummary, summarize_response_times
-from repro.testbed.collocation import CollocatedService, CollocationConfig
-from repro.testbed.machine import XeonSpec
-from repro.testbed.runtime import CollocationRuntime
-from repro.workloads.base import WorkloadSpec
+from repro.workloads.suite import get_workload
+
+#: Arrival rate at which dynaSprint calibrates each service's timeout.
+CALIBRATION_UTILIZATION = 0.25
 
 
 @dataclass(frozen=True)
@@ -29,58 +31,64 @@ class PolicyDecision:
 class RuntimeEvaluator:
     """Evaluate timeout vectors on the ground-truth testbed.
 
-    Results are cached by (timeouts, utilization) so policy searches and
-    benchmark comparisons can share runs.
+    The testbed is laid out as ``profile`` was profiled: its machine,
+    reservations and warmup, at ``n_queries`` queries per run.  A caller
+    with no profile passes ``ProfileDataset()``, the layout
+    ``Profiler()`` runs with.  Results are cached by condition and seed
+    so policy searches and benchmark comparisons can share runs.
     """
 
     def __init__(
         self,
-        machine: XeonSpec,
-        specs: list[WorkloadSpec],
+        profile: ProfileDataset,
+        workloads: tuple[str, ...],
         utilization: float = 0.9,
         n_queries: int = 1500,
-        private_mb: float = 2.0,
-        shared_mb: float = 2.0,
         rng: int = 0,
     ):
-        self.machine = machine
-        self.specs = list(specs)
+        if np.ndim(profile.settings.private_mb):
+            raise ValueError(
+                f"dataset has per-service private_mb {profile.settings.private_mb}; "
+                "Stage 3 models uniform reservations only"
+            )
+        if not 0 < utilization < 1:
+            raise ValueError(f"utilization must be in (0, 1), got {utilization}")
+        self.machine = profile.machine
+        self.settings = replace(profile.settings, n_queries=n_queries)
+        self.workloads = tuple(workloads)
         self.utilization = utilization
-        self.n_queries = n_queries
-        self.private_mb = private_mb
-        self.shared_mb = shared_mb
         self.rng = rng
         self._cache: dict = {}
 
     @property
     def n_services(self) -> int:
-        return len(self.specs)
+        return len(self.workloads)
 
     def evaluate(
-        self, timeouts, utilization: float | None = None
+        self, timeouts, utilization=None, seed=None
     ) -> list[ResponseTimeSummary]:
-        """Per-service normalized response-time summaries for a vector."""
+        """Per-service normalized response-time summaries for a vector,
+        at one utilization for every service or one per service, on
+        testbed seed ``seed`` (default: the evaluator's ``rng``)."""
         util = self.utilization if utilization is None else utilization
-        key = (tuple(float(t) for t in timeouts), util)
-        if key in self._cache:
-            return self._cache[key]
-        cfg = CollocationConfig(
-            machine=self.machine,
-            services=[
-                CollocatedService(spec, timeout=t, utilization=util)
-                for spec, t in zip(self.specs, timeouts)
-            ],
-            private_mb=self.private_mb,
-            shared_mb=self.shared_mb,
+        utils = (util,) * self.n_services if np.ndim(util) == 0 else util
+        condition = RuntimeCondition(
+            self.workloads,
+            tuple(float(u) for u in utils),
+            tuple(float(t) for t in timeouts),
         )
-        res = CollocationRuntime(cfg, rng=self.rng).run(n_queries=self.n_queries)
-        out = [summarize_response_times(s.response_times_norm) for s in res.services]
-        self._cache[key] = out
-        return out
+        seed = self.rng if seed is None else seed
+        key = (condition, seed)
+        if key not in self._cache:
+            run = run_condition(condition, self.machine, self.settings, seed)
+            self._cache[key] = [
+                summarize_response_times(s.response_times_norm) for s in run.services
+            ]
+        return self._cache[key]
 
-    def p95(self, timeouts, utilization: float | None = None) -> np.ndarray:
+    def p95(self, timeouts, utilization=None, seed=None) -> np.ndarray:
         return np.array(
-            [s.p95 for s in self.evaluate(timeouts, utilization=utilization)]
+            [s.p95 for s in self.evaluate(timeouts, utilization, seed)]
         )
 
 
@@ -115,9 +123,11 @@ def dcat_policy(
     standalone speedup; the others keep only their private cache.
     """
     mb = 1024 * 1024
-    private = evaluator.private_mb * mb
-    boosted = (evaluator.private_mb + evaluator.shared_mb) * mb
-    speedups = [spec.speedup(boosted) / spec.speedup(private) for spec in evaluator.specs]
+    settings = evaluator.settings
+    private = settings.private_mb * mb
+    boosted = (settings.private_mb + settings.shared_mb) * mb
+    specs = [get_workload(name) for name in evaluator.workloads]
+    speedups = [spec.speedup(boosted) / spec.speedup(private) for spec in specs]
     winner = int(np.argmax(speedups))
     timeouts = tuple(
         0.0 if i == winner else np.inf for i in range(evaluator.n_services)
@@ -128,14 +138,14 @@ def dcat_policy(
 def dynasprint_policy(
     evaluator: RuntimeEvaluator,
     timeout_grid=(0.0, 0.5, 1.0, 1.5, 3.0),
-    calibration_utilization: float = 0.25,
 ) -> PolicyDecision:
     """IPC-driven dynamic allocation (dynaSprint [12]).
 
-    Picks each service's timeout independently at a *low* arrival rate
-    (maximum standalone benefit, partner idle on private cache), then
-    reuses those settings at the target rate — ignoring queueing delay,
-    which is exactly the weakness Section 5.2 describes.
+    Picks each service's timeout independently at a *low* arrival rate,
+    :data:`CALIBRATION_UTILIZATION` (maximum standalone benefit, partner
+    idle on private cache), then reuses those settings at the target
+    rate — ignoring queueing delay, which is exactly the weakness
+    Section 5.2 describes.
     """
     if len(timeout_grid) == 0:
         raise ValueError("timeout_grid must be non-empty")
@@ -147,9 +157,7 @@ def dynasprint_policy(
             timeouts = tuple(
                 t if j == i else np.inf for j in range(n)
             )
-            p95 = evaluator.p95(
-                timeouts, utilization=calibration_utilization
-            )[i]
+            p95 = evaluator.p95(timeouts, utilization=CALIBRATION_UTILIZATION)[i]
             if p95 < best_p95:
                 best_p95, best_t = p95, t
         chosen.append(best_t)

@@ -43,10 +43,6 @@ class WayMask:
         """Indices of the ways enabled by this mask."""
         return np.arange(self.offset, self.end, dtype=np.intp)
 
-    def bitmask(self) -> int:
-        """The CBM as an integer (bit ``i`` set when way ``i`` is enabled)."""
-        return ((1 << self.length) - 1) << self.offset
-
     def covers(self, other: "WayMask") -> bool:
         """True when every way of ``other`` is inside this mask."""
         return self.offset <= other.offset and other.end <= self.end
@@ -60,17 +56,6 @@ class WayMask:
         if hi <= lo:
             return None
         return WayMask(lo, hi - lo)
-
-    @classmethod
-    def from_bitmask(cls, bits: int) -> "WayMask":
-        """Parse an integer CBM; raises if the set bits are not contiguous."""
-        if bits <= 0:
-            raise ValueError("bitmask must have at least one bit set")
-        offset = (bits & -bits).bit_length() - 1
-        length = bits.bit_length() - offset
-        if bits != ((1 << length) - 1) << offset:
-            raise ValueError(f"bitmask {bits:#b} is not contiguous")
-        return cls(offset, length)
 
 
 # An allocation setting in the paper *is* a contiguous way range.
@@ -104,9 +89,6 @@ class ShortTermPolicy:
     def gross_increase(self) -> float:
         """Ratio l_a' / l_a used to normalize effective allocation (Eq. 3)."""
         return self.boost.length / self.default.length
-
-    def active_mask(self, boosted: bool) -> WayMask:
-        return self.boost if boosted else self.default
 
 
 def private_region(
@@ -143,15 +125,11 @@ def private_region(
 
 @dataclass
 class CatController:
-    """Registry of short-term policies for collocated workloads on one LLC.
-
-    Tracks which workloads are currently boosted and exposes the
-    write-enabled ways for each, mirroring the WE logic in Figure 1.
-    """
+    """Registry of short-term policies for collocated workloads on one LLC,
+    checked against the Section 2 conjectures."""
 
     n_ways: int
     _policies: dict[str, ShortTermPolicy] = field(default_factory=dict)
-    _boosted: set = field(default_factory=set)
 
     def register(self, workload: str, policy: ShortTermPolicy) -> None:
         """Attach a policy to a workload name, validating it fits the LLC."""
@@ -160,11 +138,6 @@ class CatController:
                 f"policy for {workload!r} uses ways beyond the {self.n_ways}-way LLC"
             )
         self._policies[workload] = policy
-        self._boosted.discard(workload)
-
-    def unregister(self, workload: str) -> None:
-        self._policies.pop(workload, None)
-        self._boosted.discard(workload)
 
     @property
     def workloads(self) -> list[str]:
@@ -172,21 +145,6 @@ class CatController:
 
     def policy(self, workload: str) -> ShortTermPolicy:
         return self._policies[workload]
-
-    def set_boosted(self, workload: str, boosted: bool) -> None:
-        """Switch a workload between its default and boosted class of service."""
-        if workload not in self._policies:
-            raise KeyError(f"unknown workload {workload!r}")
-        if boosted:
-            self._boosted.add(workload)
-        else:
-            self._boosted.discard(workload)
-
-    def is_boosted(self, workload: str) -> bool:
-        return workload in self._boosted
-
-    def active_mask(self, workload: str) -> WayMask:
-        return self._policies[workload].active_mask(workload in self._boosted)
 
     def private_region(self, workload: str) -> WayMask | None:
         """Ways only this workload can ever fill (Eq. 1)."""

@@ -81,22 +81,3 @@ class SharedWayContention:
             frac = out[active] / shared_ways
             out[active] *= 1.0 - self.churn * (1.0 - frac)
         return out
-
-    def slowdown_factor(
-        self,
-        baseline_miss_ratio: float,
-        contended_miss_ratio: float,
-        memory_boundedness: float,
-    ) -> float:
-        """Multiplicative service-time inflation from extra misses.
-
-        ``memory_boundedness`` in [0, 1] is the fraction of execution
-        time attributable to memory stalls at the baseline miss ratio;
-        the stall component scales with the miss ratio.
-        """
-        if baseline_miss_ratio <= 0:
-            return 1.0
-        if not 0.0 <= memory_boundedness <= 1.0:
-            raise ValueError("memory_boundedness must be in [0, 1]")
-        ratio = contended_miss_ratio / baseline_miss_ratio
-        return (1.0 - memory_boundedness) + memory_boundedness * ratio

@@ -39,11 +39,6 @@ class CacheGeometry:
             raise ValueError(f"line_size must be a power of two, got {self.line_size}")
 
     @property
-    def size_bytes(self) -> int:
-        """Total capacity in bytes."""
-        return self.n_sets * self.n_ways * self.line_size
-
-    @property
     def way_size_bytes(self) -> int:
         """Capacity of a single way in bytes (the CAT allocation unit)."""
         return self.n_sets * self.line_size
@@ -71,17 +66,3 @@ class CacheGeometry:
         set_idx = line & (self.n_sets - 1)
         tag = line >> self.index_bits
         return tag, set_idx
-
-    @classmethod
-    def from_size(
-        cls, size_bytes: int, n_ways: int, line_size: int = 64
-    ) -> "CacheGeometry":
-        """Build a geometry with the given total size, rounding sets down
-        to the nearest power of two."""
-        raw_sets = size_bytes // (n_ways * line_size)
-        if raw_sets < 1:
-            raise ValueError(
-                f"size {size_bytes} too small for {n_ways} ways of {line_size}B lines"
-            )
-        n_sets = 1 << (int(raw_sets).bit_length() - 1)
-        return cls(n_sets=n_sets, n_ways=n_ways, line_size=line_size)

@@ -57,10 +57,6 @@ class MissRatioCurve:
         out = self.m_inf + (self.m0 - self.m_inf) * np.exp(-c / self.footprint_bytes)
         return float(out) if out.ndim == 0 else out
 
-    def miss_ratio_ways(self, n_ways, way_size_bytes: float) -> np.ndarray | float:
-        """Miss ratio when allocated ``n_ways`` ways of the given size."""
-        return self.miss_ratio(np.asarray(n_ways, dtype=float) * way_size_bytes)
-
 
 def fit_exponential_mrc(capacities, miss_ratios) -> MissRatioCurve:
     """Least-squares fit of the exponential form to measured points."""

@@ -53,29 +53,11 @@ class SetAssociativeCache:
         self.owner = np.full((g.n_sets, g.n_ways), self.INVALID_OWNER, dtype=np.int32)
         self.last_use = np.zeros((g.n_sets, g.n_ways), dtype=np.int64)
         self._clock = 0
-        # Per-class-of-service event counts (feeds CMT/MBM monitoring).
-        self.installs_by_owner: dict[int, int] = {}
-        self.evictions_by_owner: dict[int, int] = {}
-
-    def reset(self) -> None:
-        """Invalidate all lines."""
-        self.valid[:] = False
-        self.owner[:] = self.INVALID_OWNER
-        self.last_use[:] = 0
-        self._clock = 0
-        self.installs_by_owner.clear()
-        self.evictions_by_owner.clear()
 
     @property
     def occupancy(self) -> float:
         """Fraction of lines currently valid."""
         return float(self.valid.mean())
-
-    def occupancy_by_owner(self) -> dict[int, int]:
-        """Number of valid lines per class-of-service id."""
-        owners = self.owner[self.valid]
-        ids, counts = np.unique(owners, return_counts=True)
-        return {int(i): int(c) for i, c in zip(ids, counts)}
 
     def access(
         self,
@@ -135,17 +117,10 @@ class SetAssociativeCache:
             else:
                 w = fill_lo + int(np.argmin(last_use[s, fill_lo:fill_hi]))
                 n_evictions += 1
-                victim = int(owner_arr[s, w])
-                self.evictions_by_owner[victim] = (
-                    self.evictions_by_owner.get(victim, 0) + 1
-                )
             tags_arr[s, w] = t
             valid_arr[s, w] = True
             owner_arr[s, w] = cos_id
             last_use[s, w] = clock
-            self.installs_by_owner[cos_id] = (
-                self.installs_by_owner.get(cos_id, 0) + 1
-            )
 
         self._clock = clock
         n_hits = int(hits.sum())

@@ -27,15 +27,10 @@ from repro import telemetry
 from repro.analysis import format_table
 from repro.baselines import RuntimeEvaluator, no_sharing_policy
 from repro.core import StacModel, model_driven_policy, uniform_conditions
-from repro.core.profiler import Profiler, ProfilerSettings
-from repro.testbed import (
-    MACHINES,
-    CollocatedService,
-    CollocationConfig,
-    CollocationRuntime,
-    get_machine,
-)
-from repro.workloads import get_workload, table1_rows
+from repro.core.profile_vec import RuntimeCondition
+from repro.core.profiler import Profiler, ProfilerSettings, collocation
+from repro.testbed import MACHINES, CollocationRuntime, get_machine
+from repro.workloads import table1_rows
 
 
 def _cmd_workloads(args) -> int:
@@ -105,17 +100,12 @@ def _cmd_simulate(args) -> int:
     if len(timeouts) != len(args.pair):
         print("error: need one timeout per workload", file=sys.stderr)
         return 2
-    cfg = CollocationConfig(
-        machine=machine,
-        services=[
-            CollocatedService(
-                get_workload(name), timeout=t, utilization=args.utilization
-            )
-            for name, t in zip(args.pair, timeouts)
-        ],
-        private_mb=args.private_mb,
-        shared_mb=args.shared_mb,
+    condition = RuntimeCondition(
+        tuple(args.pair), (args.utilization,) * len(args.pair), tuple(timeouts)
     )
+    # Not run_condition: a bare testbed run accepts --private-mb 0 (one
+    # way), which a profiling campaign's settings reject.
+    cfg = collocation(condition, machine, args.private_mb, args.shared_mb)
     res = CollocationRuntime(cfg, rng=args.seed).run(n_queries=args.queries)
     rows = []
     for s in res.services:
@@ -188,12 +178,10 @@ def _cmd_policy(args) -> int:
     print(f"recommended timeouts (x service time): {decision.timeouts}")
     if args.verify:
         evaluator = RuntimeEvaluator(
-            machine=machine,
-            specs=[get_workload(n) for n in pair],
+            ds,
+            pair,
             utilization=args.utilization,
             n_queries=args.queries * 3,
-            private_mb=args.private_mb,
-            shared_mb=args.shared_mb,
             rng=args.seed + 1,
         )
         base = evaluator.p95(no_sharing_policy(len(pair)).timeouts)

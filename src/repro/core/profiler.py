@@ -29,7 +29,7 @@ from repro.core.profile_vec import (
 )
 from repro.testbed.collocation import CollocatedService, CollocationConfig
 from repro.testbed.machine import XeonSpec, default_machine
-from repro.testbed.runtime import CollocationRuntime, SegmentTable
+from repro.testbed.runtime import CollocationRuntime, RunResult, SegmentTable
 from repro.workloads.suite import get_workload
 
 
@@ -94,15 +94,27 @@ def collocation(
     )
 
 
+def run_condition(
+    condition: RuntimeCondition,
+    machine: XeonSpec,
+    settings: ProfilerSettings,
+    seed,
+) -> RunResult:
+    """Run ``condition`` on the testbed layout of ``machine`` and
+    ``settings``: their reservations, ``n_queries`` and warmup.  Every
+    testbed run of the pipeline goes through here, Stage 1's profiling
+    and the ground truth that judges a timeout vector alike."""
+    cfg = collocation(condition, machine, settings.private_mb, settings.shared_mb)
+    return CollocationRuntime(cfg, rng=seed).run(
+        n_queries=settings.n_queries, warmup_fraction=settings.warmup_fraction
+    )
+
+
 def _profile_one_condition(condition, settings, machine, seed):
     """Run one condition and emit its profile rows."""
-    cfg = collocation(condition, machine, settings.private_mb, settings.shared_mb)
-    specs = [svc.workload for svc in cfg.services]
-    runtime = CollocationRuntime(cfg, rng=seed)
     with telemetry.span("stage1.testbed_run", n_queries=settings.n_queries):
-        run = runtime.run(
-            n_queries=settings.n_queries, warmup_fraction=settings.warmup_fraction
-        )
+        run = run_condition(condition, machine, settings, seed)
+    specs = [svc.workload for svc in run.config.services]
     sampler = CounterSampler(
         sampling_hz=condition.sampling_hz, noise=settings.counter_noise
     )

@@ -12,8 +12,8 @@ from repro.counters.events import (
     synthesize_tick,
     synthesize_ticks,
 )
-from repro.counters.sampler import CounterSampler, sample_service_counters
-from repro.counters.trace import CacheUsageTrace, order_counters
+from repro.counters.sampler import CounterSampler
+from repro.counters.trace import CacheUsageTrace
 
 __all__ = [
     "COUNTER_NAMES",
@@ -21,7 +21,5 @@ __all__ = [
     "synthesize_tick",
     "synthesize_ticks",
     "CounterSampler",
-    "sample_service_counters",
     "CacheUsageTrace",
-    "order_counters",
 ]

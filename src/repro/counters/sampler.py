@@ -130,20 +130,3 @@ class CounterSampler:
             rng=rng,
             noise=self.noise,
         )
-
-
-def sample_service_counters(
-    result: ServiceResult,
-    spec: WorkloadSpec,
-    machine: XeonSpec,
-    sampling_hz: float = 1.0,
-    noise: float = 0.05,
-    rng=None,
-) -> np.ndarray:
-    """Counters over a service's whole observed span (convenience API)."""
-    if result.arrival_times.size == 0:
-        raise ValueError("service result has no completed queries")
-    sampler = CounterSampler(sampling_hz=sampling_hz, noise=noise)
-    t0 = float(result.arrival_times[0])
-    t1 = float(result.completion_times.max())
-    return sampler.sample(result, spec, machine, t0, t1, rng=rng)

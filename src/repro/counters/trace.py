@@ -1,9 +1,10 @@
-"""Cache usage traces: fixed-size counter matrices with orderings.
+"""Cache usage traces: fixed-size counter matrices.
 
-Traces are (n_counters x n_ticks) matrices.  Figure 7c studies how the
-*ordering* of counters affects multi-grained scanning: grouping related
-counters ("spatial" ordering, the natural order of ``COUNTER_NAMES``)
-preserves locality a convolution can exploit; shuffling destroys it.
+Traces are (n_counters x n_ticks) matrices whose rows keep the natural,
+grouped-by-type order of ``COUNTER_NAMES``.  Figure 7c studies how that
+*spatial* ordering helps multi-grained scanning: grouping related
+counters preserves locality a convolution can exploit; shuffling
+destroys it.
 """
 
 from __future__ import annotations
@@ -12,28 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import as_rng
-from repro.counters.events import COUNTER_NAMES, N_COUNTERS
-
-
-def order_counters(
-    matrix: np.ndarray, ordering: str = "spatial", rng=None
-) -> np.ndarray:
-    """Reorder the counter axis of a (n_counters, n_ticks) matrix.
-
-    ``"spatial"`` keeps the grouped-by-type order; ``"shuffled"``
-    applies a random permutation (the Figure 7c ablation).
-    """
-    if matrix.shape[0] != N_COUNTERS:
-        raise ValueError(
-            f"expected {N_COUNTERS} counters on axis 0, got {matrix.shape[0]}"
-        )
-    if ordering == "spatial":
-        return matrix
-    if ordering == "shuffled":
-        perm = as_rng(rng).permutation(N_COUNTERS)
-        return matrix[perm]
-    raise ValueError(f"unknown ordering {ordering!r}")
+from repro.counters.events import N_COUNTERS
 
 
 @dataclass
@@ -88,12 +68,3 @@ class CacheUsageTrace:
                 m = np.pad(m, ((0, 0), (0, n_ticks - m.shape[1])))
             blocks.append(m)
         return cls(data=np.vstack(blocks), service_names=tuple(service_names))
-
-    def flatten(self) -> np.ndarray:
-        """Row-major flattening for models without spatial structure."""
-        return self.data.ravel()
-
-    def counter_row(self, service_idx: int, counter: str) -> np.ndarray:
-        """Time series of one named counter for one service."""
-        j = COUNTER_NAMES.index(counter)
-        return self.data[service_idx * N_COUNTERS + j]

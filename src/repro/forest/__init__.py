@@ -12,7 +12,7 @@ from repro.forest.ensemble import (
     CompletelyRandomForestRegressor,
 )
 from repro.forest.mgs import MultiGrainScanner, sliding_windows
-from repro.forest.cascade import CascadeForest, cross_fit_predict
+from repro.forest.cascade import CascadeForest
 from repro.forest.deep_forest import DeepForestRegressor
 from repro.forest.fast_inference import PackedForest
 from repro.forest.parallel import TreeFitPlan, fit_plans
@@ -24,7 +24,6 @@ __all__ = [
     "MultiGrainScanner",
     "sliding_windows",
     "CascadeForest",
-    "cross_fit_predict",
     "DeepForestRegressor",
     "PackedForest",
     "TreeFitPlan",

@@ -14,7 +14,6 @@ sequential loop did), executed through one
 :func:`repro.forest.parallel.fit_plans` pass, and read back out of fold
 (:func:`_collect_out_of_fold`), so ``n_jobs`` scales across the whole
 level rather than within one small forest at a time.
-:func:`cross_fit_predict` is the same three steps for one model.
 """
 
 from __future__ import annotations
@@ -65,25 +64,6 @@ def _collect_out_of_fold(models, folds, X) -> np.ndarray:
     for model, fold in zip(models, folds):
         out[fold] = model.predict(X[fold])
     return out
-
-
-def cross_fit_predict(
-    make_model, X, y, k: int = 3, rng=None, n_jobs: int = 1
-) -> np.ndarray:
-    """Out-of-fold predictions from k-fold cross-fitting.
-
-    Each sample's concept value comes from a model that never saw it,
-    so cascade features do not leak the training target.  Models that
-    expose ``plan_fit`` (the forests) train through one
-    :func:`~repro.forest.parallel.fit_plans` pass — all folds' trees
-    together — bit-identical for every ``n_jobs``; other models are
-    fitted in fold order.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    models, folds, plans = _plan_cross_fit(make_model, X, y, k, rng)
-    fit_plans(plans, n_jobs=n_jobs)
-    return _collect_out_of_fold(models, folds, X)
 
 
 def _pack_group(forests) -> PackedForest:

@@ -216,11 +216,12 @@ class RegressionTree:
 
     def _random_split(self, X, idx) -> tuple[int, float] | None:
         d = X.shape[1]
-        # Try a handful of random features, skipping constant ones.
+        # Try a handful of random features, skipping constant ones and
+        # ones whose range is infinite or overflows (no uniform draw).
         for f in self._rng.permutation(d)[: min(d, 10)]:
             xs = X[idx, f]
             lo, hi = float(xs.min()), float(xs.max())
-            if lo < hi:
+            if 0 < hi - lo < np.inf:
                 thr = float(self._rng.uniform(lo, hi))
                 # Guard against thr == hi putting everything left.
                 if thr >= hi:

@@ -11,18 +11,14 @@ calibration degrades as load moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import telemetry
 from repro._util import as_rng
+from repro.baselines.policies import RuntimeEvaluator
 from repro.manager.controller import AdaptiveTimeoutController
-from repro.queueing.metrics import ResponseTimeSummary, summarize_response_times
-from repro.testbed.collocation import CollocatedService, CollocationConfig
-from repro.testbed.machine import XeonSpec, default_machine
-from repro.testbed.runtime import CollocationRuntime
-from repro.workloads.suite import get_workload
 
 
 @dataclass(frozen=True)
@@ -90,55 +86,28 @@ class EpochResult:
 
 
 class OnlineManager:
-    """Run a managed collocation across a load scenario."""
+    """Run a managed collocation across a load scenario.
+
+    Each epoch is one ``evaluator.evaluate`` call, at that epoch's
+    utilizations and seed, so the manager's ground truth is the
+    testbed layout of the profile the evaluator was built on.
+    """
 
     def __init__(
-        self,
-        controller: AdaptiveTimeoutController,
-        machine: XeonSpec | None = None,
-        n_queries: int = 1200,
-        private_mb: float = 2.0,
-        shared_mb: float = 2.0,
-        rng=None,
+        self, controller: AdaptiveTimeoutController, evaluator: RuntimeEvaluator
     ):
-        if n_queries < 10:
-            raise ValueError("n_queries must be >= 10")
+        if tuple(controller.workloads) != evaluator.workloads:
+            raise ValueError(
+                f"controller manages {tuple(controller.workloads)} but the "
+                f"evaluator runs {evaluator.workloads}"
+            )
         self.controller = controller
-        self.machine = machine or default_machine()
-        self.n_queries = n_queries
-        self.private_mb = private_mb
-        self.shared_mb = shared_mb
-        self._rng = as_rng(rng)
-        # Epoch seeds derive from one fixed spawn, not from live draws
-        # on self._rng: every run() on this manager then simulates the
-        # same ground truth, so back-to-back adapt=True / adapt=False
-        # runs differ only by policy, never by seed noise.
-        self._epoch_seed_root = int(self._rng.integers(0, 2**31))
-
-    def _run_epoch(
-        self, epoch: int, utilizations, timeouts, seed: int
-    ) -> EpochResult:
-        cfg = CollocationConfig(
-            machine=self.machine,
-            services=[
-                CollocatedService(get_workload(name), timeout=t, utilization=u)
-                for name, t, u in zip(
-                    self.controller.workloads, timeouts, utilizations
-                )
-            ],
-            private_mb=self.private_mb,
-            shared_mb=self.shared_mb,
-        )
-        run = CollocationRuntime(cfg, rng=seed).run(n_queries=self.n_queries)
-        summaries = tuple(
-            summarize_response_times(s.response_times_norm) for s in run.services
-        )
-        return EpochResult(
-            epoch=epoch,
-            utilizations=tuple(utilizations),
-            timeouts=tuple(timeouts),
-            summaries=summaries,
-        )
+        self.evaluator = evaluator
+        # Epoch seeds derive from one fixed spawn, not from live draws:
+        # every run() on this manager then simulates the same ground
+        # truth, so back-to-back adapt=True / adapt=False runs differ
+        # only by policy, never by seed noise.
+        self._epoch_seed_root = int(as_rng(evaluator.rng).integers(0, 2**31))
 
     def run(self, scenario: LoadScenario, adapt: bool = True) -> list[EpochResult]:
         """Manage the collocation across the scenario.
@@ -169,7 +138,12 @@ class OnlineManager:
                     if static_plan is None:
                         static_plan = plan
                 timeouts = plan.timeouts if adapt else static_plan.timeouts
-                result = self._run_epoch(i, utils, timeouts, int(seeds[i]))
+                summaries = self.evaluator.evaluate(
+                    timeouts, utils, seed=int(seeds[i])
+                )
+                result = EpochResult(
+                    i, tuple(utils), tuple(timeouts), tuple(summaries)
+                )
                 epoch_span.set_attr("timeouts", [float(t) for t in timeouts])
                 epoch_span.set_attr(
                     "mean_p95", float(np.mean(result.p95))

@@ -26,7 +26,6 @@ class EventLoop:
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self.now = 0.0
-        self._events_processed = 0
 
     def schedule(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute, finite simulation ``time``."""
@@ -49,17 +48,12 @@ class EventLoop:
     def pending(self) -> int:
         return len(self._heap)
 
-    @property
-    def events_processed(self) -> int:
-        return self._events_processed
-
     def step(self) -> bool:
         """Process one event; returns False when the heap is empty."""
         if not self._heap:
             return False
         time, _, callback = heapq.heappop(self._heap)
         self.now = time
-        self._events_processed += 1
         callback()
         return True
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,10 +96,6 @@ class QueueResult:
         return self.completion_times - self.arrival_times
 
     @property
-    def wait_times(self) -> np.ndarray:
-        return self.start_times - self.arrival_times
-
-    @property
     def boost_fraction(self) -> float:
         """Fraction of queries that triggered short-term allocation."""
         return float(self.boosted.mean()) if self.boosted.size else 0.0
@@ -140,10 +136,6 @@ class BatchQueueResult:
     @property
     def response_times(self) -> np.ndarray:
         return self.completion_times - self.arrival_times
-
-    @property
-    def wait_times(self) -> np.ndarray:
-        return self.start_times - self.arrival_times
 
     @property
     def boost_fractions(self) -> np.ndarray:

@@ -44,7 +44,6 @@ __all__ = [
     "SpanRecord",
     "configure",
     "counter_inc",
-    "current_span",
     "disable",
     "enabled",
     "gauge_set",
@@ -146,9 +145,3 @@ def span(name: str, **attrs):
     if log is None:
         return NOOP_SPAN
     return log.start(name, attrs)
-
-
-def current_span():
-    log = _STATE.spans
-    return log.current() if log is not None else None
-

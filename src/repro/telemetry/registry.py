@@ -74,26 +74,6 @@ class Histogram:
             "max": self.max if self.count else None,
         }
 
-    def merge_dict(self, d: dict) -> None:
-        if tuple(d["edges"]) != self.edges:
-            raise ValueError(
-                f"cannot merge histograms with different edges: "
-                f"{tuple(d['edges'])} vs {self.edges}"
-            )
-        for i, c in enumerate(d["counts"]):
-            self.counts[i] += int(c)
-        self.sum += float(d["sum"])
-        self.count += int(d["count"])
-        if d["count"]:
-            self.min = min(self.min, float(d["min"]))
-            self.max = max(self.max, float(d["max"]))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Histogram":
-        h = cls(edges=d["edges"])
-        h.merge_dict(d)
-        return h
-
 
 class _Timer:
     """Context manager recording one duration into a histogram metric."""

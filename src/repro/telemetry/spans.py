@@ -40,17 +40,6 @@ class SpanRecord:
             "attrs": self.attrs,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpanRecord":
-        return cls(
-            id=int(d["id"]),
-            parent_id=d.get("parent_id"),
-            name=str(d["name"]),
-            start=float(d["start"]),
-            duration=float(d["duration"]),
-            attrs=dict(d.get("attrs", {})),
-        )
-
 
 class Span:
     """Active span handle; use as a context manager."""

@@ -31,6 +31,7 @@ from repro.cache.contention import SharedWayContention
 from repro.queueing.events import EventLoop
 from repro.testbed.collocation import CollocationConfig
 from repro.testbed.proxy import ProxyService, QueryRecord
+from repro.workloads.arrivals import MarkovModulatedArrivals, PoissonArrivals
 
 
 @dataclass(frozen=True)
@@ -292,17 +293,14 @@ class CollocationRuntime:
         for i, ls in enumerate(live):
             rate = ls.svc.utilization * cfg.machine.cores_per_service
             if ls.svc.arrival_process == "mmpp":
-                from repro.workloads.arrivals import MarkovModulatedArrivals
-
                 proc = MarkovModulatedArrivals(
                     rate=rate,
                     burst_factor=ls.svc.burst_factor,
                     burst_fraction=ls.svc.burst_fraction,
                 )
-                arrivals = proc.sample(n_queries, rng=rngs[2 * i])
             else:
-                gaps = rngs[2 * i].exponential(1.0 / rate, size=n_queries)
-                arrivals = np.cumsum(gaps)
+                proc = PoissonArrivals(rate)
+            arrivals = proc.sample(n_queries, rng=rngs[2 * i])
             demands = ls.spec.sample_demands(n_queries, rng=rngs[2 * i + 1])
             arrival_lists.append((arrivals, demands))
 

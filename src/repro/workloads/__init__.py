@@ -11,7 +11,6 @@ from repro.workloads.suite import (
     WORKLOADS,
     get_workload,
     all_workloads,
-    workload_pairs,
     table1_rows,
 )
 from repro.workloads.social import SocialGraph, build_social_workload
@@ -24,9 +23,7 @@ from repro.workloads.access import (
 )
 from repro.workloads.arrivals import (
     PoissonArrivals,
-    DeterministicArrivals,
     MarkovModulatedArrivals,
-    arrivals_for_utilization,
 )
 
 __all__ = [
@@ -34,7 +31,6 @@ __all__ = [
     "WORKLOADS",
     "get_workload",
     "all_workloads",
-    "workload_pairs",
     "table1_rows",
     "SocialGraph",
     "build_social_workload",
@@ -44,7 +40,5 @@ __all__ = [
     "loop_stream",
     "workload_stream",
     "PoissonArrivals",
-    "DeterministicArrivals",
     "MarkovModulatedArrivals",
-    "arrivals_for_utilization",
 ]

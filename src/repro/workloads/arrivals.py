@@ -31,20 +31,6 @@ class PoissonArrivals:
 
 
 @dataclass(frozen=True)
-class DeterministicArrivals:
-    """Evenly spaced arrivals (closed-loop load generators)."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        check_positive("rate", self.rate)
-
-    def sample(self, n: int, rng=None) -> np.ndarray:
-        period = 1.0 / self.rate
-        return period * np.arange(1, n + 1, dtype=float)
-
-
-@dataclass(frozen=True)
 class MarkovModulatedArrivals:
     """Two-state MMPP: bursty arrivals with the same long-run rate.
 
@@ -105,25 +91,3 @@ class MarkovModulatedArrivals:
             out[i] = t
             i += 1
         return out
-
-
-def arrivals_for_utilization(
-    utilization: float,
-    mean_service_time: float,
-    n_servers: int = 1,
-    kind: str = "poisson",
-) -> "PoissonArrivals | DeterministicArrivals":
-    """Arrival process achieving the target utilization.
-
-    ``utilization`` is the paper's "query inter-arrival rate relative to
-    service time": rho = lambda * E[S] / k.
-    """
-    if not 0 < utilization < 1:
-        raise ValueError(f"utilization must be in (0, 1), got {utilization}")
-    check_positive("mean_service_time", mean_service_time)
-    rate = utilization * n_servers / mean_service_time
-    if kind == "poisson":
-        return PoissonArrivals(rate)
-    if kind == "deterministic":
-        return DeterministicArrivals(rate)
-    raise ValueError(f"unknown arrival kind {kind!r}")

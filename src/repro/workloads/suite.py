@@ -10,7 +10,6 @@ Redis is highly memory-bound so extra cache lines speed it up a lot
 
 from __future__ import annotations
 
-import itertools
 
 from repro.cache.mrc import MissRatioCurve
 from repro.workloads.base import MB, WorkloadSpec
@@ -132,14 +131,6 @@ def get_workload(name: str) -> WorkloadSpec:
 def all_workloads() -> list[WorkloadSpec]:
     """All eight Table 1 workloads."""
     return list(WORKLOADS.values())
-
-
-def workload_pairs() -> list[tuple[WorkloadSpec, WorkloadSpec]]:
-    """Every ordered pairwise collocation (as profiled in Section 5.1)."""
-    return [
-        (a, b)
-        for a, b in itertools.permutations(all_workloads(), 2)
-    ]
 
 
 def table1_rows() -> list[dict[str, str]]:

@@ -3,25 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    ape_summary,
-    format_series,
-    format_table,
-    median_ape,
-    percentile_ape,
-)
+from repro.analysis import ape_summary, format_table, median_ape
 
 
 class TestErrorStats:
     def test_median_ape(self):
         assert median_ape([1.1, 1.2, 0.9], [1.0, 1.0, 1.0]) == pytest.approx(0.1)
-
-    def test_percentile_ape(self):
-        pred = np.ones(100) * 1.1
-        pred[-1] = 2.0
-        actual = np.ones(100)
-        assert percentile_ape(pred, actual, 50) == pytest.approx(0.1)
-        assert percentile_ape(pred, actual, 99.9) > 0.5
 
     def test_summary_keys(self):
         s = ape_summary([1.0, 2.0], [1.0, 1.0])
@@ -57,10 +44,6 @@ class TestFormatting:
     def test_na_placeholder_customizable(self):
         out = format_table(["x"], [[float("nan")]], na="-")
         assert out.splitlines()[-1].strip() == "-"
-        out = format_series(
-            "fig", [1], [float("nan")], "t", "err", na="missing"
-        )
-        assert "missing" in out
 
     def test_infinities_render_bare_and_signed(self):
         out = format_table(
@@ -72,11 +55,3 @@ class TestFormatting:
     def test_numpy_nan_cell(self):
         out = format_table(["x"], [[np.float64("nan")]])
         assert out.splitlines()[-1].strip() == "na"
-
-    def test_series(self):
-        out = format_series("fig", [1, 2], [0.5, 0.25], "t", "err")
-        assert "fig" in out and "err" in out
-
-    def test_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("f", [1], [1, 2])

@@ -8,7 +8,6 @@ from repro.baselines import (
     DecisionTreeBaseline,
     MLPRegressor,
     RidgeRegression,
-    tune_cnn,
 )
 from repro.baselines.cnn import CNNHyperParams
 
@@ -138,17 +137,6 @@ class TestCNN:
         m1 = CNNRegressor(p, rng=1).fit(None, t, y).predict(None, t)
         m2 = CNNRegressor(p, rng=2).fit(None, t, y).predict(None, t)
         assert not np.allclose(m1, m2)
-
-    def test_tuner_returns_working_model(self):
-        t, y = self._trace_data(n=60, rng=10)
-        model, params = tune_cnn(None, t, y, n_trials=2, rng=0)
-        assert model.predict(None, t).shape == (60,)
-        assert isinstance(params, CNNHyperParams)
-
-    def test_tuner_validation(self):
-        t, y = self._trace_data(n=20)
-        with pytest.raises(ValueError):
-            tune_cnn(None, t, y, n_trials=0)
 
 
 def test_ridge_coefficients_need_a_fit():

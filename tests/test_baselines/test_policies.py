@@ -10,18 +10,14 @@ from repro.baselines import (
     no_sharing_policy,
     static_best_policy,
 )
-from repro.testbed import default_machine
-from repro.workloads import get_workload
+from repro.baselines.policies import CALIBRATION_UTILIZATION
+from repro.core import ProfileDataset
 
 
 @pytest.fixture(scope="module")
 def evaluator():
     return RuntimeEvaluator(
-        machine=default_machine(),
-        specs=[get_workload("redis"), get_workload("social")],
-        utilization=0.9,
-        n_queries=800,
-        rng=0,
+        ProfileDataset(), ("redis", "social"), n_queries=800, rng=0
     )
 
 
@@ -81,12 +77,7 @@ class TestDCat:
 
     def test_redis_wins_against_knn(self):
         """Redis has the steepest cache-speedup profile in the suite."""
-        ev = RuntimeEvaluator(
-            machine=default_machine(),
-            specs=[get_workload("redis"), get_workload("knn")],
-            n_queries=300,
-            rng=1,
-        )
+        ev = RuntimeEvaluator(ProfileDataset(), ("redis", "knn"), n_queries=300, rng=1)
         d = dcat_policy(ev)
         assert d.timeouts[0] == 0.0 and np.isinf(d.timeouts[1])
 
@@ -106,6 +97,22 @@ class TestDynaSprint:
     def test_empty_grid_rejected(self, evaluator):
         with pytest.raises(ValueError):
             dynasprint_policy(evaluator, timeout_grid=())
+
+    def test_calibrates_at_the_module_rate(self, evaluator):
+        """The calibration rate is a constant, not an option."""
+        seen = []
+
+        class Spy:
+            n_services = 2
+
+            def p95(self, timeouts, utilization):
+                seen.append(utilization)
+                return evaluator.p95(timeouts, utilization)
+
+        dynasprint_policy(Spy(), timeout_grid=(0.0, 1.0))
+        assert seen and set(seen) == {CALIBRATION_UTILIZATION}
+        with pytest.raises(TypeError, match="calibration_utilization"):
+            dynasprint_policy(evaluator, calibration_utilization=0.5)
 
 
 class _FixedP95:

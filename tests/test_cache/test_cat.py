@@ -1,6 +1,5 @@
 """Tests for CAT way masks, policies and the Section 2 conjectures."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,22 +13,9 @@ from repro.cache.cat import pairwise_layout
 
 
 class TestWayMask:
-    def test_ways_and_bitmask(self):
+    def test_ways(self):
         m = WayMask(2, 3)
         assert list(m.ways()) == [2, 3, 4]
-        assert m.bitmask() == 0b11100
-
-    def test_from_bitmask_roundtrip(self):
-        m = WayMask(4, 5)
-        assert WayMask.from_bitmask(m.bitmask()) == m
-
-    def test_from_bitmask_rejects_noncontiguous(self):
-        with pytest.raises(ValueError, match="contiguous"):
-            WayMask.from_bitmask(0b1011)
-
-    def test_from_bitmask_rejects_zero(self):
-        with pytest.raises(ValueError):
-            WayMask.from_bitmask(0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -88,11 +74,6 @@ class TestShortTermPolicy:
         with pytest.raises(ValueError, match="timeout"):
             ShortTermPolicy(WayMask(0, 2), WayMask(0, 4), timeout=float("nan"))
 
-    def test_active_mask(self):
-        p = ShortTermPolicy(WayMask(0, 2), WayMask(0, 4), timeout=1.0)
-        assert p.active_mask(False) == WayMask(0, 2)
-        assert p.active_mask(True) == WayMask(0, 4)
-
 
 class TestPrivateRegion:
     def test_no_others_full_default(self):
@@ -141,29 +122,10 @@ class TestCatController:
         ctl.register("B", pb)
         return ctl
 
-    def test_register_and_masks(self):
-        ctl = self._controller()
-        assert ctl.active_mask("A") == WayMask(0, 2)
-        ctl.set_boosted("A", True)
-        assert ctl.active_mask("A") == WayMask(0, 4)
-        assert ctl.is_boosted("A")
-        ctl.set_boosted("A", False)
-        assert not ctl.is_boosted("A")
-
     def test_register_rejects_oversized_policy(self):
         ctl = CatController(n_ways=4)
         with pytest.raises(ValueError, match="beyond"):
             ctl.register("X", ShortTermPolicy(WayMask(0, 3), WayMask(0, 6), 1.0))
-
-    def test_set_boosted_unknown_workload(self):
-        ctl = self._controller()
-        with pytest.raises(KeyError):
-            ctl.set_boosted("nope", True)
-
-    def test_unregister(self):
-        ctl = self._controller()
-        ctl.unregister("A")
-        assert ctl.workloads == ["B"]
 
     def test_conjecture1_private_disjoint(self):
         ctl = self._controller()

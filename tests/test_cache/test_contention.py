@@ -93,30 +93,3 @@ class TestEffectiveSharedWays:
         base = SharedWayContention(churn=0.0).effective_shared_ways(shared, lam)
         assert np.all(out >= 0)
         assert np.all(out <= base + 1e-12)
-
-
-class TestSlowdown:
-    def test_no_extra_misses_no_slowdown(self):
-        m = SharedWayContention()
-        assert m.slowdown_factor(0.2, 0.2, 0.5) == pytest.approx(1.0)
-
-    def test_doubled_misses_fully_memory_bound(self):
-        m = SharedWayContention()
-        assert m.slowdown_factor(0.2, 0.4, 1.0) == pytest.approx(2.0)
-
-    def test_doubled_misses_compute_bound(self):
-        # The paper observes workloads absorbing 2X LLC misses without
-        # significant response-time increase: low memory_boundedness.
-        m = SharedWayContention()
-        assert m.slowdown_factor(0.2, 0.4, 0.05) == pytest.approx(1.05)
-
-    def test_fewer_misses_speeds_up(self):
-        m = SharedWayContention()
-        assert m.slowdown_factor(0.4, 0.2, 0.8) < 1.0
-
-    def test_zero_baseline_neutral(self):
-        assert SharedWayContention().slowdown_factor(0.0, 0.3, 0.5) == 1.0
-
-    def test_invalid_boundedness(self):
-        with pytest.raises(ValueError):
-            SharedWayContention().slowdown_factor(0.1, 0.2, 1.5)

@@ -1,6 +1,5 @@
 """Tests for cache geometry and address decomposition."""
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +9,6 @@ from repro.cache import CacheGeometry
 class TestConstruction:
     def test_basic_sizes(self):
         g = CacheGeometry(n_sets=1024, n_ways=16, line_size=64)
-        assert g.size_bytes == 1024 * 16 * 64
         assert g.way_size_bytes == 1024 * 64
 
     def test_rejects_non_power_of_two_sets(self):
@@ -24,16 +22,6 @@ class TestConstruction:
     def test_rejects_nonpositive_ways(self):
         with pytest.raises(ValueError, match="n_ways"):
             CacheGeometry(n_sets=64, n_ways=0)
-
-    def test_from_size_rounds_sets_down(self):
-        g = CacheGeometry.from_size(40 * 1024 * 1024, n_ways=20, line_size=64)
-        assert g.n_ways == 20
-        # 40MB / (20 * 64) = 32768 sets, already a power of two
-        assert g.n_sets == 32768
-
-    def test_from_size_too_small(self):
-        with pytest.raises(ValueError, match="too small"):
-            CacheGeometry.from_size(16, n_ways=8, line_size=64)
 
 
 class TestAddressSplit:

@@ -19,10 +19,6 @@ class TestAnalyticForm:
         vals = mrc.miss_ratio(caps)
         assert np.all(np.diff(vals) <= 1e-12)
 
-    def test_ways_helper(self):
-        mrc = MissRatioCurve(m0=0.5, m_inf=0.1, footprint_bytes=1e6)
-        assert mrc.miss_ratio_ways(4, 250_000) == pytest.approx(mrc.miss_ratio(1e6))
-
     def test_validation(self):
         with pytest.raises(ValueError):
             MissRatioCurve(m0=0.1, m_inf=0.5, footprint_bytes=1e6)

@@ -52,13 +52,6 @@ class TestBasicBehaviour:
         r = c.access([0, 64])
         assert r.n_evictions == 1
 
-    def test_reset(self):
-        c = small_cache()
-        c.access([0, 64, 128])
-        c.reset()
-        assert c.occupancy == 0.0
-        assert c.access([0]).n_misses == 1
-
 
 class TestWriteEnableMasks:
     def test_fills_restricted_to_mask(self):
@@ -88,13 +81,6 @@ class TestWriteEnableMasks:
         c = small_cache(n_sets=2, n_ways=2)
         with pytest.raises(ValueError, match="exceeds"):
             c.access([0], mask=WayMask(0, 4))
-
-    def test_occupancy_by_owner(self):
-        c = small_cache(n_sets=2, n_ways=4)
-        c.access([0, 64], mask=WayMask(0, 2), cos_id=1)
-        c.access([1024, 2048], mask=WayMask(2, 2), cos_id=2)
-        occ = c.occupancy_by_owner()
-        assert occ.get(1, 0) >= 1 and occ.get(2, 0) >= 1
 
 
 class TestProperties:

@@ -218,18 +218,28 @@ class TestReservationFlags:
 
     def test_policy_hands_flags_to_every_stage(self, monkeypatch, capsys):
         import repro.cli as cli
+        from repro.core.profiler import Profiler
 
-        built = {}
+        built, arguments = {}, {}
 
         def spy(name, cls):
             def make(*args, **kwargs):
                 built[name] = cls(*args, **kwargs)
+                arguments[name] = args
                 return built[name]
 
             monkeypatch.setattr(cli, name, make)
 
         for name in ("Profiler", "StacModel", "RuntimeEvaluator"):
             spy(name, getattr(cli, name))
+        profiled = []
+        real_profile = Profiler.profile
+
+        def profile(self, conditions):
+            profiled.append(real_profile(self, conditions))
+            return profiled[-1]
+
+        monkeypatch.setattr(Profiler, "profile", profile)
         rc = main(
             [
                 "policy",
@@ -243,12 +253,13 @@ class TestReservationFlags:
             ]
         )
         assert rc == 0
-        for reservation in (
-            built["Profiler"].settings,
-            built["StacModel"],
-            built["RuntimeEvaluator"],
-        ):
+        for reservation in (built["Profiler"].settings, built["StacModel"]):
             assert (reservation.private_mb, reservation.shared_mb) == (4.0, 0.0)
+        # The testbed truth is laid out by the very dataset Stage 1
+        # profiled, not by a second reading of the flags.
+        assert arguments["RuntimeEvaluator"][0] is profiled[0]
+        settings = built["RuntimeEvaluator"].settings
+        assert (settings.private_mb, settings.shared_mb) == (4.0, 0.0)
 
     def test_policy_zero_private_rejected_before_profiling(self, monkeypatch, capsys):
         from repro.core.profiler import Profiler

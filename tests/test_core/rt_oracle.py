@@ -43,7 +43,7 @@ def simulate_oracle(
     res = simulate_heap_queue(arrivals, demands, cfg).drop_warmup(
         model.warmup_fraction
     )
-    waits = res.wait_times
+    waits = res.start_times - res.arrival_times
     return QueueFeedback(
         summary=summarize_response_times(res.response_times),
         mean_wait=float(waits.mean()),

@@ -8,8 +8,6 @@ from repro.counters import (
     CacheUsageTrace,
     CounterSampler,
     N_COUNTERS,
-    order_counters,
-    sample_service_counters,
 )
 from repro.counters.sampler import _segment_means
 from repro.testbed import (
@@ -20,6 +18,15 @@ from repro.testbed import (
     default_machine,
 )
 from repro.workloads import get_workload
+
+
+def _whole_run(service, sampler, rng):
+    """Counters of a jacobi service over its whole observed span."""
+    t0 = float(service.arrival_times[0])
+    t1 = float(service.completion_times.max())
+    return sampler.sample(
+        service, get_workload("jacobi"), default_machine(), t0, t1, rng=rng
+    )
 
 
 @pytest.fixture(scope="module")
@@ -100,16 +107,11 @@ class TestSampler:
         assert s5.shape == (10, N_COUNTERS)
 
     def test_counters_nonnegative(self, run_result):
-        mat = sample_service_counters(
-            run_result.services[0], get_workload("jacobi"), default_machine(), rng=2
-        )
+        mat = _whole_run(run_result.services[0], CounterSampler(), rng=2)
         assert np.all(mat >= 0)
 
     def test_boost_column_reflects_sta(self, run_result):
-        mat = sample_service_counters(
-            run_result.services[0], get_workload("jacobi"), default_machine(),
-            noise=0.0, rng=3
-        )
+        mat = _whole_run(run_result.services[0], CounterSampler(noise=0.0), rng=3)
         boost_col = mat[:, COUNTER_NAMES.index("boost_active")]
         assert boost_col.max() > 0  # STA triggered at some point
 
@@ -163,34 +165,6 @@ class TestTrace:
         # w2 had 25 ticks: truncated to 20, all ones.
         assert np.all(t.data[N_COUNTERS:, :] == 1)
 
-    def test_counter_row_lookup(self):
-        t = self._trace()
-        row = t.counter_row(0, "l1d_loads")
-        assert row.shape == (20,)
-
-    def test_flatten_length(self):
-        t = self._trace()
-        assert t.flatten().shape == (2 * N_COUNTERS * 20,)
-
-    def test_shuffled_ordering_permutes_a_service_block(self):
-        orig = self._trace().data[:N_COUNTERS]
-        got = order_counters(orig, "shuffled", rng=0)
-        # Same multiset of rows, different order.
-        assert not np.array_equal(orig, got)
-        assert np.array_equal(
-            np.sort(orig.sum(axis=1)), np.sort(got.sum(axis=1))
-        )
-
-    def test_spatial_ordering_is_identity(self):
-        block = self._trace().data[:N_COUNTERS]
-        assert np.array_equal(order_counters(block, "spatial"), block)
-
-    def test_order_counters_validation(self):
-        with pytest.raises(ValueError):
-            order_counters(np.zeros((5, 4)), "spatial")
-        with pytest.raises(ValueError):
-            order_counters(np.zeros((N_COUNTERS, 4)), "sorted")
-
     def test_mismatched_names_rejected(self):
         with pytest.raises(ValueError):
             CacheUsageTrace.from_counters(
@@ -216,9 +190,3 @@ class TestTraceShapeChecks:
     def test_n_ticks_and_n_services(self):
         t = CacheUsageTrace(np.zeros((2 * N_COUNTERS, 7)), ("a", "b"))
         assert (t.n_services, t.n_ticks) == (2, 7)
-
-
-def test_counters_need_a_completed_query(run_result):
-    empty = run_result.services[0].window_view(slice(0, 0))
-    with pytest.raises(ValueError, match="no completed queries"):
-        sample_service_counters(empty, get_workload("jacobi"), default_machine())

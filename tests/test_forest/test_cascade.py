@@ -12,9 +12,9 @@ from repro.forest import (
     MultiGrainScanner,
     RandomForestRegressor,
     RegressionTree,
-    cross_fit_predict,
 )
-from repro.forest.cascade import _pack_group
+from repro.forest.cascade import _collect_out_of_fold, _pack_group, _plan_cross_fit
+from repro.forest.parallel import fit_plans
 
 from .forest_oracle import cascade_predict_oracle, concept_features_oracle
 
@@ -26,6 +26,16 @@ def hidden_interaction(n=240, rng=0):
     X = r.uniform(size=(n, 6))
     y = np.where((X[:, 0] > 0.5) ^ (X[:, 1] > 0.5), 1.0, 0.0)
     return X, y + r.normal(0, 0.05, n)
+
+
+def cross_fit_predict(make_model, X, y, k=3, rng=None, n_jobs=1):
+    """Out-of-fold predictions of one model: the three cross-fit steps a
+    cascade level runs for all its forests at once."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    models, folds, plans = _plan_cross_fit(make_model, X, y, k, rng)
+    fit_plans(plans, n_jobs=n_jobs)
+    return _collect_out_of_fold(models, folds, X)
 
 
 class TestCrossFit:

@@ -20,13 +20,13 @@ from repro.forest import (
     MultiGrainScanner,
     RandomForestRegressor,
     RegressionTree,
-    cross_fit_predict,
 )
 from repro.forest import parallel as parallel_mod
 from repro.forest.deep_forest import DeepForestRegressor
 from repro.forest.fast_inference import _CHUNK_ROWS
 
 from .forest_oracle import predict_per_tree_oracle
+from .test_cascade import cross_fit_predict
 
 
 def friedman_like(n=300, rng=0):

@@ -274,3 +274,49 @@ class TestSplitThresholds:
             assert t.n_nodes == 3
             assert t._threshold_a[0] == lo
             assert np.array_equal(t.predict(X), y)
+
+
+def _unbounded(column: str, n: int = 60) -> tuple[np.ndarray, np.ndarray]:
+    """Three features whose middle one has an infinite range (±inf) or a
+    finite range wider than the largest float (±1e308)."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(n, 3))
+    big = np.inf if column == "inf" else 1e308
+    X[:, 1] = np.where(np.arange(n) % 2 == 0, big, -big)
+    return X, X[:, 0] + 0.5 * X[:, 2]
+
+
+class TestRandomSplitUnboundedRange:
+    """A random threshold cannot be drawn over a range of infinite width.
+    ``rng.uniform`` used to raise ``OverflowError`` there; such a column
+    is now skipped the way a constant one is."""
+
+    @pytest.mark.parametrize("column", ["inf", "1e308"])
+    def test_column_never_split_on(self, column):
+        from repro.forest import CompletelyRandomForestRegressor
+
+        X, y = _unbounded(column)
+        forest = CompletelyRandomForestRegressor(n_estimators=3, rng=0).fit(X, y)
+        for tree in forest.trees_:
+            assert 1 not in tree._feature
+            assert tree.n_nodes > 1
+        assert np.all(np.isfinite(forest.predict(X)))
+
+    @pytest.mark.parametrize("column", ["inf", "1e308"])
+    def test_only_unbounded_column_gives_a_leaf(self, column):
+        X, y = _unbounded(column)
+        tree = RegressionTree(splitter="random", rng=0).fit(X[:, 1:2], y)
+        assert tree.n_nodes == 1
+        assert tree.predict(X[:, 1:2])[0] == pytest.approx(y.mean())
+
+    def test_one_infinite_entry(self):
+        """The reproduction: one ``inf`` among finite values.  The column
+        splits again below the node that separates the ``inf`` row."""
+        from repro.forest import CompletelyRandomForestRegressor
+
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(40, 2))
+        y = X[:, 0] - X[:, 1]
+        X[7, 0] = np.inf
+        forest = CompletelyRandomForestRegressor(n_estimators=3, rng=0).fit(X, y)
+        assert np.all(np.isfinite(forest.predict(X)))

@@ -13,8 +13,6 @@ from repro import (
 )
 from repro.baselines import RuntimeEvaluator, no_sharing_policy
 from repro.core.profiler import ProfilerSettings
-from repro.testbed import default_machine
-from repro.workloads import get_workload
 
 FAST = dict(
     windows=[(5, 5)],
@@ -39,16 +37,12 @@ class TestEndToEnd:
         return dataset, model
 
     def test_policy_beats_baseline_on_testbed(self, pipeline):
-        _, model = pipeline
+        dataset, model = pipeline
         policy = model_driven_policy(
             model, ("redis", "knn"), (0.9, 0.9), timeout_grid=(0.0, 1.0, 4.0)
         )
         evaluator = RuntimeEvaluator(
-            machine=default_machine(),
-            specs=[get_workload("redis"), get_workload("knn")],
-            utilization=0.9,
-            n_queries=1200,
-            rng=50,
+            dataset, ("redis", "knn"), utilization=0.9, n_queries=1200, rng=50
         )
         base = evaluator.p95(no_sharing_policy(2).timeouts)
         ours = evaluator.p95(policy.timeouts)

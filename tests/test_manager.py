@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import Profiler, StacModel, uniform_conditions
+from repro.baselines import RuntimeEvaluator
 from repro.core.profiler import ProfilerSettings
 from repro.manager import (
     AdaptiveTimeoutController,
@@ -24,16 +25,33 @@ FAST = dict(
 
 
 @pytest.fixture(scope="module")
-def controller():
+def profile():
     conditions = uniform_conditions(PAIR, n=6, rng=0)
     profiler = Profiler(
         settings=ProfilerSettings(n_queries=300, n_windows=3, trace_ticks=12),
         rng=0,
     )
-    model = StacModel(rng=0, **FAST).fit(profiler.profile(conditions))
+    return profiler.profile(conditions)
+
+
+@pytest.fixture(scope="module")
+def controller(profile):
+    model = StacModel(rng=0, **FAST).fit(profile)
     return AdaptiveTimeoutController(
         model=model, workloads=PAIR, timeout_grid=(0.0, 1.0, 4.0)
     )
+
+
+@pytest.fixture(scope="module")
+def manager_for(profile, controller):
+    """An online manager whose testbed truth runs ``profile``'s layout at
+    300 queries per epoch, on epoch seeds drawn from ``rng``."""
+
+    def make(rng):
+        evaluator = RuntimeEvaluator(profile, PAIR, n_queries=300, rng=rng)
+        return OnlineManager(controller, evaluator)
+
+    return make
 
 
 class TestLoadScenario:
@@ -116,8 +134,8 @@ class TestController:
 
 
 class TestOnlineManager:
-    def test_epoch_results_structure(self, controller):
-        manager = OnlineManager(controller, n_queries=300, rng=1)
+    def test_epoch_results_structure(self, manager_for):
+        manager = manager_for(1)
         scenario = LoadScenario.ramp(2, 0.5, 0.9, 3)
         results = manager.run(scenario, adapt=True)
         assert len(results) == 3
@@ -125,20 +143,33 @@ class TestOnlineManager:
         assert results[0].utilizations == (0.5, 0.5)
         assert results[0].p95.shape == (2,)
 
-    def test_static_mode_keeps_first_plan(self, controller):
-        manager = OnlineManager(controller, n_queries=300, rng=2)
+    def test_static_mode_keeps_first_plan(self, manager_for):
+        manager = manager_for(2)
         scenario = LoadScenario.ramp(2, 0.4, 0.9, 3)
         results = manager.run(scenario, adapt=False)
         assert len({r.timeouts for r in results}) == 1
 
-    def test_width_mismatch(self, controller):
-        manager = OnlineManager(controller, n_queries=300, rng=3)
+    def test_width_mismatch(self, manager_for):
+        manager = manager_for(3)
         with pytest.raises(ValueError):
             manager.run(LoadScenario.ramp(3, 0.4, 0.8, 2))
 
-    def test_bad_queries(self, controller):
-        with pytest.raises(ValueError):
-            OnlineManager(controller, n_queries=5)
+    def test_evaluator_must_run_the_controllers_workloads(self, profile, controller):
+        evaluator = RuntimeEvaluator(profile, ("knn", "redis"), n_queries=300)
+        with pytest.raises(ValueError, match="controller manages"):
+            OnlineManager(controller, evaluator)
+
+    @pytest.mark.parametrize(
+        "option", ["machine", "n_queries", "private_mb", "shared_mb", "rng"]
+    )
+    def test_layout_and_truth_options_are_the_evaluators(
+        self, profile, controller, option
+    ):
+        """The manager takes its testbed layout, query count and seed
+        from its evaluator only."""
+        evaluator = RuntimeEvaluator(profile, PAIR, n_queries=300)
+        with pytest.raises(TypeError, match=option):
+            OnlineManager(controller, evaluator, **{option: 1})
 
 
 class TestCacheKeyQuantization:
@@ -181,8 +212,8 @@ class TestGroundTruthSeeding:
     seed noise.  Seeds now derive from one fixed spawn per manager.
     """
 
-    def test_repeated_runs_share_ground_truth(self, controller):
-        manager = OnlineManager(controller, n_queries=300, rng=7)
+    def test_repeated_runs_share_ground_truth(self, manager_for):
+        manager = manager_for(7)
         scenario = LoadScenario.ramp(2, 0.5, 0.8, 2)
         r1 = manager.run(scenario, adapt=False)
         r2 = manager.run(scenario, adapt=False)
@@ -190,20 +221,20 @@ class TestGroundTruthSeeding:
             assert np.array_equal(a.p95, b.p95)
             assert np.array_equal(a.mean, b.mean)
 
-    def test_ab_runs_share_epoch_zero(self, controller):
+    def test_ab_runs_share_epoch_zero(self, manager_for):
         """Epoch 0 uses the same plan in both modes, so with shared
         ground truth its outcomes must match exactly."""
-        manager = OnlineManager(controller, n_queries=300, rng=8)
+        manager = manager_for(8)
         scenario = LoadScenario.ramp(2, 0.5, 0.8, 2)
         adaptive = manager.run(scenario, adapt=True)
         static = manager.run(scenario, adapt=False)
         assert adaptive[0].timeouts == static[0].timeouts
         assert np.array_equal(adaptive[0].p95, static[0].p95)
 
-    def test_distinct_managers_distinct_ground_truth(self, controller):
+    def test_distinct_managers_distinct_ground_truth(self, manager_for):
         scenario = LoadScenario.ramp(2, 0.5, 0.8, 2)
-        r1 = OnlineManager(controller, n_queries=300, rng=9).run(scenario)
-        r2 = OnlineManager(controller, n_queries=300, rng=10).run(scenario)
+        r1 = manager_for(9).run(scenario)
+        r2 = manager_for(10).run(scenario)
         assert not np.array_equal(r1[0].p95, r2[0].p95)
 
 

@@ -1,4 +1,5 @@
-"""Every ``src/repro`` module is reachable from an entry point.
+"""Every ``src/repro`` module is reachable from an entry point, and
+every public definition is named outside the tests.
 
 The walk parses ``import`` statements with :mod:`ast`, starting from the
 CLI and from every benchmark, example and perfbench script.  A name
@@ -10,6 +11,7 @@ module only its own tests import is an orphan.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -152,3 +154,122 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
     assert not missing, missing
+
+
+# -- public definitions ----------------------------------------------------
+
+#: Public definitions that no entry point names, each kept for a reason.
+EXEMPT = {
+    "repro.baselines.linreg:RidgeRegression.coef_": (
+        "the fitted coefficients; test_regularization_shrinks_coefficients "
+        "observes ridge shrinkage through them"
+    ),
+    "repro.queueing.events:EventLoop.pending": (
+        "the event-loop tests observe the heap through it (run until a "
+        "time, rejected schedules leave nothing behind)"
+    ),
+    "repro.queueing.ggk:QueueResult.drop_warmup": (
+        "the Stage 3 oracle (tests/test_core/rt_oracle.py) and the kernel "
+        "tests cut the warmup through it"
+    ),
+    "repro.queueing.ggk:BatchQueueResult.drop_warmup": (
+        "pinned against QueueResult.drop_warmup row by row in "
+        "test_ggk_batch.py, as the batched kernel's serial equivalence"
+    ),
+    "repro.core.io:load_dataset": (
+        "reads back the .npz that `repro profile` writes with save_dataset; "
+        "the CI layout smoke loads one"
+    ),
+    "repro.counters.events:synthesize_tick": (
+        "the per-tick counter model that synthesize_ticks vectorizes; the "
+        "sampler oracle (tests/test_counters/sampler_oracle.py) walks it"
+    ),
+}
+
+
+def _docstrings(tree: ast.AST) -> set[int]:
+    """``id`` of every docstring constant in ``tree``."""
+    return {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name ``path`` reads: variables, attributes, names imported
+    and identifiers inside strings (``getattr`` targets, probe specs).
+    A package ``__init__`` re-export, an ``__all__`` entry and a
+    docstring are not reads."""
+    tree = ast.parse(path.read_text())
+    skip = _docstrings(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            skip |= {id(n) for n in ast.walk(node.value)}
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            names.update(a.name for a in node.names)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and id(node) not in skip
+        ):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def public_definitions() -> set[str]:
+    """``module:name`` of every public top-level function and class of
+    ``src/repro``, and ``module:Class.method`` of every public method of
+    a top-level class."""
+    out = set()
+    for path in (SRC / "repro").rglob("*.py"):
+        module = _module_name(path)
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                out.add(f"{module}:{node.name}")
+            if isinstance(node, ast.ClassDef):
+                out |= {
+                    f"{module}:{node.name}.{m.name}"
+                    for m in node.body
+                    if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                }
+    return out
+
+
+def unnamed_definitions() -> set[str]:
+    """Public definitions whose name no code outside ``tests/`` reads.
+
+    This is a name scan: a method counts as named when an attribute of
+    that name is read on any object, so the scan errs toward "named".
+    """
+    read: set[str] = set()
+    for path in [*(SRC / "repro").rglob("*.py"), *ENTRY_SCRIPTS]:
+        read |= _names_read(path)
+    return {d for d in public_definitions() if re.split("[:.]", d)[-1] not in read}
+
+
+def test_every_public_definition_is_named_outside_tests():
+    """A function, class or method that only its own tests name is
+    deleted, or exempted above with a reason."""
+    unexempted = unnamed_definitions() - set(EXEMPT)
+    assert not unexempted, sorted(unexempted)
+
+
+def test_every_exemption_is_still_needed():
+    """An exemption names an existing definition that is still unnamed;
+    one whose definition was deleted or gained a caller is removed."""
+    stale = set(EXEMPT) - unnamed_definitions()
+    assert not stale, sorted(stale)

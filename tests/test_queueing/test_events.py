@@ -97,16 +97,8 @@ class TestEventLoop:
         with pytest.raises(ValueError, match="delay"):
             loop.schedule_in(-1.0, lambda: None)
 
-    def test_events_processed_counter(self):
-        loop = EventLoop()
-        for t in range(4):
-            loop.schedule(float(t), lambda: None)
-        loop.run()
-        assert loop.events_processed == 4
-
 
 def test_step_on_empty_heap_is_a_no_op():
     loop = EventLoop()
     assert loop.step() is False
     assert loop.now == 0.0
-    assert loop.events_processed == 0

@@ -36,35 +36,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(edges=(2.0, 1.0))
 
-    def test_dict_round_trip(self):
-        h = Histogram(edges=(1.0, 10.0))
-        for v in (0.1, 5.0, 50.0):
-            h.observe(v)
-        clone = Histogram.from_dict(h.to_dict())
-        assert clone.to_dict() == h.to_dict()
-
-    def test_merge_requires_matching_edges(self):
-        h = Histogram(edges=(1.0, 2.0))
-        other = Histogram(edges=(1.0, 3.0))
-        with pytest.raises(ValueError, match="different edges"):
-            h.merge_dict(other.to_dict())
-
-    def test_merge_accumulates(self):
-        a, b = Histogram(edges=(1.0,)), Histogram(edges=(1.0,))
-        a.observe(0.5)
-        b.observe(2.0)
-        b.observe(0.25)
-        a.merge_dict(b.to_dict())
-        assert a.counts == [2, 1]
-        assert a.count == 3
-        assert a.min == 0.25 and a.max == 2.0
-
-    def test_merge_empty_keeps_minmax(self):
-        a = Histogram(edges=(1.0,))
-        a.observe(0.5)
-        a.merge_dict(Histogram(edges=(1.0,)).to_dict())
-        assert a.min == 0.5 and a.max == 0.5 and a.count == 1
-
 
 class TestMetricsRegistry:
     def test_counters_accumulate(self):

@@ -3,7 +3,7 @@
 import threading
 
 from repro import telemetry
-from repro.telemetry.spans import NOOP_SPAN, SpanLog, SpanRecord
+from repro.telemetry.spans import NOOP_SPAN, SpanLog
 
 
 class TestSpanLog:
@@ -86,16 +86,6 @@ class TestSpanLog:
             assert leaf_parent == root_id
         assert len(log.records) == 8
 
-    def test_record_dict_round_trip(self):
-        rec = SpanRecord(
-            id=3, parent_id=1, name="s", start=0.5, duration=0.1,
-            attrs={"k": 1},
-        )
-        assert SpanRecord.from_dict(rec.to_dict()) == rec
-        # Manifests from older releases tagged merged records with a
-        # ``worker`` key; it is ignored.
-        assert SpanRecord.from_dict({**rec.to_dict(), "worker": "w0"}) == rec
-
     def test_record_dict_keys(self):
         log = SpanLog()
         with log.start("outer", {"n": 2}):
@@ -115,7 +105,6 @@ class TestNoopPath:
     def test_noop_span_supports_full_protocol(self):
         with telemetry.span("x") as s:
             s.set_attr("ignored", 1)
-        assert telemetry.current_span() is None
 
     def test_enabled_span_records(self):
         telemetry.configure()

@@ -272,3 +272,18 @@ def test_run_needs_at_least_one_query(n_queries):
     )
     with pytest.raises(ValueError, match="n_queries"):
         CollocationRuntime(cfg, rng=0).run(n_queries=n_queries)
+
+
+def test_poisson_arrivals_are_the_workload_process():
+    """A Poisson service's arrivals are ``PoissonArrivals`` at rate
+    utilization x cores, drawn from its own spawned stream."""
+    from repro._util import as_rng, spawn_rngs
+    from repro.workloads import PoissonArrivals
+
+    cores = default_machine().cores_per_service
+    run = run_pair(utils=(0.8, 0.6), n_queries=300, rng=3)
+    streams = spawn_rngs(as_rng(3), 4)
+    for i, (svc, util) in enumerate(zip(run.services, (0.8, 0.6))):
+        want = PoissonArrivals(util * cores).sample(300, rng=streams[2 * i])
+        # run_pair keeps the default 10% warmup out of the recorded queries.
+        assert np.array_equal(svc.arrival_times, want[30:])

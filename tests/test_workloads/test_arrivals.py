@@ -2,14 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.workloads import (
-    DeterministicArrivals,
-    MarkovModulatedArrivals,
-    PoissonArrivals,
-    arrivals_for_utilization,
-)
+from repro.workloads import MarkovModulatedArrivals, PoissonArrivals
 
 
 class TestPoisson:
@@ -30,12 +24,6 @@ class TestPoisson:
         a = PoissonArrivals(5.0).sample(50, rng=7)
         b = PoissonArrivals(5.0).sample(50, rng=7)
         assert np.array_equal(a, b)
-
-
-class TestDeterministic:
-    def test_even_spacing(self):
-        arr = DeterministicArrivals(rate=4.0).sample(4)
-        assert np.allclose(arr, [0.25, 0.5, 0.75, 1.0])
 
 
 class TestMarkovModulated:
@@ -77,29 +65,3 @@ class TestMarkovModulated:
     def test_reproducible(self):
         m = MarkovModulatedArrivals(rate=1.0)
         assert np.array_equal(m.sample(100, rng=9), m.sample(100, rng=9))
-
-
-class TestUtilizationHelper:
-    def test_rate_formula(self):
-        proc = arrivals_for_utilization(0.9, mean_service_time=2.0, n_servers=2)
-        assert proc.rate == pytest.approx(0.9)
-
-    def test_deterministic_kind(self):
-        proc = arrivals_for_utilization(0.5, 1.0, kind="deterministic")
-        assert isinstance(proc, DeterministicArrivals)
-
-    def test_invalid_utilization(self):
-        with pytest.raises(ValueError):
-            arrivals_for_utilization(1.0, 1.0)
-        with pytest.raises(ValueError):
-            arrivals_for_utilization(0.0, 1.0)
-
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError):
-            arrivals_for_utilization(0.5, 1.0, kind="bursty")
-
-    @settings(max_examples=30)
-    @given(st.floats(0.05, 0.95), st.floats(0.01, 100.0), st.integers(1, 8))
-    def test_achieved_utilization(self, rho, s, k):
-        proc = arrivals_for_utilization(rho, s, n_servers=k)
-        assert proc.rate * s / k == pytest.approx(rho, rel=1e-9)

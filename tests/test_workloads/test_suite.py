@@ -7,7 +7,6 @@ from repro.workloads import (
     all_workloads,
     get_workload,
     table1_rows,
-    workload_pairs,
 )
 from repro.workloads.base import MB
 
@@ -32,13 +31,6 @@ class TestRegistry:
     def test_get_workload_unknown(self):
         with pytest.raises(KeyError, match="available"):
             get_workload("mysql")
-
-    def test_pairs_are_ordered_permutations(self):
-        pairs = workload_pairs()
-        assert len(pairs) == 8 * 7
-        names = {(a.name, b.name) for a, b in pairs}
-        assert ("jacobi", "bfs") in names and ("bfs", "jacobi") in names
-        assert all(a.name != b.name for a, b in pairs)
 
     def test_table1_rows(self):
         rows = table1_rows()
