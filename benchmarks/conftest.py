@@ -21,8 +21,10 @@ ACCURACY_PAIRS = (
 )
 
 
-def profile_pairs(pairs, n_per_pair, rng=0, sampling_hz=1.0, **settings_kw):
-    """Profile several collocation pairs into one dataset."""
+def profile_pairs(pairs, n_per_pair, rng=0, **settings_kw):
+    """Profile several collocation pairs into one dataset.  The keywords
+    are :class:`ProfilerSettings` fields (``sampling_hz``, the
+    reservations, ...)."""
     settings = ProfilerSettings(
         n_queries=settings_kw.pop("n_queries", 600),
         n_windows=settings_kw.pop("n_windows", 4),
@@ -32,9 +34,7 @@ def profile_pairs(pairs, n_per_pair, rng=0, sampling_hz=1.0, **settings_kw):
     profiler = Profiler(settings=settings, rng=rng)
     conditions = []
     for i, pair in enumerate(pairs):
-        conditions += uniform_conditions(
-            pair, n=n_per_pair, sampling_hz=sampling_hz, rng=rng + i
-        )
+        conditions += uniform_conditions(pair, n=n_per_pair, rng=rng + i)
     return profiler.profile(conditions)
 
 

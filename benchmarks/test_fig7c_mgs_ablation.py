@@ -31,9 +31,11 @@ BASE = dict(
 
 
 def _profile(sampling_hz, rng=3):
-    conditions = uniform_conditions(PAIR, n=14, sampling_hz=sampling_hz, rng=rng)
+    conditions = uniform_conditions(PAIR, n=14, rng=rng)
     profiler = Profiler(
-        settings=ProfilerSettings(n_queries=500, n_windows=4, trace_ticks=20),
+        settings=ProfilerSettings(
+            n_queries=500, n_windows=4, trace_ticks=20, sampling_hz=sampling_hz
+        ),
         rng=rng,
     )
     return profiler.profile(conditions)

@@ -9,7 +9,6 @@ allocation.
 
 from repro.baselines.linreg import RidgeRegression
 from repro.baselines.dtree import DecisionTreeBaseline
-from repro.baselines.mlp import MLPRegressor
 from repro.baselines.cnn import CNNRegressor
 from repro.baselines.ucp import marginal_utility_curve, ucp_partition, ucp_private_mb
 from repro.baselines.policies import (
@@ -24,7 +23,6 @@ from repro.baselines.policies import (
 __all__ = [
     "RidgeRegression",
     "DecisionTreeBaseline",
-    "MLPRegressor",
     "CNNRegressor",
     "PolicyDecision",
     "RuntimeEvaluator",

@@ -1,9 +1,9 @@
-"""NumPy MLP with backpropagation and Adam, and the shared trainer.
+"""Back-propagation building blocks: dense layers, Adam and the trainer.
 
 Provides the layers, the optimizer and the one minibatch trainer the
-MLP and CNN baselines share.  Back-prop models overwrite
-weights during training, which is the source of the run-to-run
-variance Figure 5 contrasts against deep forests.
+CNN baseline builds on.  Back-prop models overwrite weights during
+training, which is the source of the run-to-run variance Figure 5
+contrasts against deep forests.
 """
 
 from __future__ import annotations
@@ -68,29 +68,6 @@ class _ReLU:
         return iter(())
 
 
-class _Dropout:
-    """Inverted dropout; active only during training."""
-
-    def __init__(self, rate: float, rng):
-        self.rate = rate
-        self.rng = rng
-        self.training = True
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0:
-            self._mask = None
-            return x
-        keep = 1.0 - self.rate
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return grad if self._mask is None else grad * self._mask
-
-    def params_and_grads(self):
-        return iter(())
-
-
 class Adam:
     """Adam optimizer over (param, grad) pairs keyed by identity.
 
@@ -119,7 +96,7 @@ class Adam:
 
 
 class _Network:
-    """Adam-on-MSE minibatch trainer shared by the NumPy networks.
+    """Adam-on-MSE minibatch trainer of the NumPy networks.
 
     ``_inputs`` lists each input as ``(name, ndim, scaling axes)``; the
     first is required and the rest may be ``None``.  Every input and
@@ -141,9 +118,6 @@ class _Network:
         self._rng = as_rng(rng)
         self._layers: list = []
         self.loss_history_: list[float] = []
-
-    def _set_training(self, training: bool) -> None:
-        """Switch train-only layers on or off (none by default)."""
 
     def _scaled(self, inputs) -> list[np.ndarray | None]:
         out = []
@@ -181,7 +155,6 @@ class _Network:
         opt = Adam(lr=self.lr)
         n = y.shape[0]
         self.loss_history_ = []
-        self._set_training(True)
         for _ in range(self.epochs):
             perm = self._rng.permutation(n)
             loss = 0.0
@@ -195,7 +168,6 @@ class _Network:
                     pg for layer in self._layers for pg in layer.params_and_grads()
                 )
             self.loss_history_.append(loss / n)
-        self._set_training(False)
         return self
 
     def _predict(self, *inputs) -> np.ndarray:
@@ -206,56 +178,3 @@ class _Network:
         )
         y_mean, y_std = self._y_scale
         return (self._forward(*xs) * y_std + y_mean).ravel()
-
-
-class MLPRegressor(_Network):
-    """Multi-layer perceptron trained with Adam on MSE loss."""
-
-    _inputs = (("X", 2, 0),)
-
-    def __init__(
-        self,
-        hidden: tuple[int, ...] = (64, 32),
-        epochs: int = 100,
-        batch_size: int = 32,
-        lr: float = 1e-3,
-        dropout: float = 0.0,
-        rng=None,
-    ):
-        super().__init__(epochs, batch_size, lr, rng)
-        # Written so NaN fails too (every comparison with NaN is False).
-        if not 0 <= dropout < 1:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.hidden = tuple(hidden)
-        self.dropout = dropout
-
-    def _build(self, X: np.ndarray) -> None:
-        self._layers = []
-        prev = X.shape[1]
-        for h in self.hidden:
-            self._layers.append(_Dense(prev, h, self._rng))
-            self._layers.append(_ReLU())
-            if self.dropout > 0:
-                self._layers.append(_Dropout(self.dropout, self._rng))
-            prev = h
-        self._layers.append(_Dense(prev, 1, self._rng))
-
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        for layer in self._layers:
-            x = layer.forward(x)
-        return x
-
-    def _backward(self, grad: np.ndarray) -> None:
-        for layer in reversed(self._layers):
-            grad = layer.backward(grad)
-
-    def _set_training(self, training: bool) -> None:
-        for layer in self._layers:
-            if isinstance(layer, _Dropout):
-                layer.training = training
-
-    def fit(self, X, y) -> "MLPRegressor":
-        return self._fit(y, X)
-
-    def predict(self, X) -> np.ndarray:
-        return self._predict(X)

@@ -46,11 +46,6 @@ class RuntimeEvaluator:
         n_queries: int = 1500,
         rng: int = 0,
     ):
-        if np.ndim(profile.settings.private_mb):
-            raise ValueError(
-                f"dataset has per-service private_mb {profile.settings.private_mb}; "
-                "Stage 3 models uniform reservations only"
-            )
         if not 0 < utilization < 1:
             raise ValueError(f"utilization must be in (0, 1), got {utilization}")
         self.machine = profile.machine

@@ -28,8 +28,8 @@ from repro.analysis import format_table
 from repro.baselines import RuntimeEvaluator, no_sharing_policy
 from repro.core import StacModel, model_driven_policy, uniform_conditions
 from repro.core.profile_vec import RuntimeCondition
-from repro.core.profiler import Profiler, ProfilerSettings, collocation
-from repro.testbed import MACHINES, CollocationRuntime, get_machine
+from repro.core.profiler import Profiler, ProfilerSettings, run_condition
+from repro.testbed import MACHINES, get_machine
 from repro.workloads import table1_rows
 
 
@@ -103,10 +103,7 @@ def _cmd_simulate(args) -> int:
     condition = RuntimeCondition(
         tuple(args.pair), (args.utilization,) * len(args.pair), tuple(timeouts)
     )
-    # Not run_condition: a bare testbed run accepts --private-mb 0 (one
-    # way), which a profiling campaign's settings reject.
-    cfg = collocation(condition, machine, args.private_mb, args.shared_mb)
-    res = CollocationRuntime(cfg, rng=args.seed).run(n_queries=args.queries)
+    res = run_condition(condition, machine, _profiler_settings(args), args.seed)
     rows = []
     for s in res.services:
         rt = s.response_times_norm

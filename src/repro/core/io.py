@@ -3,9 +3,9 @@
 Profiling campaigns are the expensive stage (Section 5.1 budgets 30
 minutes), so datasets must outlive a process.  Everything serializes to
 a single ``.npz`` (plus a JSON header embedded in it) with no pickling,
-so files are portable and safe to load.  The header (version 2) records
-the testbed layout — machine and profiler settings — the rows were
-profiled on.
+so files are portable and safe to load.  The header (version 3) records
+the testbed layout — machine and profiler settings, the counter
+sampling rate among them — the rows were profiled on.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ def save_dataset(path, dataset: ProfileDataset) -> None:
     conditions = dataset.conditions()
     cond_index = {id(c): i for i, c in enumerate(conditions)}
     header = {
-        "version": 2,
+        "version": 3,
         "machine": asdict(dataset.machine),
         "settings": asdict(dataset.settings),
         "conditions": [
@@ -41,7 +41,6 @@ def save_dataset(path, dataset: ProfileDataset) -> None:
                 "timeouts": [
                     "inf" if np.isinf(t) else float(t) for t in c.timeouts
                 ],
-                "sampling_hz": c.sampling_hz,
             }
             for c in conditions
         ],
@@ -70,17 +69,19 @@ def load_dataset(path) -> ProfileDataset:
     Rows of the same original condition share one
     :class:`RuntimeCondition` instance, preserving
     ``split_conditions``/``condition_groups`` semantics.  A version-1
-    file, which does not record its layout, raises ``ValueError``.
+    or version-2 file, which does not record its whole layout in the
+    profiler settings, raises ``ValueError``.
     """
     with np.load(path, allow_pickle=False) as data:
         header = json.loads(bytes(data["header"].tobytes()).decode())
-        if header.get("version") == 1:
+        version = header.get("version")
+        if version in (1, 2):
             raise ValueError(
-                f"{path}: a version-1 dataset does not record its layout "
-                "(machine and profiler settings); profile it again"
+                f"{path}: a version-{version} dataset does not record its "
+                "layout in its profiler settings; profile it again"
             )
-        if header.get("version") != 2:
-            raise ValueError(f"unsupported dataset version {header.get('version')}")
+        if version != 3:
+            raise ValueError(f"unsupported dataset version {version}")
         conditions = [
             RuntimeCondition(
                 workloads=tuple(c["workloads"]),
@@ -88,7 +89,6 @@ def load_dataset(path) -> ProfileDataset:
                 timeouts=tuple(
                     np.inf if t == "inf" else float(t) for t in c["timeouts"]
                 ),
-                sampling_hz=c["sampling_hz"],
             )
             for c in header["conditions"]
         ]

@@ -96,7 +96,8 @@ class StacModel:
             raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         ea_params.setdefault("n_jobs", n_jobs)
         self.n_iterations = n_iterations
-        self._fitted_layout = None  # set by fit: see _profiled_layout
+        # The testbed layout Stage 3 replays; fit takes both from the profile.
+        self.machine = self.settings = None
         self._rng = as_rng(rng)
         self.ea_model = EAModel(learner=learner, rng=self._rng, **ea_params)
         self.rt_model = ResponseTimeModel(n_queries=sim_queries, rng=self._rng)
@@ -108,44 +109,45 @@ class StacModel:
         """Stage 2 training on a Stage 1 profile dataset.
 
         Stage 3 then replays the layout the dataset was profiled on: the
-        model adopts its ``machine`` (whose ``cores_per_service`` is the
-        simulated server count), its private and shared reservations,
-        and the training traces' counter sampling rate and tick count,
-        so hypothetical-condition inputs match the fitted MGS.  A dataset
-        sampled at several rates, or profiled with per-service
-        ``private_mb`` (Stage 3 models uniform layouts only), raises
-        ``ValueError``.
+        model keeps its ``machine`` (whose ``cores_per_service`` is the
+        simulated server count) and its ``settings``, whose reservations,
+        counter sampling rate and tick count shape the hypothetical-
+        condition inputs as the fitted MGS saw them.  Rows whose traces
+        do not have ``settings.trace_ticks`` ticks raise ``ValueError``.
         """
-        layout = self._profiled_layout(dataset)
-        if np.ndim(dataset.settings.private_mb):
-            raise ValueError(
-                f"dataset has per-service private_mb {dataset.settings.private_mb}; "
-                "Stage 3 models uniform reservations only"
-            )
+        self._check_ticks(dataset)
         with telemetry.span(
             "stage2.fit", n_rows=len(dataset), learner=self.ea_model.learner
         ):
             self.ea_model.fit(dataset)
-        self._fitted_layout = layout
-        self.machine, self.private_mb, self.shared_mb = layout[:3]
-        self.sampling_hz, self.trace_ticks = layout[3:]
+        self.machine, self.settings = dataset.machine, dataset.settings
         self.rt_model.n_servers = self.machine.cores_per_service
         return self
 
     @staticmethod
-    def _profiled_layout(dataset: ProfileDataset) -> tuple:
-        """(machine, private_mb, shared_mb, sampling_hz, trace_ticks) of
-        ``dataset``'s rows."""
+    def _check_ticks(dataset: ProfileDataset) -> None:
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
-        rates = {row.condition.sampling_hz for row in dataset.rows}
-        if len(rates) > 1:
+        ticks = {row.trace.shape[-1] for row in dataset.rows}
+        if ticks != {dataset.settings.trace_ticks}:
             raise ValueError(
-                f"dataset mixes sampling_hz values {sorted(rates)}; "
-                "profile every condition at one rate"
+                f"dataset traces have {sorted(ticks)} ticks, its settings "
+                f"trace_ticks={dataset.settings.trace_ticks}"
             )
-        settings, ticks = dataset.settings, dataset.rows[0].trace.shape[-1]
-        return (dataset.machine, settings.private_mb, settings.shared_mb, *rates, ticks)
+
+    @staticmethod
+    def _replayed(machine, settings) -> tuple:
+        """The part of a layout Stage 3 replays.  ``n_queries``,
+        ``n_windows``, ``counter_noise`` and ``warmup_fraction`` may
+        differ between the profile a model is fitted on and the rows it
+        scores."""
+        return (
+            machine,
+            settings.private_mb,
+            settings.shared_mb,
+            settings.sampling_hz,
+            settings.trace_ticks,
+        )
 
     # -- evaluation on profiled rows ---------------------------------------------
 
@@ -156,12 +158,12 @@ class StacModel:
         profiled on another machine, reservation, sampling rate or tick
         count than the model was fitted on raise ``ValueError``.
         """
-        given = self._profiled_layout(dataset)
         self._check_fitted()
-        if given != self._fitted_layout:
-            raise ValueError(
-                f"dataset layout {given} differs from the fitted {self._fitted_layout}"
-            )
+        self._check_ticks(dataset)
+        given = self._replayed(dataset.machine, dataset.settings)
+        fitted = self._replayed(self.machine, self.settings)
+        if given != fitted:
+            raise ValueError(f"dataset layout {given} differs from the fitted {fitted}")
         with telemetry.span("stage2.predict_rows", n_rows=len(dataset)):
             ea = self.ea_model.predict_dataset(dataset)
         # Every row is an independent queue condition: simulate them all
@@ -188,13 +190,16 @@ class StacModel:
         return {"ea": ea, "rt_mean": rt_mean, "rt_p95": rt_p95}
 
     def _check_fitted(self) -> None:
-        if self._fitted_layout is None:
+        if self.settings is None:
             raise RuntimeError("StacModel is not fitted")
 
     def _layout(self, condition: RuntimeCondition) -> CollocationConfig:
         """The testbed chain layout ``condition`` is profiled on (raises
         ``ValueError`` when the machine cannot lay it out)."""
-        return collocation(condition, self.machine, self.private_mb, self.shared_mb)
+        settings = self.settings
+        return collocation(
+            condition, self.machine, settings.private_mb, settings.shared_mb
+        )
 
     @staticmethod
     def _default_service_time(cfg: CollocationConfig, i: int) -> float:
@@ -242,7 +247,7 @@ class StacModel:
         """
         if not layouts:
             return []
-        n_ticks = self.trace_ticks
+        n_ticks = self.settings.trace_ticks
         services = [svc for cfg in layouts for svc in cfg.services]
         specs = [svc.workload for svc in services]
         utils = np.array([svc.utilization for svc in services], dtype=float)
@@ -276,7 +281,7 @@ class StacModel:
                 capacity_bytes=cap[rows].ravel(),
                 busy_fraction=np.repeat(utils[rows], n_ticks),
                 boost_fraction=boosted[rows].ravel().astype(float),
-                dt=1.0 / self.sampling_hz,
+                dt=1.0 / self.settings.sampling_hz,
                 ways_allocated=cap[rows].ravel() / self.machine.way_bytes,
                 noise=0.0,
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
@@ -136,7 +137,6 @@ class RuntimeCondition:
     workloads: tuple[str, ...]
     utilizations: tuple[float, ...]
     timeouts: tuple[float, ...]
-    sampling_hz: float = 1.0
 
     def __post_init__(self) -> None:
         k = len(self.workloads)
@@ -148,19 +148,18 @@ class RuntimeCondition:
             raise ValueError("utilizations must be in (0, 1)")
         if any(not t >= 0 for t in self.timeouts):
             raise ValueError("timeouts must be >= 0 (inf disables STA)")
-        if not (math.isfinite(self.sampling_hz) and self.sampling_hz > 0):
-            raise ValueError(
-                f"sampling_hz must be finite and > 0, got {self.sampling_hz}"
-            )
 
 
 @dataclass(frozen=True)
 class ProfilerSettings:
-    """Knobs of one profiling campaign."""
+    """Knobs of one profiling campaign, and with the machine its whole
+    testbed layout: every service's private and shared reservation, the
+    counter sampling rate and the trace tick count."""
 
     n_queries: int = 800
     n_windows: int = 4
     trace_ticks: int = 20
+    sampling_hz: float = 1.0
     counter_noise: float = 0.05
     private_mb: float = 2.0
     shared_mb: float = 2.0
@@ -170,14 +169,13 @@ class ProfilerSettings:
         for name in ("n_queries", "n_windows", "trace_ticks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("sampling_hz", "private_mb"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if not (math.isfinite(self.counter_noise) and self.counter_noise >= 0):
             raise ValueError(
                 f"counter_noise must be finite and >= 0, got {self.counter_noise}"
-            )
-        private = np.asarray(self.private_mb, dtype=float)
-        if not np.all(np.isfinite(private) & (private > 0)):
-            raise ValueError(
-                f"private_mb must be finite and > 0, got {self.private_mb}"
             )
         if not (math.isfinite(self.shared_mb) and self.shared_mb >= 0):
             raise ValueError(

@@ -76,7 +76,7 @@ def _boost_overlap(
 def collocation(
     condition: RuntimeCondition,
     machine: XeonSpec,
-    private_mb: "float | list[float]",
+    private_mb: float,
     shared_mb: float,
 ) -> CollocationConfig:
     """The chain layout ``condition`` runs on: the one place a megabyte
@@ -116,7 +116,7 @@ def _profile_one_condition(condition, settings, machine, seed):
         run = run_condition(condition, machine, settings, seed)
     specs = [svc.workload for svc in run.config.services]
     sampler = CounterSampler(
-        sampling_hz=condition.sampling_hz, noise=settings.counter_noise
+        sampling_hz=settings.sampling_hz, noise=settings.counter_noise
     )
     rng = np.random.default_rng(seed + 1)
     rows = []

@@ -20,7 +20,7 @@ UTIL_RANGE = (0.25, 0.95)
 TIMEOUT_RANGE = (0.0, 6.0)
 
 
-def _random_condition(pair, rng, sampling_hz) -> RuntimeCondition:
+def _random_condition(pair, rng) -> RuntimeCondition:
     u = rng.uniform(*UTIL_RANGE, size=len(pair))
     # Timeouts above ~200% of service time rarely trigger (they encode
     # "(almost) never boost"), so sampling weights the active region:
@@ -35,28 +35,25 @@ def _random_condition(pair, rng, sampling_hz) -> RuntimeCondition:
         workloads=tuple(pair),
         utilizations=tuple(float(x) for x in u),
         timeouts=tuple(float(x) for x in t),
-        sampling_hz=sampling_hz,
     )
 
 
 def uniform_conditions(
     pair,
     n: int,
-    sampling_hz: float = 1.0,
     rng=None,
 ) -> list[RuntimeCondition]:
     """Uniform random sampling over the Table 2 condition space."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_rng(rng)
-    return [_random_condition(pair, rng, sampling_hz) for _ in range(n)]
+    return [_random_condition(pair, rng) for _ in range(n)]
 
 
 def grid_anchor_conditions(
     pair,
     utilization: float,
     timeout_grid=(0.0, 0.5, 1.0, 2.0, 4.0),
-    sampling_hz: float = 1.0,
 ) -> list[RuntimeCondition]:
     """Conditions anchoring the corners of a policy-search grid.
 
@@ -85,12 +82,7 @@ def grid_anchor_conditions(
         vectors.add(tuple(hi if j == i else lo for j in range(k)))
     utils = (utilization,) * k
     return [
-        RuntimeCondition(
-            workloads=tuple(pair),
-            utilizations=utils,
-            timeouts=v,
-            sampling_hz=sampling_hz,
-        )
+        RuntimeCondition(workloads=tuple(pair), utilizations=utils, timeouts=v)
         for v in sorted(vectors)
     ]
 
@@ -106,7 +98,6 @@ def stratified_conditions(
     n_seeds: int | None = None,
     n_clusters: int = 4,
     pool_factor: int = 20,
-    sampling_hz: float = 1.0,
     rng=None,
 ) -> list[RuntimeCondition]:
     """Stratified sampling driven by seed-experiment EA clustering.
@@ -140,7 +131,7 @@ def stratified_conditions(
     rng = as_rng(rng)
     n_seeds = n_seeds if n_seeds is not None else max(n_clusters, n // 3)
     n_seeds = min(n_seeds, n)
-    seeds = [_random_condition(pair, rng, sampling_hz) for _ in range(n_seeds)]
+    seeds = [_random_condition(pair, rng) for _ in range(n_seeds)]
     if n_seeds == n:
         return seeds
 
@@ -158,10 +149,7 @@ def stratified_conditions(
     seed_params = np.stack([_condition_params(c) for c in seeds]) / span
 
     remaining = n - n_seeds
-    pool = [
-        _random_condition(pair, rng, sampling_hz)
-        for _ in range(pool_factor * remaining)
-    ]
+    pool = [_random_condition(pair, rng) for _ in range(pool_factor * remaining)]
     pool_params = np.stack([_condition_params(c) for c in pool]) / span
     nearest_seed = np.argmin(
         ((pool_params[:, None, :] - seed_params[None]) ** 2).sum(-1), axis=1
@@ -182,5 +170,5 @@ def stratified_conditions(
             out.append(pool[members.pop()])
         j += 1
         if j > k * (pool_factor * remaining + 1):  # pool exhausted
-            out.append(_random_condition(pair, rng, sampling_hz))
+            out.append(_random_condition(pair, rng))
     return out

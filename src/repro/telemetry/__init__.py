@@ -4,7 +4,7 @@ Observability layer for the STA pipeline (profile -> deep forest ->
 G/G/k STAP simulation -> timeout search).  Two primitives:
 
 - a process-wide **metrics registry** (:mod:`repro.telemetry.registry`)
-  of counters, gauges and fixed-bucket histograms/timers;
+  of counters, gauges and fixed-bucket histograms;
 - **span tracing** (:mod:`repro.telemetry.spans`): nested wall-time
   scopes over ``time.perf_counter`` with thread-safe aggregation.
 
@@ -51,7 +51,6 @@ __all__ = [
     "get_span_log",
     "histogram_observe",
     "span",
-    "timer",
 ]
 
 
@@ -124,15 +123,6 @@ def histogram_observe(name: str, value: float, edges=None) -> None:
     reg = _STATE.registry
     if reg is not None:
         reg.histogram_observe(name, value, edges=edges)
-
-
-def timer(name: str):
-    """``with telemetry.timer("stage.seconds"): ...`` — records into a
-    timer histogram, or does nothing while disabled."""
-    reg = _STATE.registry
-    if reg is None:
-        return NOOP_SPAN
-    return reg.timer(name)
 
 
 def span(name: str, **attrs):

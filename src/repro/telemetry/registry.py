@@ -1,20 +1,18 @@
-"""Process-wide metrics registry: counters, gauges, histograms, timers.
+"""Process-wide metrics registry: counters, gauges and histograms.
 
 The registry is the aggregation point of the telemetry subsystem.  All
 mutation goes through a single :class:`threading.Lock`, so concurrent
 threads never race.  Everything the registry stores is a plain
 float/int/list, so :meth:`MetricsRegistry.snapshot` is JSON-serializable.
-
-Telemetry never touches any RNG; the only clock it reads is
-``time.perf_counter`` (via :func:`MetricsRegistry.timer`).
+The registry touches no RNG and reads no clock: callers observe the
+values, durations included, that they measured themselves.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
-#: Default bucket edges (seconds) for timer histograms: 10 us .. 100 s.
+#: Default bucket edges (seconds) for duration histograms: 10 us .. 100 s.
 DEFAULT_TIME_EDGES: tuple[float, ...] = (
     1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0
 )
@@ -75,32 +73,11 @@ class Histogram:
         }
 
 
-class _Timer:
-    """Context manager recording one duration into a histogram metric."""
-
-    __slots__ = ("_registry", "_name", "_t0")
-
-    def __init__(self, registry: "MetricsRegistry", name: str):
-        self._registry = registry
-        self._name = name
-
-    def __enter__(self) -> "_Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self._registry.histogram_observe(
-            self._name, time.perf_counter() - self._t0
-        )
-        return False
-
-
 class MetricsRegistry:
     """Thread-safe process-wide metric store.
 
     Counters accumulate, gauges keep the last written value, histograms
-    bucket observations against fixed edges (timers are histograms of
-    seconds).  :meth:`snapshot` copies the whole registry into plain
+    bucket observations against fixed edges.  :meth:`snapshot` copies the whole registry into plain
     dicts for export.
     """
 
@@ -127,11 +104,6 @@ class MetricsRegistry:
                 hist = Histogram(edges if edges is not None else DEFAULT_TIME_EDGES)
                 self._histograms[name] = hist
             hist.observe(value)
-
-    def timer(self, name: str) -> _Timer:
-        """``with registry.timer("stage.seconds"): ...`` records one
-        wall-time observation (perf_counter) into histogram ``name``."""
-        return _Timer(self, name)
 
     # -- read ------------------------------------------------------------------
 

@@ -127,11 +127,6 @@ class SpanLog:
         with self._lock:
             self.records.append(record)
 
-    def current(self) -> Span | None:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
-
     def snapshot(self) -> list[dict]:
         with self._lock:
             return [r.to_dict() for r in self.records]

@@ -140,13 +140,9 @@ class CollocationConfig:
         """Per-service private ways (uniform layouts only)."""
         if not self.is_uniform:
             raise ValueError(
-                "layout has per-service private sizes; use private_ways_list"
+                "layout has per-service private sizes; use private_bytes_per_service"
             )
         return self._private_ways_list[0]
-
-    @property
-    def private_ways_list(self) -> list[int]:
-        return list(self._private_ways_list)
 
     @property
     def shared_ways(self) -> int:

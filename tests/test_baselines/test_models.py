@@ -1,4 +1,4 @@
-"""Tests for the baseline models: ridge, decision tree, MLP, CNN."""
+"""Tests for the baseline models: ridge, decision tree, CNN."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import (
     CNNRegressor,
     DecisionTreeBaseline,
-    MLPRegressor,
     RidgeRegression,
 )
 from repro.baselines.cnn import CNNHyperParams
@@ -59,45 +58,6 @@ class TestDecisionTree:
         assert 1 <= m.depth <= 4
 
 
-class TestMLP:
-    def test_learns_nonlinear(self):
-        r = np.random.default_rng(4)
-        X = r.uniform(-1, 1, size=(400, 2))
-        y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2
-        m = MLPRegressor(hidden=(32,), epochs=150, rng=0).fit(X, y)
-        assert np.mean((m.predict(X) - y) ** 2) < 0.1 * np.var(y)
-
-    def test_loss_decreases(self):
-        r = np.random.default_rng(5)
-        X = r.normal(size=(200, 3))
-        y = X[:, 0] * 2
-        m = MLPRegressor(hidden=(16,), epochs=50, rng=0).fit(X, y)
-        assert m.loss_history_[-1] < m.loss_history_[0]
-
-    def test_seed_variation(self):
-        """Back-prop models vary across seeds — the Figure 5 phenomenon."""
-        r = np.random.default_rng(6)
-        X = r.uniform(size=(150, 3))
-        y = X[:, 0] + np.sin(5 * X[:, 1])
-        p1 = MLPRegressor(hidden=(8,), epochs=20, rng=1).fit(X, y).predict(X)
-        p2 = MLPRegressor(hidden=(8,), epochs=20, rng=2).fit(X, y).predict(X)
-        assert not np.allclose(p1, p2)
-
-    def test_dropout_path(self):
-        r = np.random.default_rng(7)
-        X = r.normal(size=(100, 4))
-        y = X[:, 0]
-        m = MLPRegressor(hidden=(16,), epochs=20, dropout=0.3, rng=0).fit(X, y)
-        # Inference is deterministic (dropout disabled).
-        assert np.array_equal(m.predict(X), m.predict(X))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MLPRegressor(epochs=0)
-        with pytest.raises(RuntimeError):
-            MLPRegressor().predict(np.zeros((1, 2)))
-
-
 class TestCNN:
     def _trace_data(self, n=80, rng=0):
         r = np.random.default_rng(rng)
@@ -143,8 +103,3 @@ def test_ridge_coefficients_need_a_fit():
     with pytest.raises(RuntimeError, match="not fitted"):
         RidgeRegression().coef_
 
-
-@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
-def test_mlp_rejects_dropout_rate_outside_unit_interval(rate):
-    with pytest.raises(ValueError, match="dropout"):
-        MLPRegressor(epochs=1, dropout=rate, rng=0)

@@ -1,9 +1,9 @@
-"""Tests for the minibatch trainer the NumPy networks share."""
+"""Tests for the minibatch trainer, through the CNN built on it."""
 
 import numpy as np
 import pytest
 
-from repro.baselines import CNNRegressor, MLPRegressor
+from repro.baselines import CNNRegressor
 from repro.baselines.cnn import CNNHyperParams
 from repro.baselines.mlp import Adam
 
@@ -14,27 +14,19 @@ TRACES = _r.normal(size=(N, 4, 6))
 Y = X[:, 0] + TRACES[:, 1].mean(axis=1)
 
 
-def _mlp(**kw):
-    return MLPRegressor(hidden=(8, 4), rng=0, **kw)
-
-
 def _cnn(**kw):
     return CNNRegressor(CNNHyperParams(n_filters=2, hidden=4, **kw), rng=0)
 
 
-# name -> (factory, the data its fit takes, in order)
-NETWORKS = {
-    "mlp": (_mlp, ("X", "y")),
-    "cnn": (_cnn, ("X_flat", "traces", "y")),
-}
-DATA = {"X": X, "X_flat": X, "traces": TRACES, "y": Y}
+#: The data the CNN's fit takes, in order.
+FIELDS = ("X_flat", "traces", "y")
+DATA = {"X_flat": X, "traces": TRACES, "y": Y}
 
 
-@pytest.mark.parametrize("name", NETWORKS)
-def test_one_adam_step_moves_every_parameter_by_lr(name, monkeypatch):
+def test_one_adam_step_moves_every_parameter_by_lr(monkeypatch):
     """Adam's first step moves each weight by ``lr`` against its
     gradient.  A clock advanced once per layer instead of once per
-    minibatch shrank later layers' steps (the MLP head moved ~0.55 lr)."""
+    minibatch shrank later layers' steps (a dense head moved ~0.55 lr)."""
     steps = []
     real_step = Adam.step
 
@@ -45,9 +37,8 @@ def test_one_adam_step_moves_every_parameter_by_lr(name, monkeypatch):
         steps.append([(p - b, g) for (p, g), b in zip(pairs, before)])
 
     monkeypatch.setattr(Adam, "step", spy)
-    make, fields = NETWORKS[name]
     lr = 1e-2
-    make(epochs=1, batch_size=N, lr=lr).fit(*(DATA[f] for f in fields))
+    _cnn(epochs=1, batch_size=N, lr=lr).fit(*(DATA[f] for f in FIELDS))
     assert len(steps) == 1
     for move, grad in steps[0]:
         big = np.abs(grad) > 1e-3
@@ -63,38 +54,43 @@ def test_adam_rejects_bad_lr(lr):
 
 
 @pytest.mark.parametrize("lr", [np.nan, np.inf])
-@pytest.mark.parametrize("name", NETWORKS)
-def test_networks_reject_non_finite_lr(name, lr):
+def test_network_rejects_non_finite_lr(lr):
     with pytest.raises(ValueError, match="lr"):
-        NETWORKS[name][0](lr=lr)
+        _cnn(lr=lr)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "name, field", [(n, f) for n, (_, fields) in NETWORKS.items() for f in fields]
-)
-def test_fit_rejects_non_finite_values(name, field, bad):
-    make, fields = NETWORKS[name]
+@pytest.mark.parametrize("field", FIELDS)
+def test_fit_rejects_non_finite_values(field, bad):
     data = dict(DATA, **{field: DATA[field].copy()})
     data[field].flat[5] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        make(epochs=1).fit(*(data[f] for f in fields))
+        _cnn(epochs=1).fit(*(data[f] for f in FIELDS))
 
 
 @pytest.mark.parametrize(
-    "name, field, bad",
+    "field, bad",
     [
-        ("mlp", "X", X[:, 0]),  # 1-D features
-        ("mlp", "X", X[:-1]),  # one row short of y
-        ("cnn", "traces", TRACES[:, 0]),  # 2-D traces
-        ("cnn", "X_flat", X[:-1]),
+        ("traces", TRACES[:, 0]),  # 2-D traces
+        ("X_flat", X[:, 0]),  # 1-D features
+        ("X_flat", X[:-1]),  # one row short of y
     ],
 )
-def test_fit_rejects_bad_shapes(name, field, bad):
-    make, fields = NETWORKS[name]
+def test_fit_rejects_bad_shapes(field, bad):
     data = dict(DATA, **{field: bad})
     with pytest.raises(ValueError, match=f"bad shapes: {field}"):
-        make(epochs=1).fit(*(data[f] for f in fields))
+        _cnn(epochs=1).fit(*(data[f] for f in FIELDS))
+
+
+def test_predict_needs_a_fit():
+    with pytest.raises(RuntimeError, match="not fitted"):
+        _cnn().predict(X, TRACES)
+
+
+def test_loss_history_has_one_mean_loss_per_epoch():
+    model = _cnn(epochs=30, lr=1e-2).fit(X, TRACES, Y)
+    assert len(model.loss_history_) == 30
+    assert model.loss_history_[-1] < model.loss_history_[0]
 
 
 @pytest.mark.parametrize("fit_flat", [True, False])

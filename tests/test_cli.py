@@ -5,6 +5,16 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: ``repro simulate --pair redis knn`` with every other flag at its default
+#: (trailing blanks stripped).
+DEFAULT_TABLE = """\
+Collocation on e5-2683 at 90% load (response times relative to each service's baseline)
+service | mean RT | p50   | p95   | boost frac | EA
+--------+---------+-------+-------+------------+------
+redis   | 2.502   | 2.180 | 5.585 | 0.000      | 0.500
+knn     | 2.958   | 2.212 | 7.812 | 0.000      | 0.500
+"""
+
 
 class TestInfoCommands:
     def test_workloads(self, capsys):
@@ -66,6 +76,25 @@ class TestSimulate:
         )
         assert rc == 2
 
+    def test_default_table(self, capsys):
+        """The run goes through the profiling harness (default layout,
+        warmup and seed) and prints the table it always printed."""
+        assert main(["simulate", "--pair", "redis", "knn"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line.rstrip() for line in out] == DEFAULT_TABLE.splitlines()
+
+    def test_query_count_checked_by_the_settings(self, capsys):
+        rc = main(["simulate", "--pair", "redis", "knn", "--queries", "0"])
+        assert rc == 2
+        assert "n_queries must be >= 1" in capsys.readouterr().err
+
+    def test_zero_private_reservation_rejected(self, capsys):
+        """A 0 MB reservation would still get one way per service; the
+        profiler settings reject it, as they do for a campaign."""
+        rc = main(["simulate", "--pair", "redis", "knn", "--private-mb", "0"])
+        assert rc == 2
+        assert "private_mb must be finite and > 0" in capsys.readouterr().err
+
 
 class TestNumericArguments:
     """Non-finite or out-of-range numbers are usage errors (exit 2)
@@ -101,8 +130,7 @@ class TestNumericArguments:
         assert "argument --timeouts" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,value",
-        [("--utilization", "0.5"), ("--private-mb", "0"), ("--shared-mb", "0")],
+        "flag,value", [("--utilization", "0.5"), ("--shared-mb", "0")]
     )
     def test_boundary_values_accepted(self, flag, value, capsys):
         rc = main(
@@ -253,8 +281,8 @@ class TestReservationFlags:
             ]
         )
         assert rc == 0
-        for reservation in (built["Profiler"].settings, built["StacModel"]):
-            assert (reservation.private_mb, reservation.shared_mb) == (4.0, 0.0)
+        for settings in (built["Profiler"].settings, built["StacModel"].settings):
+            assert (settings.private_mb, settings.shared_mb) == (4.0, 0.0)
         # The testbed truth is laid out by the very dataset Stage 1
         # profiled, not by a second reading of the flags.
         assert arguments["RuntimeEvaluator"][0] is profiled[0]

@@ -24,8 +24,8 @@ from repro.counters.events import synthesize_ticks
 def boosted_capacity_oracle(model, specs, j, boost_fractions) -> float:
     """Expected LLC bytes for service ``j`` while it holds its boost."""
     mb = 1024 * 1024
-    private = model.private_mb * mb
-    shared = model.shared_mb * mb
+    private = model.settings.private_mb * mb
+    shared = model.settings.shared_mb * mb
     n = len(specs)
     adjacent = [k for k in (j - 1, j + 1) if 0 <= k < n]
     cap = private
@@ -43,8 +43,9 @@ def boosted_capacity_oracle(model, specs, j, boost_fractions) -> float:
 def nominal_trace_oracle(model, specs, target, utils, boost_fractions) -> np.ndarray:
     """(n_blocks * N_COUNTERS, trace_ticks) nominal trace of one service."""
     mb = 1024 * 1024
-    private = model.private_mb * mb
-    dt = 1.0 / model.sampling_hz
+    private = model.settings.private_mb * mb
+    dt = 1.0 / model.settings.sampling_hz
+    n_ticks = model.settings.trace_ticks
     n = len(specs)
     if n == 1:
         order = [target]
@@ -56,11 +57,11 @@ def nominal_trace_oracle(model, specs, target, utils, boost_fractions) -> np.nda
         cap_boost = boosted_capacity_oracle(model, specs, j, boost_fractions)
         bf = float(boost_fractions[j])
         boosted_ticks = {
-            int(round(k * model.trace_ticks / max(1, round(bf * model.trace_ticks))))
-            for k in range(int(round(bf * model.trace_ticks)))
+            int(round(k * n_ticks / max(1, round(bf * n_ticks))))
+            for k in range(int(round(bf * n_ticks)))
         }
-        boosted = np.zeros(model.trace_ticks, dtype=bool)
-        boosted[[t for t in boosted_ticks if t < model.trace_ticks]] = True
+        boosted = np.zeros(n_ticks, dtype=bool)
+        boosted[[t for t in boosted_ticks if t < n_ticks]] = True
         cap = np.where(boosted, cap_boost, private)
         ticks = synthesize_ticks(
             spec,

@@ -6,8 +6,6 @@ from the same :class:`CollocationConfig` the testbed runs, so they hold
 whole LLC ways even where a megabyte reservation is not one.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -26,11 +24,9 @@ CONDITIONS = [
 ]
 
 
-def _profile(machine, private_mb, shared_mb, conditions=CONDITIONS, trace_ticks=8):
+def _profile(machine, private_mb, shared_mb, conditions=CONDITIONS, **kw):
     settings = ProfilerSettings(
-        n_queries=150,
-        n_windows=2,
-        trace_ticks=trace_ticks,
+        **{"n_queries": 150, "n_windows": 2, "trace_ticks": 8, **kw},
         private_mb=private_mb,
         shared_mb=shared_mb,
     )
@@ -133,9 +129,9 @@ class TestLayoutAdoption:
         model = _model(e5_2650_dataset)
         machine = get_machine("e5-2650")
         assert model.machine == machine
-        assert (model.private_mb, model.shared_mb) == (3.0, 1.5)
+        assert model.settings is e5_2650_dataset.settings
+        assert (model.settings.private_mb, model.settings.shared_mb) == (3.0, 1.5)
         assert model.rt_model.n_servers == machine.cores_per_service
-        assert model.trace_ticks == 8
 
     def test_executors_per_service_reach_stage3(self, monkeypatch):
         machine = XeonSpec(
@@ -163,21 +159,44 @@ class TestLayoutAdoption:
         with pytest.raises(ValueError, match="layout"):
             model.predict_rows(unshared)
 
-    @pytest.mark.parametrize("hz,ticks", [(1.0, 12), (0.5, 8)], ids=["ticks", "rate"])
-    def test_predict_rows_rejects_other_sampling(self, unshared, hz, ticks):
-        """Rows traced at another tick count or rate would feed the EA
-        model inputs unlike those it was fitted on."""
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"machine": get_machine("e5-2650")},
+            {"private_mb": 3.0},
+            {"shared_mb": 1.5},
+            {"trace_ticks": 12},
+            {"sampling_hz": 0.5},
+        ],
+        ids=lambda d: next(iter(d)),
+    )
+    def test_predict_rows_rejects_each_other_layout_value(self, unshared, other):
+        """Rows of another machine or reservation, or traced at another
+        tick count or rate, would feed the EA model inputs unlike those
+        it was fitted on, and Stage 3 another layout."""
         model = _model(unshared)
-        model.predict_rows(_profile(default_machine(), 2.0, 0.0, CONDITIONS[:1]))
-        conditions = [replace(CONDITIONS[0], sampling_hz=hz)]
-        rows = _profile(default_machine(), 2.0, 0.0, conditions, trace_ticks=ticks)
+        same = dict(machine=default_machine(), private_mb=2.0, shared_mb=0.0)
+        model.predict_rows(_profile(**same, conditions=CONDITIONS[:1]))
+        rows = _profile(**{**same, **other}, conditions=CONDITIONS[:1])
         with pytest.raises(ValueError, match="layout"):
             model.predict_rows(rows)
 
-    def test_fit_rejects_per_service_private_mb(self):
-        rows = _profile(default_machine(), [2.0, 4.0], 2.0, CONDITIONS[:1])
-        with pytest.raises(ValueError, match="per-service private_mb"):
-            _model(rows)
+    @pytest.mark.parametrize(
+        "other",
+        [
+            {"n_queries": 300},
+            {"n_windows": 3},
+            {"counter_noise": 0.0},
+            {"warmup_fraction": 0.2},
+        ],
+        ids=lambda d: next(iter(d)),
+    )
+    def test_predict_rows_accepts_other_campaign_sizes(self, unshared, other):
+        """Query count, window count, noise and warmup are not layout:
+        test conditions may be profiled at more queries."""
+        model = _model(unshared)
+        rows = _profile(default_machine(), 2.0, 0.0, CONDITIONS[:1], **other)
+        assert np.all(np.isfinite(model.predict_rows(rows)["rt_mean"]))
 
     @pytest.mark.parametrize(
         "option,value",

@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import EAModel, StacModel
 from repro.core.ea_model import LEARNERS
-from repro.core.profile_vec import ProfileDataset
 from repro.forest import DeepForestRegressor
 
 #: Which dataset field each ProfileRow attribute feeds.
@@ -30,7 +29,8 @@ ROW_FIELD_TO_INPUT = {
 
 
 def _corrupt(dataset, row_field, value, row=0):
-    """A copy of ``dataset`` with one entry of one row set to ``value``."""
+    """A copy of ``dataset`` (layout included) with one entry of one row
+    set to ``value``."""
     rows = list(dataset.rows)
     r = rows[row]
     if row_field == "ea":
@@ -39,7 +39,7 @@ def _corrupt(dataset, row_field, value, row=0):
         arr = np.array(getattr(r, row_field), dtype=float)
         arr.flat[arr.size // 2] = value
         rows[row] = replace(r, **{row_field: arr})
-    return ProfileDataset(rows=rows)
+    return replace(dataset, rows=rows)
 
 
 class TestOverrideKeys:

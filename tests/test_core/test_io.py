@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import ProfileDataset
+from repro.core import ProfileDataset, RuntimeCondition
 from repro.core.io import load_dataset, save_dataset
-from repro.core.profiler import ProfilerSettings
+from repro.core.profiler import Profiler, ProfilerSettings
 
 
 class TestDatasetRoundtrip:
@@ -64,7 +64,8 @@ class TestDatasetRoundtrip:
 
 
 class TestLayoutHeader:
-    """Version 2 headers record the layout the rows were profiled on."""
+    """Version 3 headers record the layout the rows were profiled on,
+    the counter sampling rate in the profiler settings."""
 
     def test_layout_roundtrip(self, e5_2650_dataset, tmp_path):
         path = tmp_path / "layout.npz"
@@ -72,7 +73,23 @@ class TestLayoutHeader:
         loaded = load_dataset(path)
         assert loaded.machine == e5_2650_dataset.machine
         assert loaded.settings == e5_2650_dataset.settings
-        assert _header(path)["version"] == 2
+        assert _header(path)["version"] == 3
+
+    def test_sampling_rate_roundtrip(self, tmp_path):
+        settings = ProfilerSettings(
+            n_queries=100, n_windows=1, trace_ticks=8, sampling_hz=0.2
+        )
+        condition = RuntimeCondition(("redis", "knn"), (0.6, 0.7), (0.5, 1.0))
+        dataset = Profiler(settings=settings, rng=0).profile([condition])
+        path = tmp_path / "slow.npz"
+        save_dataset(path, dataset)
+        loaded = load_dataset(path)
+        assert loaded.settings == settings
+        assert loaded.settings.sampling_hz == 0.2
+        assert np.array_equal(loaded.traces, dataset.traces)
+        # Conditions carry no rate of their own.
+        (entry,) = _header(path)["conditions"]
+        assert sorted(entry) == ["timeouts", "utilizations", "workloads"]
 
     def test_numpy_valued_layout_saves(self, small_dataset, tmp_path):
         settings = ProfilerSettings(
@@ -87,7 +104,20 @@ class TestLayoutHeader:
         save_dataset(path, small_dataset)
         # A version-1 header has no machine or settings entry.
         _rewrite_header(path, version=1, drop=("machine", "settings"))
-        with pytest.raises(ValueError, match="does not record its layout"):
+        with pytest.raises(ValueError, match="version-1 .* profile it again"):
+            load_dataset(path)
+
+    def test_version_2_rejected(self, small_dataset, tmp_path):
+        path = tmp_path / "v2.npz"
+        save_dataset(path, small_dataset)
+        # A version-2 header keeps the rate in each condition, not in
+        # the settings.
+        header = _header(path)
+        del header["settings"]["sampling_hz"]
+        for entry in header["conditions"]:
+            entry["sampling_hz"] = 1.0
+        _rewrite_header(path, **dict(header, version=2))
+        with pytest.raises(ValueError, match="version-2 .* profile it again"):
             load_dataset(path)
 
 
@@ -110,6 +140,6 @@ def _rewrite_header(path, drop=(), **changes) -> None:
 def test_unknown_dataset_version_rejected(small_dataset, tmp_path):
     path = tmp_path / "d.npz"
     save_dataset(path, small_dataset)
-    _rewrite_header(path, version=3)
-    with pytest.raises(ValueError, match="unsupported dataset version 3"):
+    _rewrite_header(path, version=4)
+    with pytest.raises(ValueError, match="unsupported dataset version 4"):
         load_dataset(path)

@@ -2,12 +2,13 @@
 chain-neighbour conventions."""
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import RuntimeCondition, StacModel
+from repro.core import ProfileDataset, RuntimeCondition, StacModel
 from repro.core import pipeline as pipeline_module
 from repro.core.profile_vec import chain_partner
 from repro.core.profiler import Profiler, ProfilerSettings
@@ -226,18 +227,25 @@ class TestInputBoundary:
         with pytest.raises(ValueError, match="n_jobs"):
             StacModel(n_jobs=value)
 
+    def test_fit_rejects_an_empty_dataset(self):
+        with pytest.raises(ValueError, match="dataset is empty"):
+            StacModel(learner="linear").fit(ProfileDataset())
 
-def _profile_at(rates):
-    """One small jacobi/bfs profile with one condition per rate."""
+    def test_predict_rows_rejects_an_empty_dataset(self, model):
+        with pytest.raises(ValueError, match="dataset is empty"):
+            model.predict_rows(ProfileDataset())
+
+
+@functools.cache
+def _profile_at(hz):
+    """One small jacobi/bfs profile of two conditions sampled at ``hz``."""
     conditions = [
-        RuntimeCondition(("jacobi", "bfs"), (u, 0.5), (1.0, 1.0), sampling_hz=hz)
-        for u, hz in zip((0.4, 0.6), rates)
+        RuntimeCondition(("jacobi", "bfs"), (u, 0.5), (1.0, 1.0)) for u in (0.4, 0.6)
     ]
-    profiler = Profiler(
-        settings=ProfilerSettings(n_queries=200, n_windows=2, trace_ticks=20),
-        rng=1,
+    settings = ProfilerSettings(
+        n_queries=200, n_windows=2, trace_ticks=20, sampling_hz=hz
     )
-    return conditions, profiler.profile(conditions)
+    return conditions, Profiler(settings=settings, rng=1).profile(conditions)
 
 
 class TestSamplingRateAdoption:
@@ -246,12 +254,12 @@ class TestSamplingRateAdoption:
     length as the traces the EA model was trained on."""
 
     def test_fit_adopts_dataset_rate(self):
-        _, ds = _profile_at((0.2, 0.2))
+        _, ds = _profile_at(0.2)
         m = StacModel(rng=0, learner="linear", sim_queries=500).fit(ds)
-        assert m.sampling_hz == 0.2
+        assert m.settings.sampling_hz == 0.2
 
     def test_nominal_traces_match_profiled_scale(self):
-        conditions, ds = _profile_at((0.2, 0.2))
+        conditions, ds = _profile_at(0.2)
         m = StacModel(rng=0, learner="linear", sim_queries=500).fit(ds)
         nominal = np.concatenate(
             [p.traces.ravel() for p in m.predict_conditions(conditions)]
@@ -261,7 +269,10 @@ class TestSamplingRateAdoption:
         # A 1 Hz synthesizer on a 0.2 Hz profile lands near 0.2.
         assert 0.67 < ratio < 1.5
 
-    def test_mixed_rates_raise(self):
-        _, ds = _profile_at((0.2, 1.0))
-        with pytest.raises(ValueError, match="sampling_hz"):
-            StacModel(rng=0, learner="linear").fit(ds)
+    def test_fit_checks_traces_against_the_settings_tick_count(self):
+        """The tick count comes from the settings, so rows traced at
+        another count than the settings record are rejected."""
+        _, ds = _profile_at(1.0)
+        wrong = replace(ds, settings=replace(ds.settings, trace_ticks=12))
+        with pytest.raises(ValueError, match="trace_ticks=12"):
+            StacModel(rng=0, learner="linear").fit(wrong)

@@ -5,7 +5,14 @@ import pytest
 
 from repro.core import RuntimeCondition
 from repro.core.profiler import Profiler, ProfilerSettings, _boost_overlap
+from repro.core.sampling import (
+    grid_anchor_conditions,
+    stratified_conditions,
+    uniform_conditions,
+)
 from repro.testbed import SegmentTable
+
+PAIR = ("redis", "knn")
 
 
 def _table(times, boosted):
@@ -115,7 +122,12 @@ class TestSettingsValidation:
             {"private_mb": float("inf")},
             {"private_mb": 0.0},
             {"private_mb": -1.0},
+            {"private_mb": [2.0, 3.0]},
             {"private_mb": [2.0, float("inf")]},
+            {"sampling_hz": float("nan")},
+            {"sampling_hz": float("inf")},
+            {"sampling_hz": 0.0},
+            {"sampling_hz": -1.0},
             {"shared_mb": float("nan")},
             {"shared_mb": float("inf")},
             {"shared_mb": -1.0},
@@ -130,12 +142,24 @@ class TestSettingsValidation:
         ProfilerSettings(
             counter_noise=0.0, warmup_fraction=0.0, private_mb=0.5, shared_mb=0.0
         )
-        ProfilerSettings(private_mb=[2.0, 3.0], trace_ticks=1)
+        ProfilerSettings(trace_ticks=1, sampling_hz=1e-3)
 
-    @pytest.mark.parametrize("hz", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_bad_sampling_rate_rejected(self, hz):
-        with pytest.raises(ValueError, match="sampling_hz"):
-            RuntimeCondition(("redis", "knn"), (0.8, 0.8), (0.5, 0.5), hz)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RuntimeCondition(PAIR, (0.8, 0.8), (0.5, 0.5), sampling_hz=1.0),
+            lambda: uniform_conditions(PAIR, 2, sampling_hz=1.0),
+            lambda: grid_anchor_conditions(PAIR, 0.9, sampling_hz=1.0),
+            lambda: stratified_conditions(
+                PAIR, 2, measure_ea=lambda c: np.ones(2), sampling_hz=1.0
+            ),
+        ],
+        ids=["RuntimeCondition", "uniform", "grid_anchor", "stratified"],
+    )
+    def test_sampling_rate_is_not_a_condition_option(self, make):
+        """The rate is one value per campaign, a ProfilerSettings field."""
+        with pytest.raises(TypeError, match="sampling_hz"):
+            make()
 
     def test_nan_timeout_rejected(self):
         with pytest.raises(ValueError, match="timeouts"):

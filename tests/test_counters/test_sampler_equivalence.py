@@ -6,6 +6,8 @@ sums its pieces in sweep order and the batched noise draw consumes the
 RNG in tick order, so no tolerance is needed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -27,18 +29,19 @@ SETTINGS = ProfilerSettings(n_queries=240, n_windows=3, trace_ticks=12)
 FIELDS = ("X_flat", "traces", "y_ea", "y_rt_mean", "y_rt_p95")
 
 
-def _conditions(workloads, hz):
-    conds = uniform_conditions(workloads[:2], n=2, sampling_hz=hz, rng=4)
+def _conditions(workloads):
+    conds = uniform_conditions(workloads[:2], n=2, rng=4)
     if len(workloads) == 2:
         return conds
     return [
-        RuntimeCondition(workloads, (0.8, 0.7, 0.75), (0.5, 1.0, 0.0), hz),
-        RuntimeCondition(workloads, (0.6, 0.85, 0.7), (np.inf, 0.3, 1.5), hz),
+        RuntimeCondition(workloads, (0.8, 0.7, 0.75), (0.5, 1.0, 0.0)),
+        RuntimeCondition(workloads, (0.6, 0.85, 0.7), (np.inf, 0.3, 1.5)),
     ]
 
 
-def _profile(conditions):
-    return Profiler(settings=SETTINGS, rng=3).profile(conditions)
+def _profile(conditions, hz=1.0):
+    settings = replace(SETTINGS, sampling_hz=hz)
+    return Profiler(settings=settings, rng=3).profile(conditions)
 
 
 def _assert_same(a, b):
@@ -52,11 +55,11 @@ def _assert_same(a, b):
     "workloads", [("redis", "knn"), ("redis", "knn", "jacobi")], ids=["pair", "chain"]
 )
 def test_profile_matches_oracle(monkeypatch, workloads, hz):
-    conditions = _conditions(workloads, hz)
-    fast = _profile(conditions)
+    conditions = _conditions(workloads)
+    fast = _profile(conditions, hz)
     with monkeypatch.context() as m:
         patch_profiler(m)
-        slow = _profile(conditions)
+        slow = _profile(conditions, hz)
     _assert_same(fast, slow)
 
 

@@ -207,11 +207,6 @@ class TestEvaluatorConstruction:
         with pytest.raises(ValueError, match="utilization"):
             RuntimeEvaluator(ProfileDataset(), PAIR, utilization=utilization)
 
-    def test_per_service_private_reservation_rejected(self):
-        profile = ProfileDataset(settings=ProfilerSettings(private_mb=[2.0, 3.0]))
-        with pytest.raises(ValueError, match="uniform reservations only"):
-            RuntimeEvaluator(profile, PAIR)
-
     @pytest.mark.parametrize(
         "option", ["machine", "specs", "private_mb", "shared_mb"]
     )

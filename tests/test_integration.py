@@ -147,15 +147,13 @@ class TestNumericalRobustness:
         """0.2 Hz sampling on short windows produces heavy zero padding
         without breaking feature extraction."""
         profiler = Profiler(
-            settings=ProfilerSettings(n_queries=200, n_windows=4, trace_ticks=20),
+            settings=ProfilerSettings(
+                n_queries=200, n_windows=4, trace_ticks=20, sampling_hz=0.2
+            ),
             rng=7,
         )
         ds = profiler.profile(
-            [
-                RuntimeCondition(
-                    ("jacobi", "bfs"), (0.5, 0.5), (1.0, 1.0), sampling_hz=0.2
-                )
-            ]
+            [RuntimeCondition(("jacobi", "bfs"), (0.5, 0.5), (1.0, 1.0))]
         )
         # Most ticks are padding; the model must still fit.
         zero_frac = float((ds.traces == 0).mean())

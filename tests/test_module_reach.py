@@ -12,6 +12,7 @@ module only its own tests import is an orphan.
 import ast
 import importlib
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -199,33 +200,58 @@ def _docstrings(tree: ast.AST) -> set[int]:
     }
 
 
-def _names_read(path: Path) -> set[str]:
-    """Every name ``path`` reads: variables, attributes, names imported
-    and identifiers inside strings (``getattr`` targets, probe specs).
-    A package ``__init__`` re-export, an ``__all__`` entry and a
-    docstring are not reads."""
+def _owners(tree: ast.AST, module: str) -> dict[int, set[str]]:
+    """``id`` of every node inside a top-level function or class of
+    ``tree``, or a method of such a class, to the ``module:name`` (and
+    ``module:Class.method``) of each definition whose body holds it."""
+    owners: dict[int, set[str]] = {}
+
+    def claim(node, key):
+        for n in ast.walk(node):
+            owners.setdefault(id(n), set()).add(key)
+
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            claim(node, f"{module}:{node.name}")
+            for m in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(m, ast.FunctionDef):
+                    claim(m, f"{module}:{node.name}.{m.name}")
+    return owners
+
+
+def _names_read(path: Path) -> set[tuple[str, frozenset[str]]]:
+    """Every name ``path`` reads (variables, attributes, names imported
+    and identifiers inside strings: ``getattr`` targets, probe specs),
+    each with the definitions whose body the read sits in.  A package
+    ``__init__`` re-export, an ``__all__`` entry and a docstring are
+    not reads."""
     tree = ast.parse(path.read_text())
+    owners = _owners(tree, _module_name(path) if path.is_relative_to(SRC) else "")
     skip = _docstrings(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             skip |= {id(n) for n in ast.walk(node.value)}
-    names: set[str] = set()
+    reads: set[tuple[str, frozenset[str]]] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            names = [node.id]
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            names = [node.attr]
         elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
-            names.update(a.name for a in node.names)
+            names = [a.name for a in node.names]
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and id(node) not in skip
         ):
-            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
-    return names
+            names = re.findall(r"[A-Za-z_]\w*", node.value)
+        else:
+            continue
+        where = frozenset(owners.get(id(node), ()))
+        reads.update((name, where) for name in names)
+    return reads
 
 
 def public_definitions() -> set[str]:
@@ -250,15 +276,21 @@ def public_definitions() -> set[str]:
 
 
 def unnamed_definitions() -> set[str]:
-    """Public definitions whose name no code outside ``tests/`` reads.
+    """Public definitions whose name no code outside ``tests/`` reads,
+    reads inside the definition's own body aside.
 
     This is a name scan: a method counts as named when an attribute of
     that name is read on any object, so the scan errs toward "named".
     """
-    read: set[str] = set()
+    readers: dict[str, list[frozenset[str]]] = {}
     for path in [*(SRC / "repro").rglob("*.py"), *ENTRY_SCRIPTS]:
-        read |= _names_read(path)
-    return {d for d in public_definitions() if re.split("[:.]", d)[-1] not in read}
+        for name, where in _names_read(path):
+            readers.setdefault(name, []).append(where)
+    return {
+        d
+        for d in public_definitions()
+        if all(d in where for where in readers.get(re.split("[:.]", d)[-1], ()))
+    }
 
 
 def test_every_public_definition_is_named_outside_tests():
@@ -273,3 +305,47 @@ def test_every_exemption_is_still_needed():
     one whose definition was deleted or gained a caller is removed."""
     stale = set(EXEMPT) - unnamed_definitions()
     assert not stale, sorted(stale)
+
+
+def _reads_of(tmp_path, source: str) -> set[tuple[str, frozenset[str]]]:
+    path = tmp_path / "probe.py"
+    path.write_text(textwrap.dedent(source))
+    return _names_read(path)
+
+
+def test_reads_inside_a_definition_belong_to_it(tmp_path):
+    """A return annotation naming its own class and a call of a
+    same-named method inside a function do not name them elsewhere."""
+    reads = _reads_of(
+        tmp_path,
+        '''
+        class Net:
+            def fit(self) -> "Net":
+                return self
+
+        def timer():
+            return registry.timer()
+        ''',
+    )
+    assert {where for name, where in reads if name in ("Net", "timer")} == {
+        frozenset({":Net", ":Net.fit"}),
+        frozenset({":timer"}),
+    }
+
+
+def test_a_sibling_method_or_the_module_names_a_definition(tmp_path):
+    reads = _reads_of(
+        tmp_path,
+        """
+        class Log:
+            def current(self):
+                return None
+
+            def use(self):
+                return self.current()
+
+        Log()
+        """,
+    )
+    assert ("current", frozenset({":Log", ":Log.use"})) in reads
+    assert ("Log", frozenset()) in reads

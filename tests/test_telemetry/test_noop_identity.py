@@ -113,7 +113,7 @@ class TestQueueKernelIdentity:
         telemetry.configure()
         on = simulate_stap_queue(arrivals[1], demands[1], configs[1])
         _assert_same_result(off, on)
-        # The run is observed through its counters and its timer.
+        # The run is observed through its counters and its duration histogram.
         reg = telemetry.get_registry()
         assert reg.counter("queue.runs") == 1
         assert reg.counter("queue.queries_simulated") == arrivals.shape[1]

@@ -35,8 +35,8 @@ class TestAsymmetricConfig:
     def test_per_service_sizes(self):
         cfg = make_config([4.0, 2.0])
         assert not cfg.is_uniform
-        assert cfg.private_ways_list == [2, 1]
-        assert np.allclose(
+        # 4 MB and 2 MB are two ways and one way of 2 MB each.
+        assert np.array_equal(
             cfg.private_bytes_per_service, [4 * 1024 * 1024, 2 * 1024 * 1024]
         )
 
