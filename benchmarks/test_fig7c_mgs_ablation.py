@@ -8,11 +8,13 @@ slower sampling costs a little, and tiny forests degrade toward the
 queue-model baseline.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from benchmarks.conftest import print_block
 from repro.analysis import format_table, median_ape
-from repro.core import EAModel, ProfileDataset
+from repro.core import EAModel
 from repro.core.profile_vec import ProfileRow
 from repro.core.profiler import Profiler, ProfilerSettings
 from repro.core.sampling import uniform_conditions
@@ -64,7 +66,7 @@ def _shuffle_counters(dataset, rng=0):
                 rt_p95=r.rt_p95,
             )
         )
-    return ProfileDataset(rows=rows)
+    return replace(dataset, rows=rows)
 
 
 def _ea_error(train, test, **overrides):

@@ -6,21 +6,29 @@ condition of the per-query ``heapq`` loop the serial kernel used to be
 (``tests/test_queueing/ggk_oracle.py``), one call per condition of the
 shipped scalar serial kernel, and one batched call.  The batched kernel
 must produce *bit-identical* results per condition while collapsing
-~C x n interpreted iterations into one vectorized loop of ~n steps.
+~C x n interpreted iterations into one vectorized loop of ~256 steps
+over the C x n / 256 segment lanes, plus the repair of each segment.
 
 The equivalence assert always runs — including in smoke mode
 (``BENCH_SMOKE=1``), which CI uses on every push.  The >= 3x wall-clock
 assertion is the batched kernel against the heap loop (the comparison
-this gate has always made; at C = 25 the scalar kernel and the batched
-kernel are within ~1.3x of each other, which is why ``simulate_many``
-switches kernels near there).  It follows the policy-search benchmark
-convention: it only applies on machines exposing >= 4 CPUs (smaller
-boxes still record the numbers so regressions stay visible).
+this gate has always made; the table prints the scalar kernel too).
+It follows the policy-search benchmark convention: it only applies on
+machines exposing >= 4 CPUs (smaller boxes still record the numbers so
+regressions stay visible).
 
 Each full (non-smoke) run appends its timing summary to
 ``BENCH_queue_kernel.json`` at the repo root, accumulating the kernel's
 performance trajectory across sessions: ``serial_s`` is the heap loop
 (as in every earlier record), ``scalar_s`` the shipped serial kernel.
+
+A second test times the shapes where the batched kernel's segments
+matter most, each against one scalar-kernel call per condition: C = 1
+and C = 2 conditions of 16000 queries (the perfbench ``whatif`` shape,
+where a condition is 63 segments), and the worst case, one overloaded
+condition (util 0.95, boost 0.3, timeout 0) whose segments never couple
+and fall back to the scalar step.  Its equivalence asserts also run in
+every mode; its full runs append a ``queue_kernel_segments`` record.
 """
 
 import json
@@ -41,6 +49,7 @@ from tests.test_queueing.ggk_oracle import simulate_heap_queue
 
 N_CONDITIONS = 25
 N_QUERIES = 4000
+WHATIF_QUERIES = 16000
 SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 RESULTS_JSON = Path(__file__).resolve().parents[1] / "BENCH_queue_kernel.json"
 
@@ -147,3 +156,88 @@ def test_queue_kernel_scaling():
                 f"expected >= 3x batched speedup at C={N_CONDITIONS} on "
                 f"{n_cpus} CPUs, got {speedup:.2f}x"
             )
+
+
+def _segment_cases(rng):
+    """``(label, arrivals, demands, configs)`` of the segment rows."""
+    cases = []
+    for n_conditions in (1, 2):
+        util = rng.uniform(0.3, 0.95, n_conditions)
+        gaps = rng.standard_exponential((n_conditions, WHATIF_QUERIES))
+        configs = [
+            StapQueueConfig(n_servers=2, timeout=t, boost_speedup=b)
+            for t, b in zip((0.5, 2.0), (1.3, 1.1))
+        ][:n_conditions]
+        cases.append(
+            (
+                f"C={n_conditions}",
+                np.cumsum(gaps / (2 * util[:, None]), axis=1),
+                rng.lognormal(-0.06, 0.35, (n_conditions, WHATIF_QUERIES)),
+                configs,
+            )
+        )
+    gaps = rng.standard_exponential((1, WHATIF_QUERIES))
+    cases.append(
+        (
+            "C=1 overloaded",
+            np.cumsum(gaps / (2 * 0.95), axis=1),
+            rng.lognormal(-0.06, 0.35, (1, WHATIF_QUERIES)),
+            [StapQueueConfig(n_servers=2, timeout=0.0, boost_speedup=0.3)],
+        )
+    )
+    return cases
+
+
+def test_segmented_kernel_rows():
+    n_cpus = len(os.sched_getaffinity(0))
+    reps = 1 if SMOKE else 7
+    rows, record = [], []
+    for label, arrivals, demands, configs in _segment_cases(
+        np.random.default_rng(1)
+    ):
+        # Identical-results assert: always on, every mode.
+        batch = simulate_stap_queue_batch(arrivals, demands, configs)
+        for c, cfg in enumerate(configs):
+            serial = simulate_stap_queue(arrivals[c], demands[c], cfg)
+            for field in ("start_times", "completion_times", "boosted_time"):
+                assert np.array_equal(
+                    getattr(serial, field), getattr(batch, field)[c]
+                ), (label, field)
+
+        t_scalar, t_batch = np.inf, np.inf
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            for c, cfg in enumerate(configs):
+                simulate_stap_queue(arrivals[c], demands[c], cfg)
+            t_scalar = min(t_scalar, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            simulate_stap_queue_batch(arrivals, demands, configs)
+            t_batch = min(t_batch, time.perf_counter() - t0)
+        rows.append([label, t_scalar * 1e3, t_batch * 1e3, t_scalar / t_batch])
+        record.append(
+            {
+                "case": label,
+                "scalar_s": round(t_scalar, 6),
+                "batch_s": round(t_batch, 6),
+            }
+        )
+    print_block(
+        format_table(
+            ["case", "scalar ms", "batched ms", "speedup"],
+            rows,
+            title=(
+                f"G/G/2 STAP kernel, {WHATIF_QUERIES} queries, best of "
+                f"{reps}, {n_cpus} CPU(s)" + (" [smoke]" if SMOKE else "")
+            ),
+        )
+    )
+    if not SMOKE:
+        _record(
+            {
+                "bench": "queue_kernel_segments",
+                "timestamp": int(time.time()),
+                "n_queries": WHATIF_QUERIES,
+                "n_cpus": n_cpus,
+                "rows": record,
+            }
+        )

@@ -16,29 +16,14 @@ from repro import telemetry
 from repro._util import as_rng
 from repro._util.validation import check_count
 from repro.queueing.ggk import (
+    MIN_VECTOR_LANES,
+    SEGMENT_QUERIES,
     StapQueueConfig,
     simulate_stap_queue,
     simulate_stap_queue_batch,
 )
 from repro.queueing.metrics import ResponseTimeSummary, summarize_response_times
 
-#: Below this many distinct conditions one batched kernel call is slower
-#: than one scalar kernel call per condition (the batch inner loop is
-#: ufunc-dispatch bound, costing roughly the same per query whether it
-#: carries 2 conditions or 50), so :meth:`ResponseTimeModel.simulate_many`
-#: picks the serial kernel.  Both kernels are bit-identical per
-#: condition; the threshold is purely a performance crossover.  Median
-#: ``simulate_many`` time of the serial kernel over the batched one, C
-#: distinct k = 2 conditions at ``n_queries=16000`` (2-CPU x86-64
-#: container, Python 3.11, NumPy 2.4; above 1.00 the batched kernel is
-#: faster).  C = 28 and 29 are a tie within noise; from C = 30 the
-#: batched kernel wins in all three runs:
-#:
-#:     C        4    8   16   20   24   26   28   29   30   31   32   36   40   60
-#:     run 1 0.22 0.35 0.66 0.78 0.96 0.93 1.02 1.03 1.10 1.10 1.13 1.31 1.33 1.75
-#:     run 2 0.20 0.36 0.65 0.74 0.89 1.09 1.01 1.05 1.06 1.10 1.10 1.25 1.33 1.77
-#:     run 3 0.20 0.41 0.63 0.72 0.89 0.95 0.97 0.98 1.08 1.12 1.22 1.25 1.31 1.79
-_MIN_BATCH_CONDITIONS = 30
 
 #: Keys of one :meth:`ResponseTimeModel.simulate_many` condition.
 _REQUIRED_KEYS = frozenset(
@@ -187,10 +172,12 @@ class ResponseTimeModel:
         the counter ``rt_model.duplicate_conditions`` records the
         conditions that were not simulated again.
 
-        The kernel is picked by the distinct count: the serial kernel
-        once per condition below ``_MIN_BATCH_CONDITIONS``, the batched
-        kernel (one Python loop over queries for all conditions) from
-        there up.  The two are bit-identical, so the choice changes
+        The kernel is picked by lanes: the batched kernel steps one lane
+        per ``SEGMENT_QUERIES`` queries of each distinct condition, and
+        from ``MIN_VECTOR_LANES`` lanes up it is the faster one (the
+        measured crossover is at that constant in
+        :mod:`repro.queueing.ggk`); below, the serial kernel runs once
+        per condition.  The two are bit-identical, so the choice changes
         wall-clock only.
         """
         slots: dict[tuple, int] = {}
@@ -242,7 +229,9 @@ class ResponseTimeModel:
             )
             for cond in conds
         ]
-        if len(conds) < _MIN_BATCH_CONDITIONS:
+        # Lanes of the batched kernel: one per segment of each condition.
+        lanes = len(conds) * -(-self.n_queries // SEGMENT_QUERIES)
+        if lanes < MIN_VECTOR_LANES:
             runs = [
                 simulate_stap_queue(arrivals[c], demands[c], cfg)
                 for c, cfg in enumerate(configs)

@@ -298,7 +298,7 @@ def manifest_tables(manifest: dict) -> str:
             format_table(
                 ["histogram", "count", "mean", "min", "max"],
                 hist_rows,
-                title="Histograms / timers",
+                title="Histograms",
                 precision=6,
             )
         )

@@ -39,10 +39,12 @@ FAST_DF = dict(
 PAIR = ("redis", "social")
 UTILS = (0.9, 0.85)
 GRID = (0.0, 0.5, 2.0)
-#: The distinct-condition count from which ``simulate_many`` switches to
-#: the batched kernel; tests straddle it at ``THRESHOLD - 1`` and
-#: ``THRESHOLD`` so both kernels stay covered whatever its value.
-THRESHOLD = rt_module._MIN_BATCH_CONDITIONS
+#: The lane count (distinct conditions x segments) from which
+#: ``simulate_many`` switches to the batched kernel.  A model of at most
+#: ``SEGMENT_QUERIES`` queries has one segment per condition, so tests at
+#: that size straddle it at ``THRESHOLD - 1`` and ``THRESHOLD`` distinct
+#: conditions and both kernels stay covered whatever its value.
+THRESHOLD = rt_module.MIN_VECTOR_LANES
 
 
 @pytest.fixture(scope="module")
@@ -210,9 +212,11 @@ class TestSimulateDistinctOnce:
 
 class TestSimulateMany:
     def test_bit_identical_to_serial(self):
-        # C = THRESHOLD - 1 and THRESHOLD straddle the kernel switch.
+        # 500 queries are two segments, so C = half = ceil(THRESHOLD / 2)
+        # and half - 1 straddle the kernel switch.
         model = ResponseTimeModel(n_queries=500, rng=7)
-        for n in (1, THRESHOLD - 1, THRESHOLD, THRESHOLD + 3):
+        half = -(-THRESHOLD // 2)
+        for n in (1, half - 1, half, THRESHOLD - 1, THRESHOLD, THRESHOLD + 3):
             conds = _sample_conditions(n)
             oracle = [simulate_oracle(model, **c) for c in conds]
             assert model.simulate_many(conds) == oracle, n
@@ -234,7 +238,7 @@ class TestSimulateMany:
         assert ResponseTimeModel(rng=0).simulate_many([]) == []
 
     def test_auto_dispatch_thresholds(self, monkeypatch):
-        # The kernel is picked by the distinct condition count alone.
+        # At one segment per condition, lanes are distinct conditions.
         model = ResponseTimeModel(n_queries=200, rng=1)
         calls = _count_kernel_calls(monkeypatch)
         below = THRESHOLD - 1
@@ -250,6 +254,27 @@ class TestSimulateMany:
         got = model.simulate_many(conds)
         assert calls == {"serial": 2 * below + 1, "batch": 1}
         assert got[3] is got[6]
+
+    def test_auto_dispatch_counts_segments(self, monkeypatch):
+        # Long runs are cut into segments of SEGMENT_QUERIES queries, and
+        # the kernel is picked by lanes: distinct conditions x segments.
+        calls = _count_kernel_calls(monkeypatch)
+        half = -(-THRESHOLD // 2)
+        model = ResponseTimeModel(n_queries=rt_module.SEGMENT_QUERIES * half, rng=3)
+        one, two = _sample_conditions(2)
+        # One condition of `half` segments (< THRESHOLD lanes): serial.
+        assert model.simulate_many([one]) == [simulate_oracle(model, **one)]
+        assert calls == {"serial": 1, "batch": 0}
+        # Two conditions, 2 * half >= THRESHOLD lanes: the batched kernel.
+        got = model.simulate_many([one, two])
+        assert calls == {"serial": 1, "batch": 1}
+        assert got == [simulate_oracle(model, **c) for c in (one, two)]
+        # One condition cut into THRESHOLD segments: the batched kernel.
+        model = ResponseTimeModel(
+            n_queries=rt_module.SEGMENT_QUERIES * THRESHOLD, rng=3
+        )
+        assert model.simulate_many([one]) == [simulate_oracle(model, **one)]
+        assert calls == {"serial": 1, "batch": 2}
 
     @pytest.mark.parametrize(
         "field,bad",

@@ -157,7 +157,7 @@ class TestRendering:
         assert "Run manifest" in text
         assert "Stage timings" in text
         assert "Counters and gauges" in text
-        assert "Histograms / timers" in text
+        assert "Histograms" in text
         assert "stage.alpha" in text
         assert "version.numpy" in text
 
