@@ -61,9 +61,9 @@ def _queue_only_prediction(cond, sidx):
     """
     rt_model = ResponseTimeModel(rng=0)
     spec = get_workload(cond.workloads[sidx])
-    return rt_model.predict_response_time(
+    return rt_model.simulate(
         cond.utilizations[sidx], cond.timeouts[sidx], 2.0, 1.0, spec.service_cv
-    ).mean
+    ).summary.mean
 
 
 def _run_all(dataset):

@@ -35,7 +35,6 @@ SMOKE = bool(int(os.environ.get("BENCH_SMOKE", "0")))
 SIM_QUERIES = 2000 if SMOKE else 16000
 PAIR = ("redis", "knn")
 UTILS = (0.9, 0.9)
-STATISTIC = "p95"
 
 DF_CONFIG = dict(
     windows=[(5, 5)],
@@ -68,18 +67,14 @@ def _per_combination(model, combos) -> np.ndarray:
         model.predict_condition(RuntimeCondition(PAIR, UTILS, combo))
         for combo in combos
     ]
-    return np.array(
-        [[getattr(s, STATISTIC) for s in p.summaries] for p in preds]
-    )
+    return np.array([[s.p95 for s in p.summaries] for p in preds])
 
 
 def test_policy_search_scaling():
     model = _fitted_model()
 
     (lockstep, t_lockstep) = _timed(
-        lambda: explore_timeouts(
-            model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID, statistic=STATISTIC
-        )
+        lambda: explore_timeouts(model, PAIR, UTILS, DEFAULT_TIMEOUT_GRID)
     )
     combos, rt_lockstep = lockstep
     assert len(combos) == 25

@@ -30,9 +30,6 @@ from repro.core.profile_vec import RuntimeCondition
 #: "rarely boost" (Table 2's 0%-600% timeout range).
 DEFAULT_TIMEOUT_GRID: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0, 4.0)
 
-#: Statistics :func:`explore_timeouts` can rank combinations by.
-_STATISTICS = ("mean", "p50", "p95", "p99")
-
 
 def slo_matching(rt_matrix: np.ndarray) -> int:
     """Pick the combination that is near-optimal for every service.
@@ -75,30 +72,22 @@ def explore_timeouts(
     workloads: tuple[str, ...],
     utilizations: tuple[float, ...],
     timeout_grid=DEFAULT_TIMEOUT_GRID,
-    statistic: str = "p95",
 ) -> tuple[list[tuple[float, ...]], np.ndarray]:
     """Predict response times for every timeout combination.
 
     Returns the list of combinations and an (n_combos, n_services)
-    matrix of the chosen response-time statistic.
+    matrix of predicted p95 response times, the statistic the search
+    ranks by.
     """
-    if statistic not in _STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
     grid = tuple(timeout_grid)
     if len(grid) == 0:
         raise ValueError("timeout_grid must not be empty")
     combos = list(itertools.product(grid, repeat=len(workloads)))
-    with telemetry.span(
-        "policy.explore_timeouts",
-        n_combos=len(combos),
-        statistic=statistic,
-    ):
+    with telemetry.span("policy.explore_timeouts", n_combos=len(combos)):
         preds = model.predict_conditions(
             _conditions(tuple(workloads), tuple(utilizations), combos)
         )
-        rt = np.array(
-            [[getattr(s, statistic) for s in p.summaries] for p in preds]
-        )
+        rt = np.array([[s.p95 for s in p.summaries] for p in preds])
     telemetry.counter_inc("policy.combos_evaluated", len(combos))
     return combos, rt
 
@@ -108,12 +97,9 @@ def model_driven_policy(
     workloads: tuple[str, ...],
     utilizations: tuple[float, ...],
     timeout_grid=DEFAULT_TIMEOUT_GRID,
-    statistic: str = "p95",
     name: str = "model-driven",
 ) -> PolicyDecision:
     """The paper's policy: explore with the model, match with the SLO rule."""
-    combos, rt = explore_timeouts(
-        model, workloads, utilizations, timeout_grid, statistic
-    )
+    combos, rt = explore_timeouts(model, workloads, utilizations, timeout_grid)
     chosen = slo_matching(rt)
     return PolicyDecision(name, combos[chosen])

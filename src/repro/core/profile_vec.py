@@ -16,6 +16,7 @@ from numbers import Real
 
 import numpy as np
 
+from repro._util import as_rng
 from repro.testbed.machine import XeonSpec, default_machine
 from repro.workloads.base import MB, WorkloadSpec
 
@@ -253,15 +254,6 @@ class ProfileDataset:
     def subset(self, indices) -> "ProfileDataset":
         return replace(self, rows=[self.rows[i] for i in np.asarray(indices)])
 
-    def split(self, train_fraction: float, rng=None) -> tuple:
-        """Random (train, test) split by rows."""
-        if not 0 < train_fraction < 1:
-            raise ValueError("train_fraction must be in (0, 1)")
-        rng = np.random.default_rng(rng) if not hasattr(rng, "permutation") else rng
-        perm = rng.permutation(len(self.rows))
-        k = int(len(self.rows) * train_fraction)
-        return self.subset(perm[:k]), self.subset(perm[k:])
-
     def split_by_condition(self, predicate) -> tuple:
         """(matching, rest) split by a condition predicate — used for the
         leave-collocation-out generalization test (Figure 7a)."""
@@ -286,7 +278,7 @@ class ProfileDataset:
         """
         if not 0 < train_fraction < 1:
             raise ValueError("train_fraction must be in (0, 1)")
-        rng = np.random.default_rng(rng) if not hasattr(rng, "permutation") else rng
+        rng = as_rng(rng)
         conds = self.conditions()
         perm = rng.permutation(len(conds))
         k = max(1, int(len(conds) * train_fraction))

@@ -16,14 +16,16 @@ from repro import telemetry
 from repro._util import as_rng
 from repro._util.validation import check_count
 from repro.queueing.ggk import (
-    MIN_VECTOR_LANES,
-    SEGMENT_QUERIES,
     StapQueueConfig,
+    batch_kernel_faster,
     simulate_stap_queue,
     simulate_stap_queue_batch,
 )
 from repro.queueing.metrics import ResponseTimeSummary, summarize_response_times
 
+#: Leading fraction of each simulated run's queries dropped as the
+#: transient warmup before any statistic is taken.
+WARMUP_FRACTION = 0.1
 
 #: Keys of one :meth:`ResponseTimeModel.simulate_many` condition.
 _REQUIRED_KEYS = frozenset(
@@ -88,18 +90,12 @@ class ResponseTimeModel:
         self,
         n_servers: int = 2,
         n_queries: int = 4000,
-        warmup_fraction: float = 0.1,
         rng=None,
     ):
         check_count("n_servers", n_servers, 1)
         check_count("n_queries", n_queries, 10)
-        if not 0 <= warmup_fraction < 1:
-            raise ValueError(
-                f"warmup_fraction must be in [0, 1), got {warmup_fraction}"
-            )
         self.n_servers = n_servers
         self.n_queries = n_queries
-        self.warmup_fraction = warmup_fraction
         self._rng = as_rng(rng)
         self._seed = int(self._rng.integers(0, 2**31))
         self._base_samples: tuple[np.ndarray, np.ndarray] | None = None
@@ -172,13 +168,12 @@ class ResponseTimeModel:
         the counter ``rt_model.duplicate_conditions`` records the
         conditions that were not simulated again.
 
-        The kernel is picked by lanes: the batched kernel steps one lane
-        per ``SEGMENT_QUERIES`` queries of each distinct condition, and
-        from ``MIN_VECTOR_LANES`` lanes up it is the faster one (the
-        measured crossover is at that constant in
-        :mod:`repro.queueing.ggk`); below, the serial kernel runs once
-        per condition.  The two are bit-identical, so the choice changes
-        wall-clock only.
+        The batched kernel runs where
+        :func:`~repro.queueing.ggk.batch_kernel_faster` says it beats
+        the serial kernel for the distinct conditions (the measured
+        crossover is in :mod:`repro.queueing.ggk`); otherwise the serial
+        kernel runs once per condition.  The two are bit-identical, so
+        the choice changes wall-clock only.
         """
         slots: dict[tuple, int] = {}
         conds = []
@@ -229,9 +224,12 @@ class ResponseTimeModel:
             )
             for cond in conds
         ]
-        # Lanes of the batched kernel: one per segment of each condition.
-        lanes = len(conds) * -(-self.n_queries // SEGMENT_QUERIES)
-        if lanes < MIN_VECTOR_LANES:
+        if batch_kernel_faster(len(conds), self.n_queries):
+            batch = simulate_stap_queue_batch(arrivals, demands, configs)
+            starts, completions, boosted = (
+                batch.start_times, batch.completion_times, batch.boosted
+            )
+        else:
             runs = [
                 simulate_stap_queue(arrivals[c], demands[c], cfg)
                 for c, cfg in enumerate(configs)
@@ -239,14 +237,9 @@ class ResponseTimeModel:
             starts = np.stack([r.start_times for r in runs])
             completions = np.stack([r.completion_times for r in runs])
             boosted = np.stack([r.boosted for r in runs])
-        else:
-            batch = simulate_stap_queue_batch(arrivals, demands, configs)
-            starts, completions, boosted = (
-                batch.start_times, batch.completion_times, batch.boosted
-            )
         # Drop the warmup queries: the statistics below read views of the
         # kernel's (C, n) outputs past the first ``warmup`` columns.
-        warmup = int(self.n_queries * self.warmup_fraction)
+        warmup = int(self.n_queries * WARMUP_FRACTION)
         arrivals = arrivals[:, warmup:]
         response = completions[:, warmup:] - arrivals
         waits = starts[:, warmup:] - arrivals
@@ -261,22 +254,3 @@ class ResponseTimeModel:
             for s, m, p, b in zip(summaries, mean_wait, p95_wait, boost_fraction)
         ]
         return [feedback[i] for i in index]
-
-    def predict_response_time(
-        self,
-        utilization: float,
-        timeout: float,
-        gross_increase: float,
-        effective_allocation: float,
-        service_cv: float = 0.35,
-        mean_service_time: float = 1.0,
-    ) -> ResponseTimeSummary:
-        """Convenience wrapper returning only the summary."""
-        return self.simulate(
-            utilization,
-            timeout,
-            gross_increase,
-            effective_allocation,
-            service_cv,
-            mean_service_time=mean_service_time,
-        ).summary

@@ -15,11 +15,7 @@ import numpy as np
 
 from repro.baselines.policies import PolicyDecision
 from repro.core.pipeline import StacModel
-from repro.core.policy_search import (
-    _STATISTICS,
-    DEFAULT_TIMEOUT_GRID,
-    model_driven_policy,
-)
+from repro.core.policy_search import DEFAULT_TIMEOUT_GRID, model_driven_policy
 
 
 @dataclass
@@ -43,7 +39,6 @@ class AdaptiveTimeoutController:
     workloads: tuple
     timeout_grid: tuple = DEFAULT_TIMEOUT_GRID
     utilization_quantum: float = 0.05
-    statistic: str = "p95"
     _plans: dict = field(default_factory=dict, init=False)
 
     def __post_init__(self) -> None:
@@ -51,8 +46,6 @@ class AdaptiveTimeoutController:
             raise ValueError("utilization_quantum must be in (0, 0.5]")
         if len(self.workloads) < 1:
             raise ValueError("need at least one workload")
-        if self.statistic not in _STATISTICS:
-            raise ValueError(f"unknown statistic {self.statistic!r}")
         if len(self.timeout_grid) == 0:
             raise ValueError("timeout_grid must not be empty")
 
@@ -86,7 +79,6 @@ class AdaptiveTimeoutController:
                 tuple(self.workloads),
                 key,
                 timeout_grid=self.timeout_grid,
-                statistic=self.statistic,
                 name="adaptive",
             )
         return self._plans[key]

@@ -7,7 +7,6 @@ in system exceeds the short-term allocation timeout.
 
 from repro.queueing.events import EventLoop
 from repro.queueing.ggk import (
-    BatchQueueResult,
     StapQueueConfig,
     QueueResult,
     simulate_stap_queue,
@@ -21,7 +20,6 @@ from repro.queueing.metrics import (
 
 __all__ = [
     "EventLoop",
-    "BatchQueueResult",
     "StapQueueConfig",
     "QueueResult",
     "simulate_stap_queue",

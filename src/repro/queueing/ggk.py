@@ -35,9 +35,10 @@ conditions at once by speculation and repair:
   condition, or a busy period longer than a segment), are finished
   with the scalar step from the true state.
 
-:meth:`repro.core.rt_model.ResponseTimeModel.simulate_many` picks the
-batched kernel from ``MIN_VECTOR_LANES`` lanes up and the scalar kernel
-once per condition below.
+:meth:`repro.core.rt_model.ResponseTimeModel.simulate_many` runs the
+batched kernel where :func:`batch_kernel_faster` says so, from
+``MIN_VECTOR_LANES`` lanes up, and the scalar kernel once per condition
+below.
 """
 
 from __future__ import annotations
@@ -136,44 +137,11 @@ class StapQueueConfig:
 
 @dataclass
 class QueueResult:
-    """Per-query outcomes of one simulated run."""
+    """Per-query outcomes of simulated runs.
 
-    arrival_times: np.ndarray
-    start_times: np.ndarray
-    completion_times: np.ndarray
-    boosted: np.ndarray  # bool: did short-term allocation trigger?
-    boosted_time: np.ndarray  # seconds each query spent boosted
-
-    @property
-    def response_times(self) -> np.ndarray:
-        return self.completion_times - self.arrival_times
-
-    @property
-    def boost_fraction(self) -> float:
-        """Fraction of queries that triggered short-term allocation."""
-        return float(self.boosted.mean()) if self.boosted.size else 0.0
-
-    def drop_warmup(self, fraction: float) -> "QueueResult":
-        """Discard the first ``fraction`` of queries (transient warmup)."""
-        if not 0 <= fraction < 1:
-            raise ValueError("fraction must be in [0, 1)")
-        k = int(len(self.arrival_times) * fraction)
-        return QueueResult(
-            self.arrival_times[k:],
-            self.start_times[k:],
-            self.completion_times[k:],
-            self.boosted[k:],
-            self.boosted_time[k:],
-        )
-
-
-@dataclass
-class BatchQueueResult:
-    """Per-query outcomes of ``C`` simultaneously simulated conditions.
-
-    Every array is ``(C, n)``; row ``c`` is bit-identical to the
-    corresponding :class:`QueueResult` of a serial
-    :func:`simulate_stap_queue` run under ``configs[c]``.
+    Every array is ``(n,)`` for one run of :func:`simulate_stap_queue`
+    and ``(C, n)`` for :func:`simulate_stap_queue_batch`, whose row
+    ``c`` is bit-identical to a serial run under ``configs[c]``.
     """
 
     arrival_times: np.ndarray
@@ -183,46 +151,30 @@ class BatchQueueResult:
     boosted_time: np.ndarray  # seconds each query spent boosted
 
     @property
-    def n_conditions(self) -> int:
-        return self.arrival_times.shape[0]
-
-    @property
     def response_times(self) -> np.ndarray:
         return self.completion_times - self.arrival_times
 
     @property
-    def boost_fractions(self) -> np.ndarray:
-        """Per-condition fraction of queries that triggered boosting."""
-        if self.boosted.shape[1] == 0:
-            return np.zeros(self.n_conditions)
-        return self.boosted.mean(axis=1)
+    def boost_fraction(self):
+        """Fraction of queries that triggered short-term allocation, per
+        run: a float for one run, a ``(C,)`` array for a batch."""
+        if self.boosted.shape[-1] == 0:
+            # ``[()]`` makes one run's 0-d zero a scalar.
+            return np.zeros(self.boosted.shape[:-1])[()]
+        return self.boosted.mean(axis=-1)
 
-    def condition(self, c: int) -> QueueResult:
-        """The serial-equivalent :class:`QueueResult` of condition ``c``.
-
-        Rows of the C-contiguous batch arrays are themselves contiguous,
-        so downstream reductions (means, percentiles) see exactly the
-        memory layout a serial run would have produced.
-        """
-        return QueueResult(
-            arrival_times=self.arrival_times[c],
-            start_times=self.start_times[c],
-            completion_times=self.completion_times[c],
-            boosted=self.boosted[c],
-            boosted_time=self.boosted_time[c],
-        )
-
-    def drop_warmup(self, fraction: float) -> "BatchQueueResult":
-        """Discard the first ``fraction`` of queries in every condition."""
+    def drop_warmup(self, fraction: float) -> "QueueResult":
+        """Discard the first ``fraction`` of queries of every run
+        (transient warmup)."""
         if not 0 <= fraction < 1:
             raise ValueError("fraction must be in [0, 1)")
-        k = int(self.arrival_times.shape[1] * fraction)
-        return BatchQueueResult(
-            np.ascontiguousarray(self.arrival_times[:, k:]),
-            np.ascontiguousarray(self.start_times[:, k:]),
-            np.ascontiguousarray(self.completion_times[:, k:]),
-            np.ascontiguousarray(self.boosted[:, k:]),
-            np.ascontiguousarray(self.boosted_time[:, k:]),
+        k = int(self.arrival_times.shape[-1] * fraction)
+        return QueueResult(
+            self.arrival_times[..., k:],
+            self.start_times[..., k:],
+            self.completion_times[..., k:],
+            self.boosted[..., k:],
+            self.boosted_time[..., k:],
         )
 
 
@@ -302,6 +254,32 @@ def _scalar_steps(
             push(free, t1)
 
 
+def _checked_inputs(arrival_times, demands, ndim: int):
+    """Arrival times and demands as contiguous float arrays, checked:
+    ``ndim``-D and of one shape, finite, demands >= 0 and arrivals
+    sorted along the last axis (within each condition)."""
+    arrivals = np.ascontiguousarray(arrival_times, dtype=float)
+    demand = np.ascontiguousarray(demands, dtype=float)
+    if arrivals.shape != demand.shape or arrivals.ndim != ndim:
+        raise ValueError(
+            f"arrival_times and demands must be matching {ndim}-D arrays, "
+            f"got shapes {arrivals.shape} and {demand.shape}"
+        )
+    # NaN/inf would sail through the sortedness check below (comparisons
+    # with NaN are False) and silently corrupt start/completion times.
+    if not np.all(np.isfinite(arrivals)):
+        raise ValueError("arrival_times must be finite (no NaN/inf)")
+    if not np.all(np.isfinite(demand)):
+        raise ValueError("demands must be finite (no NaN/inf)")
+    # A negative demand would finish before it started: a negative
+    # response time.  Zero demand is legal.
+    if np.any(demand < 0):
+        raise ValueError("demands must be >= 0")
+    if arrivals.size and np.any(np.diff(arrivals) < 0):
+        raise ValueError("arrival_times must be sorted")
+    return arrivals, demand
+
+
 def simulate_stap_queue(
     arrival_times,
     demands,
@@ -322,22 +300,7 @@ def simulate_stap_queue(
     # Telemetry: one enabled-flag check; never touches RNG or results.
     _tel = telemetry.enabled()
     _t0 = time.perf_counter() if _tel else 0.0
-    arrivals = np.ascontiguousarray(arrival_times, dtype=float)
-    demand = np.ascontiguousarray(demands, dtype=float)
-    if arrivals.shape != demand.shape or arrivals.ndim != 1:
-        raise ValueError("arrival_times and demands must be matching 1-D arrays")
-    # NaN/inf would sail through the sortedness check below (comparisons
-    # with NaN are False) and silently corrupt start/completion times.
-    if not np.all(np.isfinite(arrivals)):
-        raise ValueError("arrival_times must be finite (no NaN/inf)")
-    if not np.all(np.isfinite(demand)):
-        raise ValueError("demands must be finite (no NaN/inf)")
-    # A negative demand would finish before it started: a negative
-    # response time.  Zero demand is legal.
-    if np.any(demand < 0):
-        raise ValueError("demands must be >= 0")
-    if arrivals.size and np.any(np.diff(arrivals) < 0):
-        raise ValueError("arrival_times must be sorted")
+    arrivals, demand = _checked_inputs(arrival_times, demands, 1)
     n = arrivals.shape[0]
     works = demand * config.mean_service_time
     boost = config.boost_speedup
@@ -436,9 +399,8 @@ def _batch_loop_k2(arr_t, works_t, warn_t, boost, starts_t, comp_t, btime_t, fre
 
 
 def _batch_loop_general(arr_t, works_t, warn_t, boost, starts_t, comp_t, btime_t, free):
-    """General inner loop: a ``(k_max, lanes)`` free-time matrix with
-    argmin dispatch; lanes with fewer servers pad with never-free inf
-    slots that cannot win the argmin."""
+    """General inner loop: a ``(k, lanes)`` free-time matrix with
+    argmin dispatch."""
     n_lanes = boost.shape[0]
     lanes = np.arange(n_lanes)
     done = np.empty(n_lanes)
@@ -584,7 +546,7 @@ def _scalar_repair(
     from there on.  Returns the queries re-run and the conditions in
     which some segment ended uncoupled before the last.
     """
-    arrivals, demand, mean_service, warn_delay, boost, servers = condition_inputs
+    arrivals, demand, mean_service, warn_delay, boost = condition_inputs
     n_conditions, n = arrivals.shape
     mean_service, warn_delay, boost = (
         x.tolist() for x in (mean_service, warn_delay, boost)
@@ -595,7 +557,6 @@ def _scalar_repair(
     stop = stop.tolist()
     repaired = fallbacks = 0
     for c in sorted({lane % n_conditions for lane in left}):
-        k = servers[c]
         mean, delay, speedup = mean_service[c], warn_delay[c], boost[c]
         views = [memoryview(out[c]) for out in outputs]
         carry = None
@@ -606,7 +567,7 @@ def _scalar_repair(
                 pos, state = 0, carry
                 fell_back = True
             elif lane in left:
-                pos, state = stop[lane], sorted(left[lane][:k].tolist())
+                pos, state = stop[lane], sorted(left[lane].tolist())
             else:
                 continue
             lo = head + (s - 1) * rows
@@ -630,26 +591,26 @@ def _scalar_repair(
                     spec = checks[step // _CHECK_STEPS - 1][:, lane - n_conditions]
                 else:
                     spec = canonical(ends[:, lane])
-                if _same_bits(sorted(state), spec[:k].tolist()):
+                if _same_bits(sorted(state), spec.tolist()):
                     carry = None
                     break
         fallbacks += fell_back
     return repaired, fallbacks
 
 
-def _simulate_lanes(condition_inputs):
+def _simulate_lanes(condition_inputs, n_servers: int):
     """Speculate every segment from the empty system, then repair.
 
     Returns the ``(C, n)`` start, completion and boosted times, the
     number of queries re-run and the number of conditions that fell
     back (see :func:`_scalar_repair`).
     """
-    arrivals, demand, mean_service, warn_delay, boost, servers = condition_inputs
+    arrivals, demand, mean_service, warn_delay, boost = condition_inputs
     n_conditions, n = arrivals.shape
     rows = min(n, SEGMENT_QUERIES)
     n_segments = -(-n // rows)
     n_lanes = n_segments * n_conditions
-    if set(servers) == {2}:
+    if n_servers == 2:
         loop, canonical = _batch_loop_k2, _no_sort
     else:
         loop, canonical = _batch_loop_general, _sorted_columns
@@ -664,9 +625,7 @@ def _simulate_lanes(condition_inputs):
     starts_t = np.empty_like(arr_t)
     comp_t = np.empty_like(arr_t)
     outputs = (starts_t, comp_t, btime_t)
-    free = np.zeros((max(servers), n_lanes))
-    for c, k in enumerate(servers):
-        free[k:, c::n_conditions] = np.inf
+    free = np.zeros((n_servers, n_lanes))
 
     # Speculate: every lane from the empty system, keeping the free times
     # of segments 1 to S - 1 every _CHECK_STEPS steps.
@@ -706,25 +665,20 @@ def _simulate_lanes(condition_inputs):
     return results, repaired, fallbacks
 
 
-def _as_condition_rows(name: str, values, n_conditions: int) -> np.ndarray:
-    """Coerce ``(n,)`` broadcast or ``(C, n)`` per-condition input."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = np.broadcast_to(arr, (n_conditions,) + arr.shape)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 1-D or 2-D array, got ndim={arr.ndim}")
-    if arr.shape[0] != n_conditions:
-        raise ValueError(
-            f"{name} has {arr.shape[0]} condition rows, expected {n_conditions}"
-        )
-    return np.ascontiguousarray(arr)
+def batch_kernel_faster(n_conditions: int, n_queries: int) -> bool:
+    """Whether one :func:`simulate_stap_queue_batch` call beats a
+    :func:`simulate_stap_queue` run per condition, for ``n_conditions``
+    distinct conditions of ``n_queries`` queries each: the batched
+    kernel steps one lane per segment of each condition, and it is the
+    faster one from ``MIN_VECTOR_LANES`` lanes up."""
+    return n_conditions * -(-n_queries // SEGMENT_QUERIES) >= MIN_VECTOR_LANES
 
 
 def simulate_stap_queue_batch(
     arrival_times,
     demands,
     configs,
-) -> BatchQueueResult:
+) -> QueueResult:
     """FCFS G/G/k simulation of ``C`` conditions simultaneously.
 
     Speculation and repair (see the module docstring): one vectorized
@@ -744,15 +698,13 @@ def simulate_stap_queue_batch(
     Parameters
     ----------
     arrival_times:
-        Sorted absolute arrival timestamps: ``(n,)`` to broadcast one
-        arrival process across all conditions, or ``(C, n)`` with one
-        row per condition (each row sorted).
+        ``(C, n)`` sorted absolute arrival timestamps, one row per
+        condition.
     demands:
-        Per-query work multipliers, ``(n,)`` broadcast or ``(C, n)``.
+        ``(C, n)`` per-query work multipliers.
     configs:
-        One :class:`StapQueueConfig` per condition.  Server counts may
-        differ between conditions; the state matrix is padded to the
-        largest ``n_servers`` with never-free (``inf``) slots.
+        One :class:`StapQueueConfig` per condition, all with the same
+        ``n_servers``.
     """
     # Telemetry: one enabled-flag check; never touches RNG or results.
     _tel = telemetry.enabled()
@@ -764,23 +716,15 @@ def simulate_stap_queue_batch(
     for cfg in configs:
         if not isinstance(cfg, StapQueueConfig):
             raise TypeError(f"configs must be StapQueueConfig, got {type(cfg)!r}")
-    arrivals = _as_condition_rows("arrival_times", arrival_times, n_conditions)
-    demand = _as_condition_rows("demands", demands, n_conditions)
-    if arrivals.shape != demand.shape:
+    servers = {cfg.n_servers for cfg in configs}
+    if len(servers) > 1:
+        raise ValueError(f"configs must share one n_servers, got {sorted(servers)}")
+    arrivals, demand = _checked_inputs(arrival_times, demands, 2)
+    if arrivals.shape[0] != n_conditions:
         raise ValueError(
-            "arrival_times and demands must have matching shapes, got "
-            f"{arrivals.shape} vs {demand.shape}"
+            f"arrival_times has {arrivals.shape[0]} condition rows, "
+            f"expected {n_conditions}"
         )
-    if not np.all(np.isfinite(arrivals)):
-        raise ValueError("arrival_times must be finite (no NaN/inf)")
-    if not np.all(np.isfinite(demand)):
-        raise ValueError("demands must be finite (no NaN/inf)")
-    # A negative demand would finish before it started: a negative
-    # response time.  Zero demand is legal.
-    if np.any(demand < 0):
-        raise ValueError("demands must be >= 0")
-    if arrivals.shape[1] and np.any(np.diff(arrivals, axis=1) < 0):
-        raise ValueError("arrival_times must be sorted within each condition")
     n = arrivals.shape[1]
 
     mean_service = np.array([c.mean_service_time for c in configs])
@@ -790,18 +734,17 @@ def simulate_stap_queue_batch(
     # instant, so an infinite warning delay is bit-identical for them
     # (the serial kernel does the same).
     warn_delay = np.where(boost == 1.0, np.inf, warn_delay)
-    servers = [cfg.n_servers for cfg in configs]
-    condition_inputs = (arrivals, demand, mean_service, warn_delay, boost, servers)
+    condition_inputs = (arrivals, demand, mean_service, warn_delay, boost)
     if n:
         (start_times, completion_times, boosted_time), repaired, fallbacks = (
-            _simulate_lanes(condition_inputs)
+            _simulate_lanes(condition_inputs, configs[0].n_servers)
         )
     else:
         start_times, completion_times, boosted_time = (
             np.empty((n_conditions, 0)) for _ in range(3)
         )
         repaired = fallbacks = 0
-    result = BatchQueueResult(
+    result = QueueResult(
         arrival_times=arrivals,
         start_times=start_times,
         completion_times=completion_times,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import CNNRegressor
 from repro.baselines.cnn import CNNHyperParams
-from repro.baselines.mlp import Adam
+from repro.baselines.cnn import Adam
 
 N = 24
 _r = np.random.default_rng(0)

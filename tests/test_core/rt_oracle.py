@@ -10,7 +10,7 @@ it bit for bit, whichever kernel it picks.
 
 import numpy as np
 
-from repro.core.rt_model import QueueFeedback
+from repro.core.rt_model import WARMUP_FRACTION, QueueFeedback
 from repro.queueing.ggk import StapQueueConfig
 from repro.queueing.metrics import summarize_response_times
 
@@ -40,9 +40,7 @@ def simulate_oracle(
         timeout=timeout / mean_service_time,
         boost_speedup=max(effective_allocation * gross_increase, 0.1),
     )
-    res = simulate_heap_queue(arrivals, demands, cfg).drop_warmup(
-        model.warmup_fraction
-    )
+    res = simulate_heap_queue(arrivals, demands, cfg).drop_warmup(WARMUP_FRACTION)
     waits = res.start_times - res.arrival_times
     return QueueFeedback(
         summary=summarize_response_times(res.response_times),

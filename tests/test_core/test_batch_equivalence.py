@@ -23,6 +23,7 @@ from repro.core.policy_search import (
     slo_matching,
 )
 from repro.forest import CascadeForest, MultiGrainScanner
+from repro.queueing import ggk
 
 from ..test_forest.forest_oracle import cascade_predict_oracle, mgs_transform_oracle
 from .rt_oracle import simulate_oracle
@@ -44,7 +45,7 @@ GRID = (0.0, 0.5, 2.0)
 #: ``SEGMENT_QUERIES`` queries has one segment per condition, so tests at
 #: that size straddle it at ``THRESHOLD - 1`` and ``THRESHOLD`` distinct
 #: conditions and both kernels stay covered whatever its value.
-THRESHOLD = rt_module.MIN_VECTOR_LANES
+THRESHOLD = ggk.MIN_VECTOR_LANES
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +261,7 @@ class TestSimulateMany:
         # the kernel is picked by lanes: distinct conditions x segments.
         calls = _count_kernel_calls(monkeypatch)
         half = -(-THRESHOLD // 2)
-        model = ResponseTimeModel(n_queries=rt_module.SEGMENT_QUERIES * half, rng=3)
+        model = ResponseTimeModel(n_queries=ggk.SEGMENT_QUERIES * half, rng=3)
         one, two = _sample_conditions(2)
         # One condition of `half` segments (< THRESHOLD lanes): serial.
         assert model.simulate_many([one]) == [simulate_oracle(model, **one)]
@@ -270,9 +271,7 @@ class TestSimulateMany:
         assert calls == {"serial": 1, "batch": 1}
         assert got == [simulate_oracle(model, **c) for c in (one, two)]
         # One condition cut into THRESHOLD segments: the batched kernel.
-        model = ResponseTimeModel(
-            n_queries=rt_module.SEGMENT_QUERIES * THRESHOLD, rng=3
-        )
+        model = ResponseTimeModel(n_queries=ggk.SEGMENT_QUERIES * THRESHOLD, rng=3)
         assert model.simulate_many([one]) == [simulate_oracle(model, **one)]
         assert calls == {"serial": 1, "batch": 2}
 
@@ -363,10 +362,10 @@ class TestConditionBoundary:
         with pytest.raises(ValueError, match=field):
             ResponseTimeModel(**{field: bad}, rng=3)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, np.nan])
-    def test_bad_warmup_fraction_rejected(self, bad):
-        with pytest.raises(ValueError, match="warmup_fraction"):
-            ResponseTimeModel(n_queries=200, warmup_fraction=bad, rng=3)
+    def test_warmup_fraction_is_not_an_option(self):
+        """Every simulation drops the module's one warmup fraction."""
+        with pytest.raises(TypeError, match="warmup_fraction"):
+            ResponseTimeModel(n_queries=200, warmup_fraction=0.1, rng=3)
 
     def test_unknown_key_rejected(self):
         model = ResponseTimeModel(n_queries=200, rng=4)

@@ -29,7 +29,7 @@ FAST_DF = dict(
 
 @pytest.fixture(scope="module")
 def fitted(small_dataset):
-    train, test = small_dataset.split(0.5, rng=0)
+    train, test = small_dataset.split_conditions(0.5, rng=0)
     model = StacModel(rng=0, **FAST_DF).fit(train)
     return model, train, test
 
@@ -57,14 +57,14 @@ class TestIdealEA:
 class TestEAModel:
     @pytest.mark.parametrize("learner", ["random_forest", "tree", "linear"])
     def test_flat_learners_fit_and_predict(self, small_dataset, learner):
-        train, test = small_dataset.split(0.5, rng=1)
+        train, test = small_dataset.split_conditions(0.5, rng=1)
         m = EAModel(learner=learner, rng=0).fit(train)
         pred = m.predict_dataset(test)
         assert pred.shape == (len(test),)
         assert np.all((pred >= 0.05) & (pred <= 2.0))
 
     def test_deep_forest_ea_accuracy(self, small_dataset):
-        train, test = small_dataset.split(0.5, rng=2)
+        train, test = small_dataset.split_conditions(0.5, rng=2)
         df = EAModel(learner="deep_forest", rng=0, **FAST_DF).fit(train)
         err_df = median_ape(df.predict_dataset(test), test.y_ea)
         # Even the fast test configuration should track EA closely; the
@@ -72,14 +72,14 @@ class TestEAModel:
         assert err_df < 0.10
 
     def test_concept_features_available(self, small_dataset):
-        train, _ = small_dataset.split(0.5, rng=3)
+        train, _ = small_dataset.split_conditions(0.5, rng=3)
         m = EAModel(learner="cascade", rng=0, n_levels=2, forests_per_level=2,
                     n_estimators=8).fit(train)
         feats = m.concept_features(train.X_flat, train.traces)
         assert feats.shape == (len(train), 4)
 
     def test_concept_features_unsupported_learner(self, small_dataset):
-        train, _ = small_dataset.split(0.5, rng=3)
+        train, _ = small_dataset.split_conditions(0.5, rng=3)
         m = EAModel(learner="linear", rng=0).fit(train)
         with pytest.raises(ValueError):
             m.concept_features(train.X_flat, train.traces)
@@ -102,14 +102,14 @@ class TestEAModel:
 class TestResponseTimeModel:
     def test_deterministic(self):
         m = ResponseTimeModel(rng=0)
-        a = m.predict_response_time(0.9, 1.0, 2.0, 0.8)
-        b = m.predict_response_time(0.9, 1.0, 2.0, 0.8)
+        a = m.simulate(0.9, 1.0, 2.0, 0.8).summary
+        b = m.simulate(0.9, 1.0, 2.0, 0.8).summary
         assert a == b
 
     def test_higher_ea_lower_response_time(self):
         m = ResponseTimeModel(rng=0)
-        lo = m.predict_response_time(0.9, 0.5, 2.0, 0.55)
-        hi = m.predict_response_time(0.9, 0.5, 2.0, 0.95)
+        lo = m.simulate(0.9, 0.5, 2.0, 0.55).summary
+        hi = m.simulate(0.9, 0.5, 2.0, 0.95).summary
         assert hi.mean < lo.mean
 
     def test_feedback_fields(self):
@@ -133,10 +133,8 @@ class TestResponseTimeModel:
         """A default allocation above baseline (mean service < 1) gives
         lower normalized response times at the same utilization."""
         m = ResponseTimeModel(rng=0)
-        slow = m.predict_response_time(0.8, np.inf, 2.0, 0.5)
-        fast = m.predict_response_time(
-            0.8, np.inf, 2.0, 0.5, mean_service_time=0.8
-        )
+        slow = m.simulate(0.8, np.inf, 2.0, 0.5).summary
+        fast = m.simulate(0.8, np.inf, 2.0, 0.5, mean_service_time=0.8).summary
         assert fast.mean < slow.mean
 
     def test_timeout_reference_is_baseline_clock(self):
@@ -242,6 +240,17 @@ class TestPolicySearch:
         assert len(combos) == 4
         assert rt.shape == (4, 2)
 
+    def test_search_ranks_by_p95(self, fitted):
+        """The rt matrix holds each combination's predicted p95; the
+        statistic is not an option."""
+        model, _, _ = fitted
+        workloads, utils = ("redis", "social"), (0.9, 0.9)
+        combos, rt = explore_timeouts(model, workloads, utils, timeout_grid=(0.5,))
+        pred = model.predict_condition(RuntimeCondition(workloads, utils, combos[0]))
+        assert rt.tolist() == [[s.p95 for s in pred.summaries]]
+        with pytest.raises(TypeError, match="statistic"):
+            explore_timeouts(model, workloads, utils, statistic="p95")
+
     def test_model_driven_policy_from_grid(self, fitted):
         model, _, _ = fitted
         pol = model_driven_policy(
@@ -249,13 +258,6 @@ class TestPolicySearch:
         )
         assert pol.name == "model-driven"
         assert all(t in (0.5, 2.0) for t in pol.timeouts)
-
-    def test_bad_statistic(self, fitted):
-        model, _, _ = fitted
-        with pytest.raises(ValueError):
-            explore_timeouts(
-                model, ("redis", "social"), (0.9, 0.9), statistic="max"
-            )
 
     def test_default_grid_is_paperlike(self):
         assert len(DEFAULT_TIMEOUT_GRID) == 5
@@ -342,7 +344,7 @@ class TestParallelPolicySearch:
 
 
 def test_cnn_ea_model_predicts_in_range(small_dataset):
-    train, test = small_dataset.split(0.5, rng=4)
+    train, test = small_dataset.split_conditions(0.5, rng=4)
     m = EAModel(learner="cnn", rng=0).fit(train)
     pred = m.predict_dataset(test)
     assert pred.shape == (len(test),)

@@ -82,14 +82,22 @@ class TestDatasetContainer:
         assert ds.y_rt_mean.shape == (n,)
         assert np.all(ds.y_rt_mean > 0)
 
-    def test_split_partitions(self, small_dataset):
-        tr, te = small_dataset.split(0.4, rng=0)
+    def test_split_conditions_partitions(self, small_dataset):
+        tr, te = small_dataset.split_conditions(0.4, rng=0)
         assert len(tr) + len(te) == len(small_dataset)
-        assert len(tr) == int(0.4 * len(small_dataset))
+        n_conditions = len(small_dataset.conditions())
+        assert len(tr.conditions()) == int(0.4 * n_conditions)
+        # Every window of a run lands on one side.
+        train_ids = {id(c) for c in tr.conditions()}
+        assert not train_ids & {id(c) for c in te.conditions()}
 
-    def test_split_validation(self, small_dataset):
-        with pytest.raises(ValueError):
-            small_dataset.split(1.0)
+    def test_split_conditions_takes_seed_or_generator(self, small_dataset):
+        by_seed = small_dataset.split_conditions(0.5, rng=7)
+        by_generator = small_dataset.split_conditions(
+            0.5, rng=np.random.default_rng(7)
+        )
+        for a, b in zip(by_seed, by_generator):
+            assert [id(r) for r in a.rows] == [id(r) for r in b.rows]
 
     def test_split_by_condition(self, mixed_pair_dataset):
         jac, rest = mixed_pair_dataset.split_by_condition(
@@ -127,7 +135,6 @@ class TestLayout:
         ds = e5_2650_dataset
         parts = [
             ds.subset([0, 1]),
-            *ds.split(0.5, rng=0),
             *ds.split_conditions(0.5, rng=0),
             *ds.split_by_condition(lambda c: c.utilizations[0] > 0.5),
         ]

@@ -106,15 +106,12 @@ class TestController:
                 model=controller.model, workloads=PAIR, utilization_quantum=0.0
             )
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"statistic": "p90"}, {"timeout_grid": ()}]
-    )
-    def test_bad_config_fails_at_construction(self, controller, kwargs):
-        """These used to construct fine and only raise at the first
-        ``recommend``, inside an online-manager epoch."""
+    def test_bad_config_fails_at_construction(self, controller):
+        """An empty grid used to construct fine and only raise at the
+        first ``recommend``, inside an online-manager epoch."""
         with pytest.raises(ValueError):
             AdaptiveTimeoutController(
-                model=controller.model, workloads=PAIR, **kwargs
+                model=controller.model, workloads=PAIR, timeout_grid=()
             )
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -123,6 +120,13 @@ class TestController:
         ``nan`` an unrelated ``ValueError``."""
         with pytest.raises(ValueError, match="utilizations must be finite"):
             controller.recommend((bad, 0.9))
+
+    def test_statistic_not_accepted(self, controller):
+        """Plans always rank combinations by predicted p95."""
+        with pytest.raises(TypeError, match="statistic"):
+            AdaptiveTimeoutController(
+                model=controller.model, workloads=PAIR, statistic="p95"
+            )
 
     def test_n_jobs_not_accepted(self, controller):
         """Plans are searched in-process; the controller has no worker

@@ -173,10 +173,6 @@ EXEMPT = {
         "the Stage 3 oracle (tests/test_core/rt_oracle.py) and the kernel "
         "tests cut the warmup through it"
     ),
-    "repro.queueing.ggk:BatchQueueResult.drop_warmup": (
-        "pinned against QueueResult.drop_warmup row by row in "
-        "test_ggk_batch.py, as the batched kernel's serial equivalence"
-    ),
     "repro.core.io:load_dataset": (
         "reads back the .npz that `repro profile` writes with save_dataset; "
         "the CI layout smoke loads one"

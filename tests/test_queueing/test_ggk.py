@@ -272,7 +272,7 @@ class TestInputValidation:
 
     KERNELS = {
         "serial": simulate_stap_queue,
-        "batch": lambda a, d, cfg: simulate_stap_queue_batch(a, d, [cfg]),
+        "batch": lambda a, d, cfg: simulate_stap_queue_batch([a], [d], [cfg]),
     }
     BOOSTING = StapQueueConfig(1, timeout=0.5, boost_speedup=2.0)
 

@@ -3,14 +3,16 @@
 Every batched condition must be *bit-identical* (``np.array_equal``, no
 tolerance) to a standalone :func:`simulate_stap_queue` run under the
 same config — the core contract that lets every consumer switch kernels
-freely.
+freely.  The batched kernel takes ``(C, n)`` rows and one server count
+for every condition, the inputs ``ResponseTimeModel.simulate_many``
+passes, and rejects anything else.
 """
 
 import numpy as np
 import pytest
 
 from repro.queueing import (
-    BatchQueueResult,
+    QueueResult,
     StapQueueConfig,
     simulate_stap_queue,
     simulate_stap_queue_batch,
@@ -62,36 +64,7 @@ class TestBitIdentity:
         arrivals, demands = _sample(1, 300)
         configs = [StapQueueConfig(n_servers=2, timeout=0.5, boost_speedup=1.4)]
         batch = simulate_stap_queue_batch(arrivals, demands, configs)
-        assert batch.n_conditions == 1
-        _assert_rows_match(batch, arrivals, demands, configs)
-
-    def test_broadcast_arrivals_and_demands(self):
-        C, n = 6, 350
-        arrivals, demands = _sample(1, n, seed=3)
-        arrivals_1d, demands_1d = arrivals[0], demands[0]
-        configs = [
-            StapQueueConfig(
-                n_servers=2, timeout=t, boost_speedup=b, mean_service_time=m
-            )
-            for t, b, m in zip(
-                (0.0, 0.5, 1.0, 2.0, np.inf, 0.5),
-                (1.5, 1.0, 2.0, 1.2, 1.7, 3.0),
-                (1.0, 0.9, 1.1, 1.0, 0.8, 1.3),
-            )
-        ]
-        batch = simulate_stap_queue_batch(arrivals_1d, demands_1d, configs)
-        full = np.broadcast_to(arrivals_1d, (C, n))
-        _assert_rows_match(batch, full, np.broadcast_to(demands_1d, (C, n)), configs)
-
-    def test_mixed_server_counts(self):
-        # Ragged k exercises the general argmin path with inf padding.
-        C, n = 4, 300
-        arrivals, demands = _sample(C, n, seed=9)
-        configs = [
-            StapQueueConfig(n_servers=k, timeout=0.5, boost_speedup=1.5)
-            for k in (1, 3, 2, 4)
-        ]
-        batch = simulate_stap_queue_batch(arrivals, demands, configs)
+        assert batch.start_times.shape == (1, 300)
         _assert_rows_match(batch, arrivals, demands, configs)
 
     def test_boost_one_with_finite_timeout(self):
@@ -119,15 +92,11 @@ class TestBitIdentity:
         for c, cfg in enumerate(configs):
             serial = simulate_stap_queue(arrivals[c], demands[c], cfg)
             assert np.array_equal(serial.response_times, batch.response_times[c])
-            assert serial.boost_fraction == batch.boost_fractions[c]
+            assert serial.boost_fraction == batch.boost_fraction[c]
             sd = serial.drop_warmup(0.1)
-            assert np.array_equal(
-                sd.completion_times, dropped.completion_times[c]
-            )
-            # condition() reconstructs the serial result wholesale.
-            cond = batch.condition(c)
-            assert np.array_equal(cond.start_times, serial.start_times)
-            assert cond.start_times.flags["C_CONTIGUOUS"]
+            for fld in ("arrival_times", "start_times", "completion_times"):
+                assert np.array_equal(getattr(sd, fld), getattr(dropped, fld)[c])
+            assert sd.boost_fraction == dropped.boost_fraction[c]
 
 
 class TestEdgeCases:
@@ -135,9 +104,9 @@ class TestEdgeCases:
         batch = simulate_stap_queue_batch(
             np.empty((3, 0)), np.empty((3, 0)), [StapQueueConfig()] * 3
         )
-        assert isinstance(batch, BatchQueueResult)
+        assert isinstance(batch, QueueResult)
         assert batch.completion_times.shape == (3, 0)
-        assert batch.boost_fractions.tolist() == [0.0, 0.0, 0.0]
+        assert batch.boost_fraction.tolist() == [0.0, 0.0, 0.0]
         assert batch.response_times.shape == (3, 0)
 
     def test_no_conditions_raises(self):
@@ -189,16 +158,46 @@ class TestEdgeCases:
             )
 
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError, match="matching shapes"):
+        with pytest.raises(ValueError, match="matching 2-D"):
             simulate_stap_queue_batch(
                 np.zeros((2, 3)), np.ones((2, 4)), [StapQueueConfig()] * 2
             )
 
     def test_3d_input_raises(self):
-        with pytest.raises(ValueError, match="1-D or 2-D"):
+        with pytest.raises(ValueError, match="matching 2-D"):
             simulate_stap_queue_batch(
                 np.zeros((2, 3, 4)), np.ones((2, 3, 4)), [StapQueueConfig()] * 2
             )
+
+    @pytest.mark.parametrize(
+        "arrivals,demands",
+        [
+            (np.arange(4.0), np.ones(4)),
+            (np.arange(4.0), np.ones((1, 4))),
+            (np.arange(4.0)[None, :], np.ones(4)),
+        ],
+        ids=["both", "arrivals", "demands"],
+    )
+    def test_1d_input_raises(self, arrivals, demands):
+        """One ``(n,)`` row is not broadcast across the conditions."""
+        with pytest.raises(ValueError, match="matching 2-D"):
+            simulate_stap_queue_batch(arrivals, demands, [StapQueueConfig()])
+
+    @pytest.mark.parametrize("servers", [(1, 2), (2, 2, 3), (4, 1, 1, 1)])
+    def test_mixed_server_counts_raise(self, servers):
+        arrivals, demands = _sample(len(servers), 20)
+        configs = [StapQueueConfig(n_servers=k) for k in servers]
+        with pytest.raises(ValueError, match="one n_servers"):
+            simulate_stap_queue_batch(arrivals, demands, configs)
+
+    def test_numpy_and_python_server_counts_are_one_count(self):
+        arrivals, demands = _sample(2, 300, seed=5)
+        configs = [
+            StapQueueConfig(n_servers=k, timeout=0.5, boost_speedup=1.5)
+            for k in (3, np.int64(3))
+        ]
+        batch = simulate_stap_queue_batch(arrivals, demands, configs)
+        _assert_rows_match(batch, arrivals, demands, configs)
 
 
 @pytest.mark.parametrize("fraction", [-0.1, 1.0, float("nan")])

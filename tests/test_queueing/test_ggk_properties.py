@@ -7,6 +7,7 @@ for bit.
 """
 
 import heapq
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -106,10 +107,13 @@ def test_single_server_starts_in_order(sample, cfg):
 @settings(max_examples=40, deadline=None)
 @given(
     cfgs=st.lists(configs, min_size=1, max_size=6),
+    n_servers=st.integers(1, 4),
     n=st.integers(1, 80),
     seed=st.integers(0, 2**16),
 )
-def test_batched_kernel_matches_serial(cfgs, n, seed):
+def test_batched_kernel_matches_serial(cfgs, n_servers, n, seed):
+    # The batched kernel takes one server count for every condition.
+    cfgs = [replace(cfg, n_servers=n_servers) for cfg in cfgs]
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(0.5, size=(len(cfgs), n)), axis=1)
     demands = rng.lognormal(0.0, 0.5, size=(len(cfgs), n))

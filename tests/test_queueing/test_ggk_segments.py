@@ -5,8 +5,8 @@
 system, then repairs each segment from its predecessor's end state
 until it couples with its speculative run.  These tests pin it bit for
 bit to the per-query heap loop at the segment boundaries (n = 0, 1,
-L - 1, L, L + 1, several L plus a ragged head), at k = 1-3 and mixed k
-in one call, in every timeout and boost regime, on tied and negative
+L - 1, L, L + 1, several L plus a ragged head), at k = 1-3, in every
+timeout and boost regime, on tied and negative
 arrivals and on zero and -0.0 demands; and they check that an
 overloaded condition takes the scalar fallback and is still exact.
 """
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.queueing import StapQueueConfig, simulate_stap_queue_batch
-from repro.queueing.ggk import MIN_VECTOR_LANES, SEGMENT_QUERIES
+from repro.queueing.ggk import MIN_VECTOR_LANES, SEGMENT_QUERIES, batch_kernel_faster
 
 from .ggk_oracle import simulate_heap_queue
 
@@ -55,16 +55,11 @@ def conditions(draw, n, n_servers):
 
 @st.composite
 def batches(draw):
-    """1-4 conditions of one length; one server count or mixed ones."""
+    """1-4 conditions of one length and one server count."""
     n = draw(st.sampled_from([0, 1, L - 1, L, L + 1, 3 * L, LONG]))
     n_conditions = draw(st.integers(1, 4))
-    if draw(st.booleans()):
-        servers = [draw(st.integers(1, 3))] * n_conditions
-    else:
-        servers = draw(
-            st.lists(st.integers(1, 3), min_size=n_conditions, max_size=n_conditions)
-        )
-    cases = [draw(conditions(n, k)) for k in servers]
+    k = draw(st.integers(1, 3))
+    cases = [draw(conditions(n, k)) for _ in range(n_conditions)]
     arrivals = np.array([a for a, _, _ in cases]).reshape(n_conditions, n)
     demands = np.array([d for _, d, _ in cases]).reshape(n_conditions, n)
     return arrivals, demands, [cfg for _, _, cfg in cases]
@@ -94,17 +89,17 @@ def _inputs(utils, n, seed=0):
     return np.cumsum(gaps, axis=1), rng.lognormal(-0.06, 0.35, (len(utils), n))
 
 
-@pytest.mark.parametrize("servers", [[2] * 8, [1, 2, 3, 2, 3, 1, 2, 3]])
-def test_vector_repair_is_exact(servers):
+@pytest.mark.parametrize("k", [2, 3, 1])
+def test_vector_repair_is_exact(k):
     # Eight conditions of LONG queries are well over MIN_VECTOR_LANES
     # lanes, so most segments are repaired by the vectorized sweep.
-    utils = np.linspace(0.3, 0.9, len(servers))
+    # Per-server loads 0.3-0.9 whatever k (``_inputs`` draws for k = 2).
+    utils = np.linspace(0.3, 0.9, 8) * k / 2
     arrivals, demands = _inputs(utils, LONG, seed=1)
     timeout_cycle = [0.0, 0.5, np.inf, 2.0] * 2
     boost_cycle = [1.3, 0.8, 2.0, 1.0] * 2
     configs = [
-        StapQueueConfig(k, 1.0, t, b)
-        for k, t, b in zip(servers, timeout_cycle, boost_cycle)
+        StapQueueConfig(k, 1.0, t, b) for t, b in zip(timeout_cycle, boost_cycle)
     ]
     telemetry.configure()
     try:
@@ -162,3 +157,19 @@ def test_overloaded_condition_falls_back(utils, n):
     # The overloaded condition's segments 1.. are all run again.
     assert repaired >= n - L
     _assert_matches_oracle(batch, arrivals, demands, configs)
+
+
+@pytest.mark.parametrize(
+    "n_conditions,n_queries,batched",
+    [
+        (MIN_VECTOR_LANES - 1, L, False),
+        (MIN_VECTOR_LANES, 1, True),
+        (1, (MIN_VECTOR_LANES - 1) * L, False),
+        # One query more opens one more segment.
+        (1, (MIN_VECTOR_LANES - 1) * L + 1, True),
+        (2, -(-MIN_VECTOR_LANES // 2) * L, True),
+    ],
+)
+def test_kernel_choice_counts_lanes(n_conditions, n_queries, batched):
+    # Lanes are distinct conditions x segments of SEGMENT_QUERIES queries.
+    assert batch_kernel_faster(n_conditions, n_queries) is batched
