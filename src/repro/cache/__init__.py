@@ -10,7 +10,6 @@ model used by the collocation testbed.
 from repro.cache.geometry import CacheGeometry
 from repro.cache.cat import (
     WayMask,
-    AllocationSetting,
     ShortTermPolicy,
     CatController,
     private_region,
@@ -22,7 +21,6 @@ from repro.cache.contention import SharedWayContention
 __all__ = [
     "CacheGeometry",
     "WayMask",
-    "AllocationSetting",
     "ShortTermPolicy",
     "CatController",
     "private_region",

@@ -58,10 +58,6 @@ class WayMask:
         return WayMask(lo, hi - lo)
 
 
-# An allocation setting in the paper *is* a contiguous way range.
-AllocationSetting = WayMask
-
-
 @dataclass(frozen=True)
 class ShortTermPolicy:
     """A short-term allocation policy ``(a, a', t)``.

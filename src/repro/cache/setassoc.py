@@ -20,10 +20,8 @@ from repro.cache.geometry import CacheGeometry
 class AccessResult:
     """Outcome of a batch of accesses."""
 
-    hits: np.ndarray  # bool per access
     n_hits: int
     n_misses: int
-    n_evictions: int
 
     @property
     def n_accesses(self) -> int:
@@ -85,8 +83,7 @@ class SetAssociativeCache:
             raise ValueError(f"mask {mask} exceeds {g.n_ways} ways")
         tags, sets = g.split_address(addresses)
         n = tags.shape[0]
-        hits = np.zeros(n, dtype=bool)
-        n_evictions = 0
+        n_hits = 0
 
         fill_lo, fill_hi = mask.offset, mask.end
         tags_arr, valid_arr, owner_arr, last_use = (
@@ -105,7 +102,7 @@ class SetAssociativeCache:
             match = np.nonzero(row_valid & (row_tags == t))[0]
             if match.size:
                 w = match[0]
-                hits[i] = True
+                n_hits += 1
                 last_use[s, w] = clock
                 continue
             # Miss: fill into the enabled ways, preferring an invalid way,
@@ -116,17 +113,10 @@ class SetAssociativeCache:
                 w = fill_lo + empty[0]
             else:
                 w = fill_lo + int(np.argmin(last_use[s, fill_lo:fill_hi]))
-                n_evictions += 1
             tags_arr[s, w] = t
             valid_arr[s, w] = True
             owner_arr[s, w] = cos_id
             last_use[s, w] = clock
 
         self._clock = clock
-        n_hits = int(hits.sum())
-        return AccessResult(
-            hits=hits,
-            n_hits=n_hits,
-            n_misses=n - n_hits,
-            n_evictions=n_evictions,
-        )
+        return AccessResult(n_hits=n_hits, n_misses=n - n_hits)

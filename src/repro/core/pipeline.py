@@ -56,17 +56,16 @@ def _shared_split(contention, shared_bytes: float, spec, other) -> float:
 class ConditionPrediction:
     """Per-service outcome of one hypothetical-condition prediction.
 
-    ``summaries`` and ``boost_fractions`` come from the fixed point's
-    last simulate, and ``effective_allocations`` are the EAs that
-    simulate ran at.  ``X_flat``/``traces`` are the *nominal* model
-    inputs (simulator-derived, no measurements) built from that
-    simulate's queue feedback — exposed so competing models can be
-    evaluated on identical information.
+    ``summaries`` come from the fixed point's last simulate, and
+    ``effective_allocations`` are the EAs that simulate ran at.
+    ``X_flat``/``traces`` are the *nominal* model inputs
+    (simulator-derived, no measurements) built from that simulate's
+    queue feedback — exposed so competing models can be evaluated on
+    identical information.
     """
 
     summaries: list[ResponseTimeSummary]
     effective_allocations: np.ndarray
-    boost_fractions: np.ndarray
     X_flat: np.ndarray
     traces: np.ndarray
 
@@ -450,7 +449,6 @@ class StacModel:
             ConditionPrediction(
                 summaries=[f.summary for f in feedback_per[ci]],
                 effective_allocations=eas_per[ci],
-                boost_fractions=boost_per[ci],
                 X_flat=X_per[ci],
                 traces=traces_per[ci],
             )

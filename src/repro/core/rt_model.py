@@ -2,8 +2,9 @@
 
 Wraps the G/G/k STAP simulator: given a service's runtime condition and
 its (predicted) effective allocation, simulate the queue and report the
-response-time distribution plus the dynamic-condition feedback (wait
-times, boost fraction) that Stage 2 consumes in the fixed-point loop.
+response-time summary plus the dynamic-condition feedback that Stage 2
+consumes in the fixed-point loop: the mean wait (read as a queue length)
+and the boost fraction.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ class QueueFeedback:
 
     summary: ResponseTimeSummary
     mean_wait: float
-    p95_wait: float
     boost_fraction: float
 
 
@@ -246,11 +246,9 @@ class ResponseTimeModel:
         boosted = boosted[:, warmup:]
         summaries = summarize_response_times(response)
         mean_wait = waits.mean(axis=1).tolist()
-        # ``waits`` is not read again, so the percentile may sort it in place.
-        p95_wait = np.percentile(waits, 95, axis=1, overwrite_input=True).tolist()
         boost_fraction = boosted.mean(axis=1).tolist()
         feedback = [
-            QueueFeedback(summary=s, mean_wait=m, p95_wait=p, boost_fraction=b)
-            for s, m, p, b in zip(summaries, mean_wait, p95_wait, boost_fraction)
+            QueueFeedback(summary=s, mean_wait=m, boost_fraction=b)
+            for s, m, b in zip(summaries, mean_wait, boost_fraction)
         ]
         return [feedback[i] for i in index]

@@ -180,7 +180,6 @@ class RunResult:
     """All services' outcomes plus run-level metadata."""
 
     services: list[ServiceResult]
-    horizon: float
     config: CollocationConfig
 
     def service(self, name: str) -> ServiceResult:
@@ -436,4 +435,4 @@ class CollocationRuntime:
                     segments=SegmentTable.from_records(ls.segments),
                 )
             )
-        return RunResult(services=results, horizon=loop.now, config=cfg)
+        return RunResult(services=results, config=cfg)

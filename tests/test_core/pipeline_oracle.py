@@ -11,8 +11,8 @@ must reproduce it bit for bit.
 ``predict_conditions_oracle`` is the fixed-point loop
 :meth:`StacModel.predict_conditions` ran before it ended on a simulate:
 every round simulates, builds the nominal inputs and predicts EAs, so
-the last round's EA predict feeds no simulate.  Its summaries, boost
-fractions and nominal inputs must equal the shipped loop's bit for bit.
+the last round's EA predict feeds no simulate.  Its summaries and
+nominal inputs must equal the shipped loop's bit for bit.
 """
 
 import numpy as np
@@ -126,7 +126,6 @@ def predict_conditions_oracle(model, conditions) -> list[ConditionPrediction]:
         ConditionPrediction(
             summaries=[f.summary for f in feedback_per[ci]],
             effective_allocations=eas_per[ci],
-            boost_fractions=boost_per[ci],
             X_flat=X_per[ci],
             traces=traces_per[ci],
         )

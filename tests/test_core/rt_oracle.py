@@ -45,6 +45,5 @@ def simulate_oracle(
     return QueueFeedback(
         summary=summarize_response_times(res.response_times),
         mean_wait=float(waits.mean()),
-        p95_wait=float(np.percentile(waits, 95)),
         boost_fraction=res.boost_fraction,
     )

@@ -92,7 +92,6 @@ def _bits(feedback):
     values = (
         *dataclasses.astuple(feedback.summary),
         feedback.mean_wait,
-        feedback.p95_wait,
         feedback.boost_fraction,
     )
     return tuple(float(v).hex() for v in values)
@@ -401,7 +400,6 @@ class TestPredictConditions:
     def _assert_same(self, a, b):
         assert a.summaries == b.summaries
         assert np.array_equal(a.effective_allocations, b.effective_allocations)
-        assert np.array_equal(a.boost_fractions, b.boost_fractions)
         assert np.array_equal(a.X_flat, b.X_flat)
         assert np.array_equal(a.traces, b.traces)
 
@@ -486,5 +484,5 @@ class TestEaPredictOracle:
         want = fitted_fast.predict_conditions(conds)
         for a, b in zip(got, want, strict=True):
             assert a.summaries == b.summaries
-            for field in ("effective_allocations", "boost_fractions", "X_flat", "traces"):
+            for field in ("effective_allocations", "X_flat", "traces"):
                 assert getattr(a, field).tobytes() == getattr(b, field).tobytes()

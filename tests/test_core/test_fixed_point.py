@@ -2,15 +2,16 @@
 
 ``predict_conditions`` runs ``simulate → inputs → (ea_predict →
 simulate → inputs) × (n_iterations − 1)``: the returned EAs are the ones
-the returned summaries were simulated with, and the summaries, boost
-fractions and nominal inputs equal those of the old loop, which closed
-every round with an EA predict (``pipeline_oracle``).
+the returned summaries were simulated with, and the summaries and
+nominal inputs (boost fractions among them) equal those of the old
+loop, which closed every round with an EA predict (``pipeline_oracle``).
 """
 
 import numpy as np
 import pytest
 
 from repro.core import RuntimeCondition, StacModel
+from repro.core.profile_vec import DYNAMIC_FEATURE_NAMES, STATIC_FEATURE_NAMES
 from repro.core.profiler import Profiler, ProfilerSettings
 from repro.core.sampling import uniform_conditions
 
@@ -28,6 +29,10 @@ FAST_DF = dict(
 PAIR = RuntimeCondition(("redis", "social"), (0.9, 0.85), (0.0, 1.0))
 CHAIN = RuntimeCondition(("redis", "knn", "jacobi"), (0.8, 0.6, 0.7), (0.5, np.inf, 0.0))
 SOLO = RuntimeCondition(("redis",), (0.85,), (0.5,))
+#: The ``X_flat`` column that holds each service's simulated boost fraction.
+OWN_BOOST = len(STATIC_FEATURE_NAMES) + DYNAMIC_FEATURE_NAMES.index(
+    "own_boost_fraction"
+)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +91,7 @@ def test_summaries_are_simulated_at_the_returned_eas(case):
     feedback = _resimulate(model, condition, got.effective_allocations)
     assert got.summaries == [f.summary for f in feedback]
     assert (
-        got.boost_fractions.tobytes()
+        got.X_flat[:, OWN_BOOST].tobytes()
         == np.array([f.boost_fraction for f in feedback]).tobytes()
     )
 
@@ -99,7 +104,7 @@ def test_matches_the_old_loop(case, n_iterations):
         model, n_iterations, lambda c: predict_conditions_oracle(model, c), [condition]
     )[0]
     assert got.summaries == old.summaries
-    for field in ("boost_fractions", "X_flat", "traces"):
+    for field in ("X_flat", "traces"):
         assert getattr(got, field).tobytes() == getattr(old, field).tobytes(), field
     # The old loop's n - 1 rounds end on the EA the new loop simulates last.
     shorter = _at(

@@ -202,6 +202,8 @@ class TestStacModel:
         condition = RuntimeCondition(("redis", "social"), (0.5, 0.5), (1.0, 1.0))
         with pytest.raises(ValueError, match="n_iterations"):
             model.predict_condition(condition)
+        with pytest.raises(ValueError, match="n_iterations"):
+            model.predict_conditions([condition])
 
     def test_single_iteration_rejected(self):
         """One round returns summaries simulated at the first-principles

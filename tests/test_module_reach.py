@@ -1,5 +1,6 @@
-"""Every ``src/repro`` module is reachable from an entry point, and
-every public definition is named outside the tests.
+"""Every ``src/repro`` module is reachable from an entry point, every
+public definition is named outside the tests, and every public dataclass
+field and module constant is read outside them.
 
 The walk parses ``import`` statements with :mod:`ast`, starting from the
 CLI and from every benchmark, example and perfbench script.  A name
@@ -36,8 +37,8 @@ def _module_file(module: str) -> Path | None:
     return None
 
 
-def _module_name(path: Path) -> str:
-    parts = path.relative_to(SRC).with_suffix("").parts
+def _module_name(path: Path, src: Path = SRC) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
 
 
@@ -181,6 +182,14 @@ EXEMPT = {
         "the per-tick counter model that synthesize_ticks vectorizes; the "
         "sampler oracle (tests/test_counters/sampler_oracle.py) walks it"
     ),
+    "repro.core.profile_vec:STATIC_FEATURE_NAMES": (
+        "names the static columns of a feature vector; tests index X_flat "
+        "columns by name through it"
+    ),
+    "repro.core.profile_vec:DYNAMIC_FEATURE_NAMES": (
+        "names the dynamic columns of a feature vector; tests index X_flat "
+        "columns by name through it"
+    ),
 }
 
 
@@ -271,6 +280,15 @@ def public_definitions() -> set[str]:
     return out
 
 
+def _reader_files(root: Path) -> list[Path]:
+    """Every source file whose reads count: all of ``root`` but ``tests/``."""
+    return [
+        path
+        for top in ("src", "benchmarks", "examples", "perfbench")
+        for path in sorted((root / top).rglob("*.py"))
+    ]
+
+
 def unnamed_definitions() -> set[str]:
     """Public definitions whose name no code outside ``tests/`` reads,
     reads inside the definition's own body aside.
@@ -279,13 +297,110 @@ def unnamed_definitions() -> set[str]:
     that name is read on any object, so the scan errs toward "named".
     """
     readers: dict[str, list[frozenset[str]]] = {}
-    for path in [*(SRC / "repro").rglob("*.py"), *ENTRY_SCRIPTS]:
+    for path in _reader_files(ROOT):
         for name, where in _names_read(path):
             readers.setdefault(name, []).append(where)
     return {
         d
         for d in public_definitions()
         if all(d in where for where in readers.get(re.split("[:.]", d)[-1], ()))
+    }
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        f = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (f.attr if isinstance(f, ast.Attribute) else f.id) == "dataclass":
+            return True
+    return False
+
+
+def _fields_and_constants(src: Path) -> tuple[set[str], set[str]]:
+    """``module:Class.field`` of every public field of a top-level
+    ``@dataclass`` under ``src/repro``, and ``module:NAME`` of every
+    public name a module assigns at its top level."""
+    fields: set[str] = set()
+    constants: set[str] = set()
+    for path in (src / "repro").rglob("*.py"):
+        module = _module_name(path, src)
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields |= {
+                    f"{module}:{node.name}.{item.target.id}"
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and not item.target.id.startswith("_")
+                }
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                targets = []
+            constants |= {
+                f"{module}:{t.id}" for t in targets if not t.id.startswith("_")
+            }
+    return fields, constants
+
+
+def _reads(path: Path) -> tuple[set[str], set[str]]:
+    """``(attributes, names)`` that ``path`` reads.
+
+    ``attributes`` are loaded as ``x.name`` or ``getattr(x, "name")``.
+    ``names`` adds every variable loaded and every name imported, except
+    by a package ``__init__``.  A string annotation is read as the code
+    it holds.  Text in any other string, a dict key or f-string label,
+    reads nothing; neither does a keyword argument, which writes.
+    """
+    tree = ast.parse(path.read_text())
+    nodes = list(ast.walk(tree))
+    annotations = [
+        a
+        for node in nodes
+        for a in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if a is not None
+    ]
+    nodes += [
+        n
+        for a in annotations
+        for c in ast.walk(a)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+        for n in ast.walk(ast.parse(c.value, mode="eval"))
+    ]
+    attributes: set[str] = set()
+    names: set[str] = set()
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            attributes.add(node.args[1].value)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom) and path.name != "__init__.py":
+            names |= {a.name for a in node.names}
+    return attributes, attributes | names
+
+
+def unread_fields_and_constants(root: Path = ROOT) -> set[str]:
+    """Public dataclass fields that no code outside ``root/tests`` reads
+    as an attribute, and public module constants it does not read at
+    all.  Like the definition scan, this matches by name, and errs
+    toward "read"."""
+    attributes: set[str] = set()
+    names: set[str] = set()
+    for path in _reader_files(root):
+        a, n = _reads(path)
+        attributes |= a
+        names |= n
+    fields, constants = _fields_and_constants(root / "src")
+    return {f for f in fields if f.rsplit(".", 1)[1] not in attributes} | {
+        c for c in constants if c.split(":")[1] not in names
     }
 
 
@@ -296,10 +411,17 @@ def test_every_public_definition_is_named_outside_tests():
     assert not unexempted, sorted(unexempted)
 
 
+def test_every_field_and_constant_is_read_outside_tests():
+    """A dataclass field or module constant that only tests read is
+    deleted with the code that computes it, or exempted above."""
+    unexempted = unread_fields_and_constants() - set(EXEMPT)
+    assert not unexempted, sorted(unexempted)
+
+
 def test_every_exemption_is_still_needed():
-    """An exemption names an existing definition that is still unnamed;
-    one whose definition was deleted or gained a caller is removed."""
-    stale = set(EXEMPT) - unnamed_definitions()
+    """An exemption names an existing definition, field or constant that
+    is still unread; one that was deleted or gained a reader is removed."""
+    stale = set(EXEMPT) - unnamed_definitions() - unread_fields_and_constants()
     assert not stale, sorted(stale)
 
 
@@ -327,6 +449,86 @@ def test_reads_inside_a_definition_belong_to_it(tmp_path):
         frozenset({":Net", ":Net.fit"}),
         frozenset({":timer"}),
     }
+
+
+def _tree(root: Path, files: dict[str, str]) -> Path:
+    for name, source in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(source))
+    return root
+
+
+def test_only_an_attribute_read_outside_tests_names_a_field(tmp_path):
+    """``box.label`` and ``getattr(box, "tag")`` read a field; a keyword
+    argument to the constructor, a read under ``tests/``, a dict key and
+    f-string text do not."""
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/box.py": """
+                from dataclasses import dataclass
+
+                @dataclass
+                class Box:
+                    size: int
+                    label: str
+                    tag: str
+                    p50: float
+                    p99: float
+
+                def make():
+                    return Box(size=1, label="a", tag="b", p50=0.5, p99=0.9)
+                """,
+            "examples/show.py": """
+                from repro.box import make
+
+                box = make()
+                row = {"p50": box.label, "tag": getattr(box, "tag")}
+                print(f"p99 {row}")
+                """,
+            "tests/test_box.py": """
+                from repro.box import make
+
+                def test_size():
+                    assert make().size == 1
+                """,
+        },
+    )
+    assert unread_fields_and_constants(root) == {
+        "repro.box:Box.size",
+        "repro.box:Box.p50",
+        "repro.box:Box.p99",
+    }
+
+
+def test_a_constant_read_only_by_an_export_or_tests_is_flagged(tmp_path):
+    """A module-level read and an import outside ``tests/`` count; the
+    assignment itself, an ``__init__`` re-export and ``__all__`` do not."""
+    root = _tree(
+        tmp_path,
+        {
+            "src/repro/__init__.py": """
+                from repro.names import LIMIT, N_NAMES
+
+                __all__ = ["LIMIT", "N_NAMES"]
+                """,
+            "src/repro/names.py": """
+                NAMES = ("a", "b")
+                N_NAMES = len(NAMES)
+                LIMIT = 3
+                """,
+            "src/repro/use.py": """
+                from repro.names import N_NAMES
+
+                def size(rng: "RngLike") -> int:
+                    return N_NAMES
+                """,
+            "src/repro/rng.py": 'RngLike = "int | None"\n',
+            "tests/test_names.py": "from repro import LIMIT\n",
+        },
+    )
+    assert unread_fields_and_constants(root) == {"repro.names:LIMIT"}
 
 
 def test_a_sibling_method_or_the_module_names_a_definition(tmp_path):

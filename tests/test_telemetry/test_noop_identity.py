@@ -196,7 +196,7 @@ class TestFixedPointObservability:
             fitted.n_iterations = 2
         for a, b in zip(off, on):
             assert a.summaries == b.summaries
-            for name in ("effective_allocations", "boost_fractions", "X_flat", "traces"):
+            for name in ("effective_allocations", "X_flat", "traces"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         rounds = log.by_name("stage3.fixed_point.round")
         assert len(rounds) == n_iterations
