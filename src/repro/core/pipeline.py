@@ -332,6 +332,26 @@ class StacModel:
             X_flat.append(np.concatenate([xs, xd]))
         return np.stack(X_flat)
 
+    def _predict_eas(self, X_per, traces_per, offsets) -> list[np.ndarray]:
+        """One round's EAs, per condition, from one :meth:`EAModel.predict`
+        call per trace shape over every condition's stacked rows.
+
+        A shape the model was not fitted on raises the learner's
+        ``ValueError``, as a standalone call on it would."""
+        by_shape: dict[tuple, list[int]] = {}
+        for ci, traces in enumerate(traces_per):
+            by_shape.setdefault(traces.shape[1:], []).append(ci)
+        eas = np.empty(offsets[-1])
+        for members in by_shape.values():
+            rows = np.concatenate(
+                [np.arange(offsets[c], offsets[c + 1]) for c in members]
+            )
+            eas[rows] = self.ea_model.predict(
+                np.concatenate([X_per[c] for c in members]),
+                np.concatenate([traces_per[c] for c in members]),
+            )
+        return [eas[a:b] for a, b in zip(offsets, offsets[1:])]
+
     def predict_condition(
         self, condition: RuntimeCondition
     ) -> ConditionPrediction:
@@ -355,14 +375,22 @@ class StacModel:
         simulates all collocated services of all conditions in one
         :meth:`ResponseTimeModel.simulate_many` call, then builds their
         nominal inputs (one :meth:`_nominal_trace` call, then the
-        feature rows) from its feedback.  The loop ends on those inputs,
-        so ``n_iterations`` rounds run ``n_iterations - 1`` EA predicts,
+        feature rows) from its feedback, and predicts the next EAs with
+        one :meth:`EAModel.predict` call per trace shape over every
+        condition's rows.  The loop ends on those inputs, so
+        ``n_iterations`` rounds run ``n_iterations - 1`` EA predicts,
         and every returned field belongs to the last simulate.  After
         each EA update the gauge ``stage3.fixed_point.ea_residual``
-        holds the largest EA change over all conditions.  Conditions are
-        mutually independent, so each result is bit-identical to a
-        standalone :meth:`predict_condition` call.  Service counts may
-        differ between conditions.
+        holds the largest EA change over all conditions.  Service counts
+        may differ between conditions.
+
+        Conditions are mutually independent.  For the forest learners
+        (``deep_forest``, ``cascade``, ``random_forest``, ``tree``) a
+        row's prediction does not depend on the rows beside it, so each
+        result is bit-identical to a standalone :meth:`predict_condition`
+        call.  The ``linear`` and ``cnn`` learners multiply matrices,
+        whose rounding depends on the batch size: their EAs may differ
+        from a standalone call's in the last bits.
         """
         self._check_fitted()
         if self.n_iterations < 1:
@@ -398,14 +426,8 @@ class StacModel:
             for it in range(self.n_iterations):
                 with telemetry.span("stage3.fixed_point.round", round=it):
                     if it:
-                        # One EA-model call per condition — identical
-                        # input stacking to a standalone call, so
-                        # identical predictions for every learner.
                         with telemetry.span("stage3.fixed_point.ea_predict"):
-                            new_eas = [
-                                self.ea_model.predict(X, traces)
-                                for X, traces in zip(X_per, traces_per)
-                            ]
+                            new_eas = self._predict_eas(X_per, traces_per, offsets)
                         if telemetry.enabled():
                             telemetry.gauge_set(
                                 "stage3.fixed_point.ea_residual",

@@ -47,26 +47,64 @@ def sliding_windows(traces: np.ndarray, window: tuple[int, int]) -> np.ndarray:
     return views.reshape(n, (H - h + 1) * (W - w + 1), h * w)
 
 
-# Elements of one block's (samples, m, m, d) comparison in
-# :func:`_first_equal`: samples are compared a block at a time, so the
-# temporary stays bounded over a whole training set.
-_BLOCK_ELEMENTS = 1 << 18
+#: Odd 64-bit multipliers of the content hash in :func:`_content_groups`,
+#: one per key part (cycled when a key has more parts).
+_HASH_MULTIPLIERS = np.random.default_rng(0x6D6773).integers(
+    0, 2**64, size=64, dtype=np.uint64
+) | np.uint64(1)
+#: Elements of one temporary in :func:`_content_groups`.  Key parts are
+#: hashed and compared a block at a time, as many parts as fit and at
+#: least one: a call on many keys allocates only ``(m,)`` arrays, and a
+#: call on few keys runs a few array operations, not several per part.
+_KEY_BLOCK_ELEMENTS = 1 << 16
 
 
-def _first_equal(items: np.ndarray) -> np.ndarray:
-    """(n, m) index of the first item equal to each of a sample's items.
+def _content_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the columns of a (k, m) uint64 array exactly by content.
 
-    ``items`` is (n, m, d): ``m`` items of ``d`` values per sample.  An
-    item with no earlier equal is its own index.
+    Each of the ``m`` keys is a column of ``k`` parts.  Returns
+    ``(label, first)``: ``label[i]`` is key ``i``'s group, and
+    ``first[g]`` the index of group ``g``'s representative; groups are
+    numbered in the order of their representatives.
+
+    The parts are hashed a block at a time (a multilinear hash of each
+    part with its high bits folded onto its low bits), and the hashes
+    are sorted.  Every key is then checked bit for bit against its hash
+    group's representative, and a key that differs gets a group of its
+    own: a hash collision can cost a repeat, never a wrong label.
     """
-    n, m, d = items.shape
-    first = np.empty((n, m), dtype=np.intp)
-    step = max(1, _BLOCK_ELEMENTS // max(1, m * m * d))
-    for s in range(0, n, step):
-        block = items[s : s + step]
-        same = (block[:, :, None] == block[:, None]).all(axis=3)
-        first[s : s + step] = same.argmax(axis=2)
-    return first
+    k, m = keys.shape
+    step = max(1, _KEY_BLOCK_ELEMENTS // max(m, 1))
+    multipliers = np.resize(_HASH_MULTIPLIERS, k)[:, None]
+    h = np.zeros(m, dtype=np.uint64)
+    for p in range(0, k, step):
+        block = keys[p : p + step]
+        mixed = block >> np.uint64(32)
+        mixed ^= block
+        mixed *= multipliers[p : p + step]
+        h += mixed.sum(axis=0)
+    order = np.argsort(h)
+    h = h[order]
+    start = np.ones(m, dtype=bool)
+    np.not_equal(h[1:], h[:-1], out=start[1:])
+    rep = np.empty(m, dtype=np.intp)
+    rep[order] = order[np.flatnonzero(start)][np.cumsum(start) - 1]
+    same = np.ones(m, dtype=bool)
+    for p in range(0, k, step):
+        block = keys[p : p + step]
+        same &= (block == block[:, rep]).all(axis=0)
+    rep[~same] = np.flatnonzero(~same)
+    first = np.flatnonzero(rep == np.arange(m))
+    label = np.empty(m, dtype=np.intp)
+    label[first] = np.arange(first.shape[0])
+    return label[rep], first
+
+
+def _run_keys(rows: np.ndarray, k: int) -> np.ndarray:
+    """(k, m) keys of every run of ``k`` consecutive elements in each
+    row of ``rows``: key ``i * n_runs + j`` is ``rows[i, j : j + k]``."""
+    n_runs = rows.shape[1] - k + 1
+    return np.stack([rows[:, p : p + n_runs] for p in range(k)]).reshape(k, -1)
 
 
 @dataclass
@@ -152,15 +190,19 @@ class MultiGrainScanner:
         Returns (n_samples, total_positions) — the concatenated per-
         position predictions of every window forest.
 
-        Windows that repeat are predicted once.  Two columns of a trace
-        are the same when their bits are, and a
-        window's content is fixed by its row offset and the labels of
-        the columns it covers; so per sample and window size only the
-        first position of each distinct label pattern is predicted, for
-        every row offset, and its predictions fill every position that
-        repeats it.  Noise-free nominal traces have a few distinct
-        columns (a tick is boosted or not), noisy traces none repeated;
-        the result is bit-identical to predicting every position.  The
+        Windows that repeat anywhere in the call are predicted once.  A
+        window forest sees only a window's content, so windows are
+        grouped exactly by content across all samples: first the
+        distinct tick columns, then each distinct run of ``w`` column
+        labels and each distinct column's ``h``-row segment at every row
+        offset, then each window of a run at a row offset as the tuple
+        of its ``w`` segment labels.  One window per group is predicted,
+        and its prediction fills every position in the group.  Contents
+        compare as float bits, so a NaN matches only the same NaN bits
+        and 0.0 and -0.0 differ.  Noise-free nominal traces repeat
+        segments across samples, columns and row offsets; noisy traces
+        repeat no column, and then every window is predicted directly.
+        The result is bit-identical to predicting every position.  The
         counters ``mgs.window_rows`` and ``mgs.window_rows_predicted``
         record both row counts.
         """
@@ -172,25 +214,38 @@ class MultiGrainScanner:
                 f"trace shape {traces.shape[1:]} != fitted {self._fitted_shape}"
             )
         n, H, W = traces.shape
-        # Columns compared as int64 bits: a NaN column matches only the
-        # same NaN bits, and 0.0 and -0.0 differ, so equal labels mean
-        # equal forest inputs.
-        labels = _first_equal(traces.view(np.int64).transpose(0, 2, 1))
+        # A tick column is a key of H parts, its float bits.
+        col_label, col_first = _content_groups(
+            traces.view(np.uint64).transpose(1, 0, 2).reshape(H, n * W)
+        )
+        repeats = col_first.shape[0] < n * W
+        # The distinct columns, (n_distinct, H), and each tick's label.
+        columns = traces.view(np.uint64)[col_first // W, :, col_first % W]
+        col_label = col_label.reshape(n, W).astype(np.uint64)
         feats = []
         for (h, w), forest in zip(self.windows, self._forests):
             n_rows, n_cols = H - h + 1, W - w + 1
-            rep = _first_equal(sliding_window_view(labels, w, axis=1))
-            # Representatives in (sample, column) order; slot[s, j] is
-            # the representative's row in ``pred``, read by every
-            # position whose pattern it carries.
-            rep_s, rep_j = np.nonzero(rep == np.arange(n_cols))
-            slot = np.zeros((n, n_cols), dtype=np.intp)
-            slot[rep_s, rep_j] = np.arange(rep_s.shape[0])
             views = sliding_window_view(traces, (h, w), axis=(1, 2))
-            rows = views[rep_s, :, rep_j].reshape(-1, h * w)
-            pred = forest.predict(rows)
-            pred = pred.reshape(-1, n_rows)[np.take_along_axis(slot, rep, axis=1)]
-            feats.append(pred.transpose(0, 2, 1).reshape(n, n_rows * n_cols))
+            if repeats:
+                # Each distinct run of w column labels once ...
+                run_keys = _run_keys(col_label, w)
+                run_label, run_first = _content_groups(run_keys)
+                runs = run_keys[:, run_first]
+                run_s, run_j = np.divmod(run_first, n_cols)
+                # ... and each distinct column's h-row segment at every
+                # row offset once; a window of a run at a row offset is
+                # then the tuple of its w segment labels.
+                seg_label, _ = _content_groups(_run_keys(columns, h))
+                seg_label = seg_label.reshape(-1, n_rows).astype(np.uint64)
+                label, first = _content_groups(seg_label[runs].reshape(w, -1))
+                run, r = np.divmod(first, n_rows)
+                rows = views[run_s[run], r, run_j[run]].reshape(-1, h * w)
+                pred = forest.predict(rows)[label].reshape(-1, n_rows)
+                pred = pred[run_label.reshape(n, n_cols)].transpose(0, 2, 1)
+            else:
+                rows = views.reshape(-1, h * w)
+                pred = forest.predict(rows)
+            feats.append(pred.reshape(n, n_rows * n_cols))
             telemetry.counter_inc("mgs.window_rows", n * n_rows * n_cols)
             telemetry.counter_inc("mgs.window_rows_predicted", rows.shape[0])
         return np.concatenate(feats, axis=1)

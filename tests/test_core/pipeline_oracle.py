@@ -13,6 +13,11 @@ must reproduce it bit for bit.
 every round simulates, builds the nominal inputs and predicts EAs, so
 the last round's EA predict feeds no simulate.  Its summaries and
 nominal inputs must equal the shipped loop's bit for bit.
+
+``predict_conditions_per_condition_oracle`` is the shipped loop with
+one EA predict per condition instead of one over every condition's
+stacked rows.  For the forest learners the shipped loop must reproduce
+it bit for bit.
 """
 
 import numpy as np
@@ -76,13 +81,9 @@ def nominal_trace_oracle(model, specs, target, utils, boost_fractions) -> np.nda
     return np.vstack(blocks)
 
 
-def predict_conditions_oracle(model, conditions) -> list[ConditionPrediction]:
-    """``model.predict_conditions`` with an EA predict closing every round.
-
-    Returns the last round's predicted EAs, which no summary was
-    simulated with.
-    """
-    conditions = list(conditions)
+def _lockstep(model, conditions):
+    """The fixed-point set-up of ``model.predict_conditions`` and a
+    function running one round's simulate and nominal inputs."""
     layouts = [model._layout(cond) for cond in conditions]
     specs_per = [[svc.workload for svc in cfg.services] for cfg in layouts]
     grosses_per = [
@@ -105,7 +106,9 @@ def predict_conditions_oracle(model, conditions) -> list[ConditionPrediction]:
         for i, spec in enumerate(specs)
     ]
     offsets = np.cumsum([0] + [len(specs) for specs in specs_per])
-    for _ in range(model.n_iterations):
+
+    def simulate(eas_per):
+        """(feedback_per, traces_per, X_per) of one simulate at ``eas_per``."""
         eas = [float(ea) for group in eas_per for ea in group]
         all_feedback = model.rt_model.simulate_many(
             [dict(base, effective_allocation=ea) for base, ea in zip(sim_base, eas)]
@@ -119,15 +122,53 @@ def predict_conditions_oracle(model, conditions) -> list[ConditionPrediction]:
             model._feature_rows(*args)
             for args in zip(conditions, specs_per, grosses_per, feedback_per, boost_per)
         ]
+        return feedback_per, traces_per, X_per
+
+    return eas_per, simulate
+
+
+def _predictions(feedback_per, eas_per, X_per, traces_per):
+    return [
+        ConditionPrediction(
+            summaries=[f.summary for f in feedback],
+            effective_allocations=eas,
+            X_flat=X,
+            traces=traces,
+        )
+        for feedback, eas, X, traces in zip(feedback_per, eas_per, X_per, traces_per)
+    ]
+
+
+def predict_conditions_oracle(model, conditions) -> list[ConditionPrediction]:
+    """``model.predict_conditions`` with an EA predict closing every round.
+
+    Returns the last round's predicted EAs, which no summary was
+    simulated with.
+    """
+    eas_per, simulate = _lockstep(model, list(conditions))
+    for _ in range(model.n_iterations):
+        feedback_per, traces_per, X_per = simulate(eas_per)
         eas_per = [
             model.ea_model.predict(X, traces) for X, traces in zip(X_per, traces_per)
         ]
-    return [
-        ConditionPrediction(
-            summaries=[f.summary for f in feedback_per[ci]],
-            effective_allocations=eas_per[ci],
-            X_flat=X_per[ci],
-            traces=traces_per[ci],
-        )
-        for ci in range(len(conditions))
-    ]
+    return _predictions(feedback_per, eas_per, X_per, traces_per)
+
+
+def predict_conditions_per_condition_oracle(
+    model, conditions
+) -> list[ConditionPrediction]:
+    """``model.predict_conditions`` with one EA predict per condition.
+
+    The loop ran this way before each round became one EA predict per
+    trace shape over every condition's rows: every condition's EAs come
+    from an ``EAModel.predict`` call on its own rows.
+    """
+    eas_per, simulate = _lockstep(model, list(conditions))
+    for it in range(model.n_iterations):
+        if it:
+            eas_per = [
+                model.ea_model.predict(X, traces)
+                for X, traces in zip(X_per, traces_per)
+            ]
+        feedback_per, traces_per, X_per = simulate(eas_per)
+    return _predictions(feedback_per, eas_per, X_per, traces_per)

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import telemetry
 from repro.forest import MultiGrainScanner, mgs, sliding_windows
@@ -200,28 +199,159 @@ class TestDistinctWindows:
         t[0, :, 2] = np.nan
         t[0, :, 3] = -0.0
         t[0, :, 4] = np.nan
-        columns = t.view(np.int64).transpose(0, 2, 1)
-        assert mgs._first_equal(columns).tolist() == [[0, 1, 2, 1, 2]]
+        label, _ = mgs._content_groups(t.view(np.uint64)[0])
+        assert _partition(label) == [[0], [1, 3], [2, 4]]
         palette = np.stack([np.zeros(SHAPE[0]), np.full(SHAPE[0], -0.0)])
         traces = palette[[0, 1, 0, 1, 1, 0, 0, 1, 0]].T[None]
         _assert_oracle(scanner, traces)
 
-    def test_first_equal(self):
-        labels = np.array([[0, 1, 0, 1, 0, 5], [0, 0, 0, 0, 0, 0]])
-        windows = sliding_window_view(labels, 2, axis=1)
-        assert mgs._first_equal(windows).tolist() == [[0, 1, 0, 1, 4], [0] * 5]
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        kind=st.sampled_from(["alphabet", "periodic_rows", "shared_rows"]),
+    )
+    def test_segments_repeating_across_columns_and_offsets(
+        self, scanner, seed, n, kind
+    ):
+        traces = _repeating_segments(seed, n, kind)
+        reg = telemetry.configure()
+        try:
+            _assert_oracle(scanner, traces)
+        finally:
+            telemetry.disable()
+        # Each distinct window content is predicted once across the
+        # call, or every window when no column repeats.
+        H, W = SHAPE
+        columns = {c.tobytes() for c in traces.transpose(0, 2, 1).reshape(-1, H)}
+        repeats = len(columns) < n * W
+        want = 0
+        for h, w in WINDOWS:
+            rows = sliding_windows(traces, (h, w)).reshape(-1, h * w)
+            want += len({row.tobytes() for row in rows}) if repeats else len(rows)
+        assert reg.counter("mgs.window_rows_predicted") == want
 
-    def test_blocks_bound_the_comparison(self, monkeypatch):
-        items = np.random.default_rng(4).integers(0, 3, size=(6, 5, 2))
-        whole = mgs._first_equal(items)
-        # One sample per block gives the same answer.
-        monkeypatch.setattr(mgs, "_BLOCK_ELEMENTS", 1)
-        assert np.array_equal(mgs._first_equal(items), whole)
-        assert np.array_equal(
-            whole,
-            [[next(k for k in range(5) if (s[k] == s[j]).all()) for j in range(5)]
-             for s in items],
+    def test_every_hash_colliding_keeps_the_oracle(self, scanner, monkeypatch):
+        monkeypatch.setattr(
+            mgs, "_HASH_MULTIPLIERS", np.zeros_like(mgs._HASH_MULTIPLIERS)
         )
+        for seed, kind in enumerate(["alphabet", "periodic_rows", "shared_rows"]):
+            _assert_oracle(scanner, _repeating_segments(seed, 3, kind))
+        _assert_oracle(scanner, _trace_batch(7, 4, "signed_zero", "random"))
+        _assert_oracle(scanner, _trace_batch(8, 4, "nan", "periodic"))
+
+    def test_noisy_traces_predict_every_window(self):
+        t, y = traces_with_signal(n=64, H=20, W=12)
+        reg = telemetry.configure()
+        try:
+            MultiGrainScanner(
+                windows=[(5, 5), (10, 10)], n_estimators=2, rng=0
+            ).fit_transform(t, y)
+        finally:
+            telemetry.disable()
+        rows = reg.counter("mgs.window_rows")
+        assert rows == 64 * (16 * 8 + 11 * 3)
+        assert reg.counter("mgs.window_rows_predicted") == rows
+
+
+def _partition(label) -> list[list[int]]:
+    """The groups of a labelling, as sorted member lists."""
+    groups: dict[int, list[int]] = {}
+    for i, g in enumerate(np.asarray(label).tolist()):
+        groups.setdefault(g, []).append(i)
+    return sorted(groups.values())
+
+
+def _key_partition(parts) -> list[list[int]]:
+    keys = list(zip(*(np.asarray(p).tolist() for p in parts)))
+    return _partition([keys.index(k) for k in keys])
+
+
+def _repeating_segments(seed, n, kind):
+    """Traces whose row segments repeat across distinct columns and
+    across row offsets, as in nominal traces whose columns differ only
+    in a few boost-related counters."""
+    r = np.random.default_rng(seed)
+    H, W = SHAPE
+    if kind == "alphabet":
+        # Two or three values: columns differ, short segments repeat.
+        values = r.normal(size=r.integers(2, 4))
+        return values[r.integers(0, values.shape[0], size=(n, H, W))]
+    if kind == "periodic_rows":
+        # Each column cycles through a short period, from its own phase.
+        period = int(r.integers(1, 4))
+        values = r.normal(size=(n, period))
+        phase = r.integers(0, 3, size=(n, 1, W))
+        rows = (np.arange(H)[None, :, None] + phase) % period
+        return values[np.arange(n)[:, None, None], rows]
+    # One base column per sample; each tick overwrites a few rows.
+    out = np.repeat(r.normal(size=(n, H, 1)), W, axis=2)
+    for s in range(n):
+        for j in range(W):
+            changed = r.integers(0, H, size=r.integers(0, 3))
+            out[s, changed, j] = r.choice([1.0, 2.0, -0.0], size=changed.shape[0])
+    return out
+
+
+class TestContentGroups:
+    def test_by_hand(self):
+        # Six keys of two parts, one key per column.
+        parts = np.array([[1, 3, 1, 3, 1, 0], [2, 4, 2, 5, 2, 0]], dtype=np.uint64)
+        label, first = mgs._content_groups(parts)
+        assert _partition(label) == [[0, 2, 4], [1], [3], [5]]
+        # Groups are numbered in the order of their representatives.
+        assert first.tolist() == sorted(first.tolist())
+        assert label[first].tolist() == [0, 1, 2, 3]
+
+    def test_no_keys(self):
+        label, first = mgs._content_groups(np.zeros((3, 0), dtype=np.uint64))
+        assert label.shape == first.shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(
+            st.lists(st.integers(0, 1), min_size=6, max_size=6), max_size=40
+        ),
+        high=st.booleans(),
+    )
+    def test_labels_equal_exactly_when_contents_do(self, keys, high):
+        # ``high`` puts the differences in the top bits, as the
+        # exponents of float keys do; a hash that ignored them would
+        # collide often, and a collision splits a group.
+        keys = np.array(keys, dtype=np.uint64).reshape(-1, 6)
+        if high:
+            keys <<= np.uint64(60)
+        parts = keys.T
+        label, first = mgs._content_groups(parts)
+        assert _partition(label) == _key_partition(parts)
+        assert label[first].tolist() == list(range(first.shape[0]))
+
+    def test_blocks_of_parts_give_the_same_groups(self, monkeypatch):
+        keys = np.random.default_rng(7).integers(0, 2, size=(9, 300))
+        keys = keys.astype(np.uint64) << np.uint64(60)
+        whole = mgs._content_groups(keys)
+        # One part per block, then blocks that do not divide the parts.
+        for elements in (1, 4 * 300):
+            monkeypatch.setattr(mgs, "_KEY_BLOCK_ELEMENTS", elements)
+            label, first = mgs._content_groups(keys)
+            assert np.array_equal(label, whole[0])
+            assert np.array_equal(first, whole[1])
+        assert _partition(whole[0]) == _key_partition(keys)
+
+    def test_colliding_hashes_split_never_merge(self, monkeypatch):
+        monkeypatch.setattr(
+            mgs, "_HASH_MULTIPLIERS", np.zeros_like(mgs._HASH_MULTIPLIERS)
+        )
+        keys = np.random.default_rng(6).integers(0, 3, size=(50, 2))
+        keys = keys.astype(np.uint64)
+        parts = keys.T
+        label, first = mgs._content_groups(parts)
+        assert label[first].tolist() == list(range(first.shape[0]))
+        # Every key shares a hash: each group holds equal keys only, and
+        # the keys equal to the one representative all stay together.
+        for group in _partition(label):
+            assert (keys[group] == keys[group[0]]).all()
+        assert len(_partition(label)) >= len(_key_partition(parts))
 
     def test_counters_record_saved_rows(self, scanner):
         traces = _trace_batch(1, 3, "normal", "equal")
